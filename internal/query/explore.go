@@ -19,6 +19,9 @@ type Scenario struct {
 	Assumptions map[string]bool `json:"assumptions"`
 	// Verdict is the query outcome under the assumptions.
 	Verdict Verdict `json:"verdict"`
+	// Stats reports the scenario's solver effort. All scenarios share one
+	// ground core, so only the first grounds the formula.
+	Stats smt.Stats `json:"-"`
 }
 
 // Exploration is the result of enumerating vague-condition
@@ -117,7 +120,7 @@ func (e *Engine) ExploreConditions(ctx context.Context, p llm.ParamSet) (*Explor
 		if verdict == Valid {
 			exp.NeverValid = false
 		}
-		exp.Scenarios = append(exp.Scenarios, Scenario{Assumptions: values, Verdict: verdict})
+		exp.Scenarios = append(exp.Scenarios, Scenario{Assumptions: values, Verdict: verdict, Stats: res.Stats})
 	}
 	return exp, nil
 }

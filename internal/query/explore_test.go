@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"github.com/privacy-quagmire/quagmire/internal/fol"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
+	"github.com/privacy-quagmire/quagmire/internal/smt"
 )
 
 func TestExploreConditions(t *testing.T) {
@@ -81,5 +83,58 @@ func TestExploreCountermodelSurfaced(t *testing.T) {
 	// ConditionalOn list names exactly the vague terms at play.
 	if len(res.ConditionalOn) == 0 {
 		t.Fatalf("expected conditional validity: %+v", res)
+	}
+}
+
+// TestExploreGroundsOnce: the 2^n scenarios run check-sat-assuming on one
+// solver, so only the first grounds the formula — every later scenario
+// reports zero instantiations — and each scenario's verdict equals a
+// fresh solver's on the formula plus that scenario's literals.
+func TestExploreGroundsOnce(t *testing.T) {
+	ctx := context.Background()
+	eng := newEngine(t)
+	p := llm.ParamSet{Sender: "TikTak", Action: "share", DataType: "usage data", Receiver: "service provider"}
+	exp, err := eng.ExploreConditions(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exp.Scenarios) < 2 {
+		t.Fatalf("scenarios = %d, want at least 2", len(exp.Scenarios))
+	}
+	if exp.Scenarios[0].Stats.Instantiations == 0 {
+		t.Error("first scenario did not ground the formula")
+	}
+	for i, sc := range exp.Scenarios[1:] {
+		if sc.Stats.Instantiations != 0 {
+			t.Errorf("scenario %d re-grounded: %d instantiations", i+2, sc.Stats.Instantiations)
+		}
+	}
+
+	q, err := resolve(ctx, eng, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	formula, _ := eng.buildFormula(eng.relevantEdges(q.actor, q.action, q.data, q.other), q.actor, q.action, q.data, q.other)
+	formula = fol.Simplify(formula)
+	for _, sc := range exp.Scenarios {
+		s := smt.NewSolver()
+		s.Assert(formula)
+		for ph, v := range sc.Assumptions {
+			lit := fol.UninterpretedPred(ph)
+			if !v {
+				lit = fol.Not(lit)
+			}
+			s.Assert(lit)
+		}
+		want := Unknown
+		switch s.CheckSat().Status {
+		case smt.Unsat:
+			want = Valid
+		case smt.Sat:
+			want = Invalid
+		}
+		if sc.Verdict != want {
+			t.Errorf("scenario %v = %s, fresh solver says %s", sc.Assumptions, sc.Verdict, want)
+		}
 	}
 }

@@ -135,15 +135,24 @@ func (e *Engine) phaseTimer(phase string) func() {
 	return func() { h.ObserveSince(start) }
 }
 
-// observeSolve records solver-side metrics for one smt result. Cached
-// results are excluded from the solve-time histogram — their Elapsed is
-// lookup time, which would drag the distribution toward zero and hide
-// real solver latency.
-func (e *Engine) observeSolve(res smt.Result) {
-	if !res.Stats.FromCache {
-		e.Obs.Histogram("quagmire_smt_solve_seconds", obs.TimeBuckets).ObserveDuration(res.Stats.Elapsed)
-		e.Obs.Counter("quagmire_smt_instantiations_total").Add(uint64(res.Stats.Instantiations))
+// observeSolve records solver-side metrics for one solver run — one
+// ground core and the checks answered on it: a single sample of their
+// summed time and the instances they generated. Cached results are
+// excluded from the solve-time histogram — their Elapsed is lookup time,
+// which would drag the distribution toward zero and hide real solver
+// latency.
+func (e *Engine) observeSolve(results []smt.Result) {
+	if len(results) == 0 || results[0].Stats.FromCache {
+		return
 	}
+	var elapsed time.Duration
+	inst := 0
+	for _, r := range results {
+		elapsed += r.Stats.Elapsed
+		inst += r.Stats.Instantiations
+	}
+	e.Obs.Histogram("quagmire_smt_solve_seconds", obs.TimeBuckets).ObserveDuration(elapsed)
+	e.Obs.Counter("quagmire_smt_instantiations_total").Add(uint64(inst))
 }
 
 // NewEngine builds an engine with pre-computed embeddings for all graph
@@ -211,16 +220,18 @@ func (e *Engine) AskParams(ctx context.Context, p llm.ParamSet) (*Result, error)
 	stopSubgraph()
 
 	stopCompile := e.phaseTimer("compile")
-	formula, placeholders := e.buildFormula(edges, actor, action, data, other)
+	policy, goal, placeholders := e.buildParts(edges, actor, action, data, other)
+	negGoal := fol.Not(goal)
+	formula := fol.And(policy, negGoal)
 	if e.SimplifyFOL {
-		formula = fol.Simplify(formula)
+		policy, negGoal = fol.Simplify(policy), fol.Simplify(negGoal)
+		formula = conjoin(policy, negGoal)
 	}
 	res.Formula = formula.String()
 	res.FormulaSize = formula.Size()
 	res.Placeholders = placeholders
 
-	script, err := smtlib.Compile(formula, smtlib.CompileOptions{
-		Negate:  false, // negation is built into the implication encoding
+	script, err := smtlib.CompileQuery(policy, negGoal, placeholders, smtlib.CompileOptions{
 		Comment: "privacy query verification",
 	})
 	if err != nil {
@@ -231,49 +242,52 @@ func (e *Engine) AskParams(ctx context.Context, p llm.ParamSet) (*Result, error)
 
 	stopSolve := e.phaseTimer("solve")
 	defer stopSolve()
+	// The main check decides the verdict; one follow-up refines it.
+	// holdsAssuming re-checks a sat goal with every vague placeholder
+	// condition assumed true, and contradictory re-checks an unsat one
+	// on the policy alone to tell "follows from the policy" from "the
+	// policy contradicts itself" (ex falso).
 	var smtRes smt.Result
+	var holdsAssuming, contradictory func() bool
 	if e.SharedCore {
 		smtRes, err = e.sharedSolve(ctx, actor, action, data, other, nil)
+		if err != nil {
+			return nil, fmt.Errorf("query: solve: %w", err)
+		}
+		e.observeSolve([]smt.Result{smtRes})
+		holdsAssuming = func() bool {
+			r, err := e.sharedSolve(ctx, actor, action, data, other, placeholders)
+			return err == nil && r.Status == smt.Unsat
+		}
+		contradictory = func() bool { return e.sharedPolicyAloneUnsat(ctx) }
 	} else {
-		smtRes, err = smt.SolveScriptCachedCtx(ctx, e.Cache, res.Script, e.Limits)
+		// One script, one ground core: main check, the check assuming the
+		// placeholders (when there are any), then the policy alone.
+		results, err := smt.RunScriptCachedCtx(ctx, e.Cache, res.Script, e.Limits)
+		if err != nil {
+			return nil, fmt.Errorf("query: solve: %w", err)
+		}
+		if want := queryChecks(placeholders); len(results) != want {
+			return nil, fmt.Errorf("query: solve: script gave %d results, want %d", len(results), want)
+		}
+		e.observeSolve(results)
+		smtRes = results[0]
+		holdsAssuming = func() bool { return results[1].Status == smt.Unsat }
+		contradictory = func() bool { return results[len(results)-1].Status == smt.Unsat }
 	}
-	if err != nil {
-		return nil, fmt.Errorf("query: solve: %w", err)
-	}
-	e.observeSolve(smtRes)
 	res.SMT = smtRes
 	switch smtRes.Status {
 	case smt.Unsat:
 		res.Verdict = Valid
-		// Distinguish "follows from the policy" from "the policy itself
-		// is contradictory" (ex falso): re-check the axioms alone.
-		contradictory := false
-		if e.SharedCore {
-			contradictory = e.sharedPolicyAloneUnsat(ctx)
-		} else {
-			contradictory = e.policyAloneUnsat(ctx, edges)
-		}
-		if contradictory {
+		if contradictory() {
 			res.Verdict = Unknown
 			res.Contradiction = true
 		}
 	case smt.Sat:
 		res.Verdict = Invalid
-		// The query may hold conditionally: retry assuming every vague
-		// placeholder condition is true.
-		if len(placeholders) > 0 {
-			v := smt.Unknown
-			if e.SharedCore {
-				if r, err := e.sharedSolve(ctx, actor, action, data, other, placeholders); err == nil {
-					v = r.Status
-				}
-			} else {
-				v = e.solveAssumingConditions(ctx, formula, placeholders)
-			}
-			if v == smt.Unsat {
-				res.Verdict = Valid
-				res.ConditionalOn = placeholders
-			}
+		if len(placeholders) > 0 && holdsAssuming() {
+			res.Verdict = Valid
+			res.ConditionalOn = placeholders
 		}
 	default:
 		res.Verdict = Unknown
@@ -282,51 +296,30 @@ func (e *Engine) AskParams(ctx context.Context, p llm.ParamSet) (*Result, error)
 	return res, nil
 }
 
-// policyAloneUnsat checks whether the subgraph's axioms are contradictory
-// without the query goal. The check is memoized alongside the main solve
-// and honors the caller's context like the main solve does.
-func (e *Engine) policyAloneUnsat(ctx context.Context, edges []*graph.Edge) bool {
-	axioms, _ := e.buildFormula(edges, "", "", "", "")
-	// Drop the goal conjunct: rebuild policy-only by removing the final
-	// ¬goal (buildFormula returns And(policy, ¬goal)).
-	if axioms.Op == fol.OpAnd && len(axioms.Sub) == 2 {
-		axioms = axioms.Sub[0]
+// conjoin returns policy ∧ negGoal for simplified parts, flattened as
+// fol.Simplify flattens a conjunction: a true policy drops out and a false
+// one absorbs the goal. The negated goal never repeats or contradicts a
+// policy statement, so this equals fol.Simplify of the whole formula
+// without simplifying the policy a second time.
+func conjoin(policy, negGoal *fol.Formula) *fol.Formula {
+	switch policy.Op {
+	case fol.OpTrue:
+		return negGoal
+	case fol.OpFalse:
+		return policy
+	case fol.OpAnd:
+		return fol.And(append(append([]*fol.Formula(nil), policy.Sub...), negGoal)...)
 	}
-	res, _ := e.Cache.MemoCtx(ctx, smt.CacheKey("policy-alone\x00"+axioms.String(), e.Limits), func() (smt.Result, error) {
-		solver := smt.NewSolver()
-		solver.Limits = e.Limits
-		solver.Assert(axioms)
-		r := solver.CheckSatCtx(ctx)
-		if err := ctx.Err(); err != nil {
-			return r, err
-		}
-		return r, nil
-	})
-	e.observeSolve(res)
-	return res.Status == smt.Unsat
+	return fol.And(policy, negGoal)
 }
 
-// solveAssumingConditions re-solves with every placeholder condition
-// asserted true (SMT-LIB check-sat-assuming), memoized alongside the main
-// solve and cancellable via ctx.
-func (e *Engine) solveAssumingConditions(ctx context.Context, formula *fol.Formula, placeholders []string) smt.Status {
-	key := "assuming\x00" + formula.String() + "\x00" + strings.Join(placeholders, "\x1f")
-	res, _ := e.Cache.MemoCtx(ctx, smt.CacheKey(key, e.Limits), func() (smt.Result, error) {
-		solver := smt.NewSolver()
-		solver.Limits = e.Limits
-		solver.Assert(formula)
-		assumptions := make([]*fol.Formula, len(placeholders))
-		for i, p := range placeholders {
-			assumptions[i] = fol.UninterpretedPred(p)
-		}
-		r := solver.CheckSatAssumingCtx(ctx, assumptions...)
-		if err := ctx.Err(); err != nil {
-			return r, err
-		}
-		return r, nil
-	})
-	e.observeSolve(res)
-	return res.Status
+// queryChecks is the number of checks in the script CompileQuery builds
+// for a question with the given placeholders.
+func queryChecks(placeholders []string) int {
+	if len(placeholders) > 0 {
+		return 3
+	}
+	return 2
 }
 
 // parseQuery extracts semantic roles from the query text, reusing the
@@ -484,25 +477,31 @@ func sym(s string) string {
 // condSym builds the uninterpreted predicate name for a condition.
 func condSym(cond string) string { return "cond_" + sym(cond) }
 
-// buildFormula encodes the subgraph and query per §3: policy statements
+// buildFormula encodes the subgraph and query per §3 (see buildParts) as
+// one formula asserting policy ∧ ¬goal, so unsat ⇔ the query follows
+// from the policy.
+func (e *Engine) buildFormula(edges []*graph.Edge, actor, action, data, other string) (*fol.Formula, []string) {
+	policy, goal, placeholders := e.buildParts(edges, actor, action, data, other)
+	return fol.And(policy, fol.Not(goal)), placeholders
+}
+
+// buildParts encodes the subgraph and query per §3: policy statements
 // become implications/facts over a practice predicate, the hierarchy
 // contributes subtype facts plus transitivity, conditions become boolean
-// predicates (vague ones uninterpreted), and the query becomes an
-// existentially quantified goal. The returned formula asserts
-// policy ∧ ¬goal, so unsat ⇔ the query follows from the policy.
-func (e *Engine) buildFormula(edges []*graph.Edge, actor, action, data, other string) (*fol.Formula, []string) {
+// predicates (vague ones uninterpreted, returned sorted as placeholders),
+// and the query becomes an existentially quantified goal.
+func (e *Engine) buildParts(edges []*graph.Edge, actor, action, data, other string) (policy, goal *fol.Formula, placeholders []string) {
 	placeholderSet := map[string]bool{}
 	axioms := e.practiceFacts(edges, placeholderSet)
 	axioms = append(axioms, e.subtypeFacts(dataTermList(edges, data))...)
 	axioms = append(axioms, subtypeAxioms()...)
-	goal := queryGoal(actor, action, data, other)
 
-	placeholders := make([]string, 0, len(placeholderSet))
+	placeholders = make([]string, 0, len(placeholderSet))
 	for p := range placeholderSet {
 		placeholders = append(placeholders, p)
 	}
 	sort.Strings(placeholders)
-	return fol.And(fol.And(axioms...), fol.Not(goal)), placeholders
+	return fol.And(axioms...), queryGoal(actor, action, data, other), placeholders
 }
 
 // practiceFacts encodes the edges' policy statements as

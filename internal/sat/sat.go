@@ -131,7 +131,8 @@ type Solver struct {
 	stats    Stats
 	unsatNow bool // empty clause added
 
-	// Budget caps total propagations+decisions; 0 means unlimited.
+	// Budget caps propagations+decisions counted since construction or
+	// the last ResetSteps; 0 means unlimited.
 	Budget int64
 	steps  int64
 
@@ -146,6 +147,12 @@ type Solver struct {
 func New() *Solver {
 	return &Solver{varInc: 1, claInc: 1}
 }
+
+// ResetSteps restarts the step count Budget is measured against. A
+// long-lived solver that answers many independent questions calls it once
+// per question, so Budget bounds each question's work rather than the
+// solver's lifetime.
+func (s *Solver) ResetSteps() { s.steps = 0 }
 
 // NumVars returns the highest variable index seen.
 func (s *Solver) NumVars() int { return len(s.assign) - 1 }

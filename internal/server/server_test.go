@@ -187,6 +187,68 @@ func TestSolveEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryScriptReplaysThroughSolve replays the script of /query answers
+// through POST /v1/solve: its checks — main, then the placeholder-assuming
+// check when the question has placeholders, then the policy alone —
+// return the statuses the served verdict was derived from.
+func TestQueryScriptReplaysThroughSolve(t *testing.T) {
+	ts := newTestServer(t)
+	text := "Acme Privacy Policy\n\nAcme (\"we\", \"us\") provides this policy.\n\n" +
+		"We share your email address with advertisers.\n\n" +
+		"We do not share your email address with advertisers.\n\n" +
+		"We collect your location data when required by law.\n\n" +
+		"We collect your device information.\n"
+	var created map[string]any
+	if resp := doJSON(t, "POST", ts.URL+"/v1/policies", map[string]string{"name": "acme", "text": text}, &created); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create = %d %v", resp.StatusCode, created)
+	}
+	id := created["id"].(string)
+	cases := []struct{ question, verdict string }{
+		{"Does Acme share my email address with advertisers?", "UNKNOWN"}, // contradiction
+		{"Does Acme collect my location data?", "VALID"},                  // conditional
+		{"Does Acme collect my device information?", "VALID"},
+		{"Does Acme sell my device information?", "INVALID"},
+	}
+	for _, c := range cases {
+		var answer struct {
+			Verdict       string   `json:"verdict"`
+			ConditionalOn []string `json:"conditional_on"`
+			Placeholders  []string `json:"placeholders"`
+			Script        string   `json:"script"`
+		}
+		resp := doJSON(t, "POST", ts.URL+"/v1/policies/"+id+"/query",
+			map[string]any{"question": c.question, "include_script": true}, &answer)
+		if resp.StatusCode != http.StatusOK || answer.Verdict != c.verdict {
+			t.Fatalf("%q = %d %+v, want %s", c.question, resp.StatusCode, answer, c.verdict)
+		}
+		var replay []struct {
+			Status string `json:"status"`
+		}
+		resp = doJSON(t, "POST", ts.URL+"/v1/solve", map[string]string{"script": answer.Script}, &replay)
+		want := 2
+		if len(answer.Placeholders) > 0 {
+			want = 3
+		}
+		if resp.StatusCode != http.StatusOK || len(replay) != want {
+			t.Fatalf("%q: solve = %d %+v, want %d checks", c.question, resp.StatusCode, replay, want)
+		}
+		main, alone := replay[0].Status, replay[len(replay)-1].Status
+		verdict, conditional := "UNKNOWN", false
+		switch {
+		case main == "unsat" && alone != "unsat":
+			verdict = "VALID"
+		case main == "sat" && want == 3 && replay[1].Status == "unsat":
+			verdict, conditional = "VALID", true
+		case main == "sat":
+			verdict = "INVALID"
+		}
+		if verdict != answer.Verdict || conditional != (len(answer.ConditionalOn) > 0) {
+			t.Errorf("%q: replayed statuses %+v give %s (conditional %v), served %s on %v",
+				c.question, replay, verdict, conditional, answer.Verdict, answer.ConditionalOn)
+		}
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	ts := newTestServer(t)
 	cases := []struct {

@@ -10,19 +10,19 @@ import (
 	"time"
 )
 
-// ResultCache memoizes SolveScript outcomes by a content hash of the
-// compiled SMT-LIB script plus the solver limits, so repeated or
-// overlapping queries skip the solver entirely. Concurrent misses on the
-// same key are deduplicated singleflight-style: one goroutine (the
-// leader) runs the solver while the others wait and share its result, so
-// AskBatch never burns CPU solving the same problem twice. All methods
+// ResultCache memoizes RunScript outcomes — one Result per check of the
+// script — by a content hash of the SMT-LIB script plus the solver limits,
+// so repeated or overlapping queries skip the solver entirely. Concurrent
+// misses on the same key are deduplicated singleflight-style: one
+// goroutine (the leader) runs the solver while the others wait and share
+// its results, so AskBatch never burns CPU solving the same problem twice. All methods
 // are safe for concurrent use; the solver itself stays deterministic, so
-// a cached Result is bit-identical to a recomputed one — except
+// cached Results are bit-identical to recomputed ones — except
 // Stats.Elapsed, which on a hit reports the actual lookup (or wait) time
 // with Stats.FromCache set, never the original solve's duration.
 type ResultCache struct {
 	mu      sync.Mutex
-	entries map[string]Result
+	entries map[string][]Result
 	// order tracks insertion for FIFO eviction once max is exceeded.
 	order    []string
 	max      int
@@ -41,21 +41,21 @@ type ResultCache struct {
 type inflightSolve struct {
 	done    chan struct{}
 	waiters int
-	res     Result
+	res     []Result
 	err     error
 }
 
 // DefaultCacheSize bounds a cache constructed with size <= 0.
 const DefaultCacheSize = 4096
 
-// NewResultCache returns a cache holding at most max results (FIFO
-// eviction); max <= 0 selects DefaultCacheSize.
+// NewResultCache returns a cache holding the results of at most max
+// scripts (FIFO eviction); max <= 0 selects DefaultCacheSize.
 func NewResultCache(max int) *ResultCache {
 	if max <= 0 {
 		max = DefaultCacheSize
 	}
 	return &ResultCache{
-		entries:  map[string]Result{},
+		entries:  map[string][]Result{},
 		inflight: map[string]*inflightSolve{},
 		max:      max,
 	}
@@ -74,7 +74,7 @@ type CacheStats struct {
 	Suppressed uint64 `json:"suppressed"`
 	// Evictions counts entries dropped by FIFO eviction.
 	Evictions uint64 `json:"evictions"`
-	// Entries is the current number of cached results.
+	// Entries is the current number of cached scripts.
 	Entries int `json:"entries"`
 }
 
@@ -96,9 +96,7 @@ func (c *ResultCache) Stats() CacheStats {
 
 // CacheKey hashes problem source text together with every limit field: a
 // different budget can change the verdict (unknown vs decided), so limits
-// are part of the identity. The source need not be a full SMT-LIB script —
-// callers memoizing derived checks (e.g. axioms-only satisfiability) key
-// by any deterministic rendering of the problem.
+// are part of the identity.
 func CacheKey(src string, limits Limits) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -117,7 +115,7 @@ func CacheKey(src string, limits Limits) string {
 
 // putLocked stores a result, evicting the oldest entry when full. The
 // caller holds c.mu.
-func (c *ResultCache) putLocked(key string, res Result) {
+func (c *ResultCache) putLocked(key string, res []Result) {
 	if _, ok := c.entries[key]; ok {
 		return
 	}
@@ -131,29 +129,30 @@ func (c *ResultCache) putLocked(key string, res Result) {
 	c.order = append(c.order, key)
 }
 
-// hit marks res as answered from the cache: FromCache is set and Elapsed
-// reports the caller's actual lookup/wait time instead of the original
-// solve's duration, so per-query timing stays honest.
-func hit(res Result, since time.Time) Result {
-	res.Stats.FromCache = true
-	res.Stats.Elapsed = time.Since(since)
-	return res
+// hit returns a copy of res marked as answered from the cache: FromCache
+// is set and Elapsed reports the caller's actual lookup/wait time instead
+// of the original solve's duration, so per-query timing stays honest. The
+// stored slice is shared and never modified.
+func hit(res []Result, since time.Time) []Result {
+	out := make([]Result, len(res))
+	elapsed := time.Since(since)
+	for i, r := range res {
+		r.Stats.FromCache = true
+		r.Stats.Elapsed = elapsed
+		out[i] = r
+	}
+	return out
 }
 
-// Memo answers the keyed check from the cache, or runs compute and stores
-// its result, deduplicating concurrent computations of the same key. A
-// nil cache degrades to a plain compute. Errors are never cached: a
+// MemoCtx answers the keyed script from the cache, or runs compute and
+// stores its results, deduplicating concurrent computations of the same
+// key. A nil cache degrades to a plain compute. Errors are never cached: a
 // malformed problem fails the same way every time and is cheap to
-// re-reject, while caching it would complicate the value type for no win.
-func (c *ResultCache) Memo(key string, compute func() (Result, error)) (Result, error) {
-	return c.MemoCtx(context.Background(), key, compute)
-}
-
-// MemoCtx is Memo with cancellation: a caller waiting on another
-// goroutine's in-flight solve returns ctx.Err() as soon as ctx is
-// cancelled instead of waiting the solve out. The leader's compute is
-// responsible for honoring its own context (SolveScriptCtx does).
-func (c *ResultCache) MemoCtx(ctx context.Context, key string, compute func() (Result, error)) (Result, error) {
+// re-reject. A caller waiting on another goroutine's in-flight solve
+// returns ctx.Err() as soon as ctx is cancelled instead of waiting the
+// solve out; the leader's compute is responsible for honoring its own
+// context (RunScriptCtx does).
+func (c *ResultCache) MemoCtx(ctx context.Context, key string, compute func() ([]Result, error)) ([]Result, error) {
 	if c == nil {
 		return compute()
 	}
@@ -171,7 +170,7 @@ func (c *ResultCache) MemoCtx(ctx context.Context, key string, compute func() (R
 			select {
 			case <-fl.done:
 			case <-ctx.Done():
-				return Result{}, ctx.Err()
+				return nil, ctx.Err()
 			}
 			if fl.err != nil {
 				// A leader cancelled by its own context must not poison
@@ -180,11 +179,11 @@ func (c *ResultCache) MemoCtx(ctx context.Context, key string, compute func() (R
 				// same input fails the same way for everyone.
 				if errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded) {
 					if err := ctx.Err(); err != nil {
-						return Result{}, err
+						return nil, err
 					}
 					continue
 				}
-				return Result{}, fl.err
+				return nil, fl.err
 			}
 			c.mu.Lock()
 			c.hits++
@@ -202,9 +201,11 @@ func (c *ResultCache) MemoCtx(ctx context.Context, key string, compute func() (R
 
 		c.mu.Lock()
 		delete(c.inflight, key)
-		fl.res, fl.err = res, err
+		// Store a copy: the caller owns the returned slice.
+		stored := append([]Result(nil), res...)
+		fl.res, fl.err = stored, err
 		if err == nil {
-			c.putLocked(key, res)
+			c.putLocked(key, stored)
 		}
 		c.mu.Unlock()
 		close(fl.done)
@@ -223,24 +224,17 @@ func (c *ResultCache) waitersOf(key string) int {
 	return 0
 }
 
-// SolveScriptCached is SolveScript with memoization keyed by script +
-// limits. A nil cache degrades to a plain solve.
-func SolveScriptCached(c *ResultCache, src string, limits Limits) (Result, error) {
-	return SolveScriptCachedCtx(context.Background(), c, src, limits)
-}
-
-// SolveScriptCachedCtx is SolveScriptCached with cancellation: the solve
-// itself checks ctx inside its instantiation and refinement loops, and a
-// cancelled solve is returned as an error (never cached) so a later
-// lookup with a live context re-solves.
-func SolveScriptCachedCtx(ctx context.Context, c *ResultCache, src string, limits Limits) (Result, error) {
-	return c.MemoCtx(ctx, CacheKey(src, limits), func() (Result, error) {
-		res, err := SolveScriptCtx(ctx, src, limits)
+// RunScriptCachedCtx is RunScriptCtx memoized by script + limits. A nil
+// cache degrades to a plain run. A cancelled run is returned as an error
+// (never cached), so a later lookup with a live context re-solves.
+func RunScriptCachedCtx(ctx context.Context, c *ResultCache, src string, limits Limits) ([]Result, error) {
+	return c.MemoCtx(ctx, CacheKey(src, limits), func() ([]Result, error) {
+		res, err := RunScriptCtx(ctx, src, limits)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		if err := ctx.Err(); err != nil {
-			return res, err
+			return nil, err
 		}
 		return res, nil
 	})

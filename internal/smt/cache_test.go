@@ -19,16 +19,29 @@ const unsatScript = `(declare-fun p () Bool)
 (assert (not p))
 (check-sat)`
 
+// solveCached runs a one-check script through the cache and returns its
+// only result.
+func solveCached(c *ResultCache, src string, limits Limits) (Result, error) {
+	res, err := RunScriptCachedCtx(context.Background(), c, src, limits)
+	if err != nil {
+		return Result{}, err
+	}
+	if len(res) != 1 {
+		return Result{}, fmt.Errorf("%d results, want 1", len(res))
+	}
+	return res[0], nil
+}
+
 func TestResultCacheHitsAndMisses(t *testing.T) {
 	c := NewResultCache(0)
-	first, err := SolveScriptCached(c, satScript, Limits{})
+	first, err := solveCached(c, satScript, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Status != Sat {
 		t.Fatalf("status = %v, want sat", first.Status)
 	}
-	second, err := SolveScriptCached(c, satScript, Limits{})
+	second, err := solveCached(c, satScript, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +56,11 @@ func TestResultCacheHitsAndMisses(t *testing.T) {
 
 func TestResultCacheKeyIncludesLimits(t *testing.T) {
 	c := NewResultCache(0)
-	if _, err := SolveScriptCached(c, satScript, Limits{}); err != nil {
+	if _, err := solveCached(c, satScript, Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	// A different budget is a different problem: it must miss.
-	if _, err := SolveScriptCached(c, satScript, Limits{MaxInstantiations: 7}); err != nil {
+	if _, err := solveCached(c, satScript, Limits{MaxInstantiations: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 || st.Entries != 2 {
@@ -59,7 +72,7 @@ func TestResultCacheDoesNotCacheErrors(t *testing.T) {
 	c := NewResultCache(0)
 	bad := "(assert" // unparseable
 	for i := 0; i < 2; i++ {
-		if _, err := SolveScriptCached(c, bad, Limits{}); err == nil {
+		if _, err := solveCached(c, bad, Limits{}); err == nil {
 			t.Fatal("expected parse error")
 		}
 	}
@@ -73,7 +86,7 @@ func TestResultCacheEviction(t *testing.T) {
 	scripts := make([]string, 3)
 	for i := range scripts {
 		scripts[i] = fmt.Sprintf("(declare-fun p%d () Bool)\n(assert p%d)\n(check-sat)", i, i)
-		if _, err := SolveScriptCached(c, scripts[i], Limits{}); err != nil {
+		if _, err := solveCached(c, scripts[i], Limits{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +95,7 @@ func TestResultCacheEviction(t *testing.T) {
 		t.Fatalf("entries = %d, want 2 after FIFO eviction", st.Entries)
 	}
 	// The oldest script was evicted; re-solving it must miss.
-	if _, err := SolveScriptCached(c, scripts[0], Limits{}); err != nil {
+	if _, err := solveCached(c, scripts[0], Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 0 {
@@ -91,7 +104,7 @@ func TestResultCacheEviction(t *testing.T) {
 }
 
 func TestResultCacheNilDegradesToPlainSolve(t *testing.T) {
-	res, err := SolveScriptCached(nil, unsatScript, Limits{})
+	res, err := solveCached(nil, unsatScript, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +124,7 @@ func TestResultCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				idx := (g + i) % len(scripts)
-				res, err := SolveScriptCached(c, scripts[idx], Limits{})
+				res, err := solveCached(c, scripts[idx], Limits{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -153,16 +166,16 @@ func TestResultCacheStampedeSuppression(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := c.Memo(key, func() (Result, error) {
+			res, err := c.MemoCtx(context.Background(), key, func() ([]Result, error) {
 				computes.Add(1)
 				<-release
-				return Result{Status: Unsat}, nil
+				return []Result{{Status: Unsat}}, nil
 			})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[g] = res
+			results[g] = res[0]
 		}(g)
 	}
 	// Wait until all non-leaders are parked on the in-flight solve, then
@@ -207,28 +220,28 @@ func TestResultCacheHitReportsLookupTime(t *testing.T) {
 	c := NewResultCache(0)
 	key := CacheKey("timing", Limits{})
 	const solveTime = 50 * time.Millisecond
-	first, err := c.Memo(key, func() (Result, error) {
+	first, err := c.MemoCtx(context.Background(), key, func() ([]Result, error) {
 		time.Sleep(solveTime)
-		return Result{Status: Sat, Stats: Stats{Elapsed: solveTime}}, nil
+		return []Result{{Status: Sat, Stats: Stats{Elapsed: solveTime}}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Stats.FromCache {
+	if first[0].Stats.FromCache {
 		t.Error("first solve must not be marked FromCache")
 	}
-	second, err := c.Memo(key, func() (Result, error) {
+	second, err := c.MemoCtx(context.Background(), key, func() ([]Result, error) {
 		t.Error("hit must not recompute")
-		return Result{}, nil
+		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Stats.FromCache {
+	if !second[0].Stats.FromCache {
 		t.Error("hit not marked FromCache")
 	}
-	if second.Stats.Elapsed >= solveTime/2 {
-		t.Errorf("hit Elapsed = %v, want actual lookup time well under the %v solve", second.Stats.Elapsed, solveTime)
+	if second[0].Stats.Elapsed >= solveTime/2 {
+		t.Errorf("hit Elapsed = %v, want actual lookup time well under the %v solve", second[0].Stats.Elapsed, solveTime)
 	}
 }
 
@@ -236,7 +249,7 @@ func TestResultCacheEvictionCounter(t *testing.T) {
 	c := NewResultCache(2)
 	for i := 0; i < 4; i++ {
 		script := fmt.Sprintf("(declare-fun q%d () Bool)\n(assert q%d)\n(check-sat)", i, i)
-		if _, err := SolveScriptCached(c, script, Limits{}); err != nil {
+		if _, err := solveCached(c, script, Limits{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,9 +269,9 @@ func TestMemoCtxWaiterCancellation(t *testing.T) {
 	go func() {
 		defer close(leaderDone)
 		close(started)
-		_, err := c.Memo(key, func() (Result, error) {
+		_, err := c.MemoCtx(context.Background(), key, func() ([]Result, error) {
 			<-release
-			return Result{Status: Sat}, nil
+			return []Result{{Status: Sat}}, nil
 		})
 		if err != nil {
 			t.Error(err)
@@ -278,9 +291,9 @@ func TestMemoCtxWaiterCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err := c.MemoCtx(ctx, key, func() (Result, error) {
+		_, err := c.MemoCtx(ctx, key, func() ([]Result, error) {
 			t.Error("waiter must not compute while leader holds the flight")
-			return Result{}, nil
+			return nil, nil
 		})
 		waiterErr <- err
 	}()
@@ -311,9 +324,9 @@ func TestMemoCtxLeaderCancelDoesNotPoisonWaiters(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, err := c.MemoCtx(leaderCtx, key, func() (Result, error) {
+		_, err := c.MemoCtx(leaderCtx, key, func() ([]Result, error) {
 			<-release
-			return Result{}, leaderCtx.Err()
+			return nil, leaderCtx.Err()
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("leader error = %v, want context.Canceled", err)
@@ -332,14 +345,15 @@ func TestMemoCtxLeaderCancelDoesNotPoisonWaiters(t *testing.T) {
 	}
 	waiterRes := make(chan Result, 1)
 	go func() {
-		res, err := c.Memo(key, func() (Result, error) {
+		res, err := c.MemoCtx(context.Background(), key, func() ([]Result, error) {
 			// The retry path: this waiter becomes the new leader.
-			return Result{Status: Unsat}, nil
+			return []Result{{Status: Unsat}}, nil
 		})
 		if err != nil {
 			t.Error(err)
+			res = []Result{{}}
 		}
-		waiterRes <- res
+		waiterRes <- res[0]
 	}()
 	for c.waitersOf(key) == 0 {
 		time.Sleep(time.Millisecond)

@@ -124,25 +124,25 @@ func TestRunScriptCtxCanceledChecks(t *testing.T) {
 	}
 }
 
-func TestSolveScriptCachedCtxDoesNotCacheCanceledSolves(t *testing.T) {
+func TestRunScriptCachedCtxDoesNotCacheCanceledSolves(t *testing.T) {
 	c := NewResultCache(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveScriptCachedCtx(ctx, c, satScript, Limits{}); err == nil {
+	if _, err := RunScriptCachedCtx(ctx, c, satScript, Limits{}); err == nil {
 		t.Fatal("cancelled cached solve should surface ctx error")
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("cancelled result was cached: %+v", st)
 	}
 	// A later call with a live context must get a real answer.
-	res, err := SolveScriptCachedCtx(context.Background(), c, satScript, Limits{})
+	res, err := RunScriptCachedCtx(context.Background(), c, satScript, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Sat {
-		t.Errorf("status = %v, want sat", res.Status)
+	if len(res) != 1 || res[0].Status != Sat {
+		t.Fatalf("results = %+v, want one sat", res)
 	}
-	if res.Stats.FromCache {
+	if res[0].Stats.FromCache {
 		t.Error("fresh solve after cancellation must not be marked FromCache")
 	}
 }

@@ -161,3 +161,39 @@ func TestIncrementalConds(t *testing.T) {
 		t.Fatalf("placeholders = %v, want [cond]", res.Placeholders)
 	}
 }
+
+// TestSatStepBudgetIsPerSolve is the regression test for the lifetime SAT
+// step budget: the counter was never reset, so a long-lived core with a
+// small budget decided its first solves and then answered every later one
+// "SAT step budget exhausted". Each of these solves fits the budget on
+// its own; all twelve must be decided, on an Incremental and on a Solver.
+func TestSatStepBudgetIsPerSolve(t *testing.T) {
+	const solves = 12
+	lim := Limits{MaxSatSteps: 60}
+	base := []*fol.Formula{fol.Forall("x", fol.Implies(fol.Pred("p", fol.Var("x")), fol.Pred("q", fol.Var("x"))))}
+	for i := 0; i < solves; i++ {
+		base = append(base, fol.Pred("p", fol.Const(fmt.Sprintf("c%d", i))))
+	}
+	goal := func(i int) *fol.Formula { return fol.Not(fol.Pred("q", fol.Const(fmt.Sprintf("c%d", i)))) }
+
+	inc := NewIncremental(lim, FullGrounding)
+	if err := inc.AssertBase(base...); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSolver()
+	s.Limits = lim
+	for _, f := range base {
+		s.Assert(f)
+	}
+	for i := 0; i < solves; i++ {
+		if res := inc.Solve(context.Background(), goal(i)); res.Status != Unsat {
+			t.Errorf("incremental solve %d = %v (%s), want unsat", i, res.Status, res.Reason)
+		}
+		s.Push()
+		s.Assert(goal(i))
+		if res := s.CheckSat(); res.Status != Unsat {
+			t.Errorf("solver check %d = %v (%s), want unsat", i, res.Status, res.Reason)
+		}
+		s.Pop()
+	}
+}

@@ -3,6 +3,7 @@ package smt
 import (
 	"context"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/privacy-quagmire/quagmire/internal/fol"
@@ -69,9 +70,11 @@ func (l Limits) withDefaults() Limits {
 
 // Stats reports effort spent by the last CheckSat.
 type Stats struct {
-	// Instantiations counts ground instances generated.
+	// Instantiations counts ground instances this check generated; a
+	// check on a core that earlier checks already grounded reports only
+	// the new ones.
 	Instantiations int
-	// GroundClauses counts clauses handed to the SAT core.
+	// GroundClauses counts clauses this check handed to the SAT core.
 	GroundClauses int
 	// TheoryLemmas counts blocking clauses added by theory refutation.
 	TheoryLemmas int
@@ -79,9 +82,9 @@ type Stats struct {
 	Rounds int
 	// Atoms counts distinct ground atoms.
 	Atoms int
-	// SAT holds the boolean core's counters. For an Incremental solver the
-	// counters are cumulative over the core's lifetime, since the boolean
-	// core is shared across Solve calls.
+	// SAT holds the boolean core's counters. They are cumulative over the
+	// core's lifetime: a Solver shares its core across checks and an
+	// Incremental across Solve calls.
 	SAT sat.Stats
 	// Elapsed is the wall-clock duration of the check. For a Result
 	// answered from a ResultCache (FromCache set) it is the lookup or
@@ -116,35 +119,69 @@ type Result struct {
 
 // Solver is an incremental SMT solver for quantified UF formulas.
 // Assertions are grouped into scopes managed by Push/Pop.
+//
+// One interned ground core serves every check: assertions are clausified,
+// interned and instantiated the first time a check sees them, and later
+// checks add only the work that is new (fresh assertions, terms they bring
+// into the universe). Each pushed scope's clauses carry a selector literal
+// assumed while the scope is open; Pop retires the selector, so a popped
+// scope's clauses never constrain later checks. Not safe for concurrent
+// use.
 type Solver struct {
-	// Limits bounds effort; the zero value uses defaults.
+	// Limits bounds effort per check; the zero value uses defaults.
 	Limits Limits
 	// Strategy selects the quantifier-instantiation scheme; the zero
-	// value is FullGrounding.
+	// value is FullGrounding. The first check fixes it for the solver's
+	// ground core.
 	Strategy InstStrategy
-	scopes   [][]*fol.Formula
+
+	scopes []scope
+	g      *groundCore // built by the first check
+}
+
+// scope is one assertion level. fed counts the assertions already handed
+// to the ground core, sel guards them there (0 for the base scope, which
+// needs no guard), and err is the first clausification failure, which
+// makes every check Unknown until the scope is popped.
+type scope struct {
+	asserts []*fol.Formula
+	fed     int
+	sel     sat.Lit
+	err     error
+	// placeholders names the scope's uninterpreted predicates.
+	placeholders []string
 }
 
 // NewSolver returns a solver with one open scope.
 func NewSolver() *Solver {
-	return &Solver{scopes: [][]*fol.Formula{{}}}
+	return &Solver{scopes: []scope{{}}}
 }
 
 // Assert adds a sentence to the current scope. Free variables are
 // implicitly universally quantified, following SMT-LIB convention for
 // top-level clauses produced from prenex formulas.
 func (s *Solver) Assert(f *fol.Formula) {
-	top := len(s.scopes) - 1
-	s.scopes[top] = append(s.scopes[top], f)
+	sc := &s.scopes[len(s.scopes)-1]
+	sc.asserts = append(sc.asserts, f)
+	for _, p := range f.UninterpretedAtoms() {
+		// Clone: a decoded script's names point into its source text,
+		// which a cached Result must not keep alive.
+		sc.placeholders = append(sc.placeholders, strings.Clone(p))
+	}
 }
 
 // Push opens a new assertion scope.
-func (s *Solver) Push() { s.scopes = append(s.scopes, nil) }
+func (s *Solver) Push() { s.scopes = append(s.scopes, scope{}) }
 
 // Pop discards the most recent scope. Popping the base scope is a no-op.
 func (s *Solver) Pop() {
-	if len(s.scopes) > 1 {
-		s.scopes = s.scopes[:len(s.scopes)-1]
+	if len(s.scopes) <= 1 {
+		return
+	}
+	top := s.scopes[len(s.scopes)-1]
+	s.scopes = s.scopes[:len(s.scopes)-1]
+	if top.sel != 0 {
+		s.g.retire(top.sel)
 	}
 }
 
@@ -152,7 +189,7 @@ func (s *Solver) Pop() {
 func (s *Solver) Assertions() []*fol.Formula {
 	var out []*fol.Formula
 	for _, sc := range s.scopes {
-		out = append(out, sc...)
+		out = append(out, sc.asserts...)
 	}
 	return out
 }
@@ -172,7 +209,9 @@ func (s *Solver) CheckSatCtx(ctx context.Context) Result {
 }
 
 // CheckSatAssuming decides satisfiability with the extra formulas assumed
-// for this call only, mirroring SMT-LIB's check-sat-assuming.
+// for this call only, mirroring SMT-LIB's check-sat-assuming. A nullary
+// atom or its negation becomes a SAT assumption and costs no grounding;
+// any other formula is grounded in a scope retired after the call.
 func (s *Solver) CheckSatAssuming(assumptions ...*fol.Formula) Result {
 	return s.check(context.Background(), assumptions)
 }
@@ -202,15 +241,21 @@ func (s *Solver) check(ctx context.Context, assumptions []*fol.Formula) (res Res
 		res.Reason = canceledReason
 		return res
 	}
-	all := append(s.Assertions(), assumptions...)
-	if len(all) == 0 {
+	placeholders := map[string]bool{}
+	empty := len(assumptions) == 0
+	for _, sc := range s.scopes {
+		empty = empty && len(sc.asserts) == 0
+		for _, p := range sc.placeholders {
+			placeholders[p] = true
+		}
+	}
+	if empty {
 		res.Status = Sat
 		return res
 	}
-	placeholders := map[string]bool{}
-	for _, f := range all {
-		for _, u := range f.UninterpretedAtoms() {
-			placeholders[u] = true
+	for _, f := range assumptions {
+		for _, p := range f.UninterpretedAtoms() {
+			placeholders[strings.Clone(p)] = true
 		}
 	}
 	for p := range placeholders {
@@ -218,20 +263,55 @@ func (s *Solver) check(ctx context.Context, assumptions []*fol.Formula) (res Res
 	}
 	sort.Strings(res.Placeholders)
 
-	// Normalize into the interned core: NNF -> prenex -> Skolemize ->
-	// clauses with implicitly universally quantified variables, every term
-	// and atom hash-consed into the core's arena.
-	g := newGroundCore(s.Strategy, lim.MaxSatSteps)
-	for _, f := range all {
-		if err := g.addFormula(f, 0); err != nil {
+	// Hand the core whatever it has not seen yet: NNF -> prenex ->
+	// Skolemize -> clauses with implicitly universally quantified
+	// variables, every term and atom hash-consed into the core's arena.
+	if s.g == nil {
+		s.g = newGroundCore(s.Strategy)
+	}
+	g := s.g
+	g.beginCheck(lim)
+	clausesBefore := g.groundClauses
+	var satAssumptions []sat.Lit
+	for i := range s.scopes {
+		sc := &s.scopes[i]
+		if i > 0 && sc.sel == 0 && len(sc.asserts) > 0 {
+			sc.sel = g.newSelector()
+		}
+		for ; sc.fed < len(sc.asserts); sc.fed++ {
+			if sc.err == nil {
+				sc.err = g.addFormula(sc.asserts[sc.fed], sc.sel)
+			}
+		}
+		if sc.err != nil {
+			res.Status = Unknown
+			res.Reason = "clausification failed: " + sc.err.Error()
+			return res
+		}
+		if sc.sel != 0 {
+			satAssumptions = append(satAssumptions, sc.sel)
+		}
+	}
+	var tmp sat.Lit // scope of assumptions that are not literals
+	for _, f := range assumptions {
+		if l, ok := g.literal(f); ok {
+			satAssumptions = append(satAssumptions, l)
+			continue
+		}
+		if tmp == 0 {
+			tmp = g.newSelector()
+			satAssumptions = append(satAssumptions, tmp)
+			defer g.retire(tmp)
+		}
+		if err := g.addFormula(f, tmp); err != nil {
 			res.Status = Unknown
 			res.Reason = "clausification failed: " + err.Error()
 			return res
 		}
 	}
 
-	// Instantiation: ground the non-ground clauses under the selected
-	// strategy.
+	// Instantiation: ground the live non-ground clauses under the
+	// selected strategy, continuing from where earlier checks stopped.
 	var st callStats
 	g.instantiate(ctx, lim, deadline, &st)
 	res.Stats.Instantiations = st.count
@@ -241,10 +321,55 @@ func (s *Solver) check(ctx context.Context, assumptions []*fol.Formula) (res Res
 		res.Reason = canceledReason
 		return res
 	}
-	res.Stats.GroundClauses = g.groundClauses
+	res.Stats.GroundClauses = g.groundClauses - clausesBefore
 	res.Stats.Atoms = g.atomCount()
 
 	// DPLL(T) refinement loop.
-	g.solveLoop(ctx, lim, deadline, &res, nil)
+	g.solveLoop(ctx, lim, deadline, &res, satAssumptions)
+	if res.Model != nil {
+		s.dropStaleAtoms(res.Model, assumptions)
+	}
 	return res
+}
+
+// dropStaleAtoms removes from a model the nullary atoms the checked
+// problem does not mention: the core keeps variables for the atoms of
+// popped scopes and of earlier checks' assumptions.
+func (s *Solver) dropStaleAtoms(model map[string]bool, assumptions []*fol.Formula) {
+	live := map[string]bool{}
+	for _, f := range append(s.Assertions(), assumptions...) {
+		markNullaryPreds(f, live)
+	}
+	for n := range model {
+		if !live[n] {
+			delete(model, n)
+		}
+	}
+}
+
+// literal maps a nullary atom or its negation to a SAT literal, the form
+// in which check-sat-assuming passes assumptions without grounding them.
+func (g *groundCore) literal(f *fol.Formula) (sat.Lit, bool) {
+	neg := f.Op == fol.OpNot
+	if neg {
+		f = f.Sub[0]
+	}
+	if f.Op != fol.OpPred || len(f.Terms) != 0 {
+		return 0, false
+	}
+	l := g.satVarOf(g.arena.InternAtom(f))
+	if neg {
+		l = l.Neg()
+	}
+	return l, true
+}
+
+// markNullaryPreds adds the names of f's nullary predicate atoms to set.
+func markNullaryPreds(f *fol.Formula, set map[string]bool) {
+	if f.Op == fol.OpPred && len(f.Terms) == 0 {
+		set[f.Pred] = true
+	}
+	for _, sub := range f.Sub {
+		markNullaryPreds(sub, set)
+	}
 }

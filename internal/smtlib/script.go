@@ -143,29 +143,46 @@ func FormulaToSExpr(f *fol.Formula) *SExpr {
 	}
 }
 
-// CompileOptions controls Compile.
+// CompileOptions controls CompileQuery.
 type CompileOptions struct {
 	// Logic is the SMT-LIB logic name; defaults to "UF".
 	Logic string
 	// Comment, when non-empty, is emitted as a leading set-info line.
 	Comment string
-	// Negate asserts the negation of the formula, the standard encoding
-	// for validity checking ("assert the negation of the implication").
-	Negate bool
 }
 
-// Compile converts a FOL sentence into a complete SMT-LIB script: sort and
-// symbol declarations inferred from the formula's signature, the assertion
-// (negated when opts.Negate, the validity-checking convention from the
-// paper), and a final check-sat. Free variables are rejected — callers must
-// quantify or ground them first.
-func Compile(f *fol.Formula, opts CompileOptions) (*Script, error) {
+// CompileQuery compiles the three checks of one validity question into a
+// single script that a solver answers on one ground core:
+//
+//	(assert policy)
+//	(push 1)
+//	(assert negGoal)
+//	(check-sat)                       ; main: unsat means the goal follows
+//	(check-sat-assuming (assume...))  ; only with assume: does it follow
+//	                                  ; once the vague conditions hold?
+//	(pop 1)
+//	(check-sat)                       ; policy alone: unsat means the
+//	                                  ; policy contradicts itself
+//
+// Sort and symbol declarations are inferred from the formulas' signature,
+// and the assumed names are declared as uninterpreted placeholders even
+// when simplification removed them from the policy. Free variables are
+// rejected — callers must quantify or ground them first.
+func CompileQuery(policy, negGoal *fol.Formula, assume []string, opts CompileOptions) (*Script, error) {
+	f := fol.And(policy, negGoal)
 	if fv := fol.FreeVars(f); len(fv) > 0 {
 		return nil, fmt.Errorf("smtlib: formula has free variables %v", fv)
 	}
 	sig, err := fol.SignatureOf(f)
 	if err != nil {
 		return nil, err
+	}
+	for _, p := range assume {
+		if arity, ok := sig.Preds[p]; ok && arity != 0 {
+			return nil, fmt.Errorf("smtlib: placeholder %q has arity %d", p, arity)
+		}
+		sig.Preds[p] = 0
+		sig.Uninterpreted[p] = true
 	}
 	logic := opts.Logic
 	if logic == "" {
@@ -189,11 +206,19 @@ func Compile(f *fol.Formula, opts CompileOptions) (*Script, error) {
 		}
 		s.DeclareFun(p, repeat(USort, sig.Preds[p]), "Bool")
 	}
-	body := FormulaToSExpr(f)
-	if opts.Negate {
-		body = L(A("not"), body)
+
+	s.Assert(FormulaToSExpr(policy))
+	s.Push()
+	s.Assert(FormulaToSExpr(negGoal))
+	s.CheckSat()
+	if len(assume) > 0 {
+		lits := make([]*SExpr, len(assume))
+		for i, name := range assume {
+			lits[i] = A(name)
+		}
+		s.CheckSatAssuming(lits...)
 	}
-	s.Assert(body)
+	s.Pop()
 	s.CheckSat()
 	return s, nil
 }
