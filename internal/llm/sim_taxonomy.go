@@ -56,13 +56,38 @@ func categoriesFor(kind string) []category {
 	return dataCategories
 }
 
-// categorize returns the category name for a term, or "".
-func categorize(kind, term string) string {
-	words := nlp.ContentWords(term)
-	lower := " " + strings.Join(words, " ") + " "
+// termWords is one term's tokenization as the layer rules read it: its
+// content words in order, their singulars, and the set of both forms.
+type termWords struct {
+	words []string
+	sing  []string
+	forms map[string]bool
+}
+
+// tokenize returns each term's tokenization, aligned with terms.
+func tokenize(terms []string) []*termWords {
+	out := make([]*termWords, len(terms))
+	for i, t := range terms {
+		words := nlp.ContentWords(t)
+		tw := &termWords{words: words, sing: make([]string, len(words)), forms: make(map[string]bool, 2*len(words))}
+		for j, w := range words {
+			tw.sing[j] = nlp.Singular(w)
+			tw.forms[w] = true
+			tw.forms[tw.sing[j]] = true
+		}
+		out[i] = tw
+	}
+	return out
+}
+
+// categorize returns the category name for a term, or "". A keyword
+// matches anywhere in the term's content words, inside a longer word too
+// ("app" in "application").
+func categorize(kind string, term *termWords) string {
+	text := strings.Join(term.words, " ")
 	for _, c := range categoriesFor(kind) {
 		for _, kw := range c.keywords {
-			if strings.Contains(lower, " "+kw+" ") || strings.Contains(lower, kw) {
+			if strings.Contains(text, kw) {
 				return c.name
 			}
 		}
@@ -72,19 +97,12 @@ func categorize(kind, term string) string {
 
 // specializes reports whether child is a lexical specialization of parent
 // (parent's content words are a strict subset of child's).
-func specializes(parent, child string) bool {
-	pw := nlp.ContentWords(parent)
-	cw := nlp.ContentWords(child)
-	if len(pw) == 0 || len(cw) <= len(pw) {
+func specializes(parent, child *termWords) bool {
+	if len(parent.words) == 0 || len(child.words) <= len(parent.words) {
 		return false
 	}
-	set := map[string]bool{}
-	for _, w := range cw {
-		set[w] = true
-		set[nlp.Singular(w)] = true
-	}
-	for _, w := range pw {
-		if !set[w] && !set[nlp.Singular(w)] {
+	for i, w := range parent.words {
+		if !child.forms[w] && !child.forms[parent.sing[i]] {
 			return false
 		}
 	}
@@ -99,6 +117,9 @@ func taxonomyLayer(kind string, frontier, remaining []string) map[string][]strin
 	out := map[string][]string{}
 	root := taxonomyRoot(kind)
 	claimed := map[string]bool{}
+	// Each term is tokenized once for the whole prompt, so the O(n²)
+	// specialization checks below compare precomputed word sets.
+	fw, rw := tokenize(frontier), tokenize(remaining)
 
 	frontierSet := map[string]bool{}
 	for _, f := range frontier {
@@ -107,14 +128,14 @@ func taxonomyLayer(kind string, frontier, remaining []string) map[string][]strin
 
 	// Rule 1: lexical specialization against non-root frontier nodes.
 	// Prefer the most specific (longest) matching parent.
-	for _, term := range remaining {
+	for ti, term := range remaining {
 		bestParent, bestLen := "", -1
-		for _, f := range frontier {
+		for fi, f := range frontier {
 			if f == root {
 				continue
 			}
-			if specializes(f, term) && len(nlp.ContentWords(f)) > bestLen {
-				bestParent, bestLen = f, len(nlp.ContentWords(f))
+			if specializes(fw[fi], rw[ti]) && len(fw[fi].words) > bestLen {
+				bestParent, bestLen = f, len(fw[fi].words)
 			}
 		}
 		if bestParent != "" {
@@ -128,15 +149,15 @@ func taxonomyLayer(kind string, frontier, remaining []string) map[string][]strin
 	// the root is on the frontier, the categories themselves are proposed
 	// as the root's children (synthesized intermediate nodes).
 	neededCategories := map[string]bool{}
-	for _, term := range remaining {
+	for ti, term := range remaining {
 		if claimed[term] {
 			continue
 		}
 		// Defer terms that specialize another remaining term: they will
 		// attach under that term once it has been placed (next layer).
 		deferred := false
-		for _, other := range remaining {
-			if other != term && specializes(other, term) {
+		for oi, other := range remaining {
+			if other != term && specializes(rw[oi], rw[ti]) {
 				deferred = true
 				break
 			}
@@ -144,7 +165,7 @@ func taxonomyLayer(kind string, frontier, remaining []string) map[string][]strin
 		if deferred {
 			continue
 		}
-		cat := categorize(kind, term)
+		cat := categorize(kind, rw[ti])
 		if cat == "" || cat == term {
 			continue
 		}

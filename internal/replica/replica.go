@@ -9,11 +9,12 @@
 // frame discards the partial record and reconnects with jittered
 // exponential backoff, resuming from the local watermark (delivery is
 // at-least-once; the store skips duplicates). When the primary answers
-// 410 Gone — it compacted past the follower's watermark — the follower
-// re-bootstraps from a fresh snapshot and resumes tailing from the new
-// watermark. Replication is asynchronous: a follower serves reads that
-// may trail the primary by the current lag, and read-your-writes holds
-// only on the primary.
+// 410 Gone — it compacted past the follower's watermark, or the watermark
+// is ahead of the primary's own (the primary's directory was restored from
+// an older backup or re-created) — the follower re-bootstraps from a fresh
+// snapshot and resumes tailing from the new watermark. Replication is
+// asynchronous: a follower serves reads that may trail the primary by the
+// current lag, and read-your-writes holds only on the primary.
 package replica
 
 import (
@@ -37,8 +38,9 @@ import (
 // Writes belong on the primary; the HTTP layer translates this to 403.
 var ErrReadOnly = errors.New("replica: store is read-only (writes go to the primary)")
 
-// errGone signals the primary compacted past our watermark (HTTP 410).
-var errGone = errors.New("replica: watermark compacted away on primary")
+// errGone signals the primary cannot tail from our watermark (HTTP 410):
+// it compacted past it, or it is behind it.
+var errGone = errors.New("replica: primary cannot tail from our watermark")
 
 // Replication metric names.
 const (
@@ -342,13 +344,13 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 }
 
 // rebootstrap replaces the local store wholesale after the primary
-// compacted past our watermark: close the current store, install a fresh
+// refused our watermark with 410: close the current store, install a fresh
 // snapshot, reopen, and tell the serving layer to rebuild. Reads hitting
 // the brief closed window fail with ErrClosed and retry; durability is
 // never at risk (the old snapshot stays in place until the validated new
 // one renames over it).
 func (f *Follower) rebootstrap(ctx context.Context) error {
-	f.logf("replica: watermark %d compacted away on primary; re-bootstrapping", f.Seq())
+	f.logf("replica: primary answered 410 Gone for watermark %d; re-bootstrapping", f.Seq())
 	f.mu.RLock()
 	d := f.disk
 	f.mu.RUnlock()

@@ -10,8 +10,9 @@ package server
 // long-polls — the connection parks on the store's sequence watch and
 // flushes new records as they commit, so a caught-up follower sees
 // sub-second lag without polling. A follower that asks for records below
-// the primary's compaction horizon gets 410 Gone and must re-bootstrap
-// from a fresh snapshot.
+// the primary's compaction horizon, or from a watermark beyond the
+// primary's own (its directory holds a history this primary never wrote),
+// gets 410 Gone and must re-bootstrap from a fresh snapshot.
 //
 // A server constructed with Options.Replica serves the full read surface
 // off the replicated store but refuses writes with 403 plus an
@@ -79,7 +80,11 @@ func (s *Server) handleReplicateSnapshot(rep store.Replicator) http.HandlerFunc 
 // handleReplicateWAL streams WAL records with seq > from, then long-polls
 // for more until the client disconnects or the store closes. Records are
 // collected in bounded batches under the store lock and framed onto the
-// wire outside it.
+// wire outside it. A from beyond the primary's watermark is refused with
+// 410: the follower's history diverges from this primary's (its data
+// directory was restored from an older backup or re-created), and
+// shipping the primary's later records onto it would stack them on
+// writes the primary never made.
 func (s *Server) handleReplicateWAL(rep store.Replicator) http.HandlerFunc {
 	errBatchFull := errors.New("batch full")
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -91,6 +96,12 @@ func (s *Server) handleReplicateWAL(rep store.Replicator) http.HandlerFunc {
 				return
 			}
 			from = n
+		}
+		if seq := rep.Seq(); from > seq {
+			w.Header().Set(headerSeq, strconv.FormatUint(seq, 10))
+			writeError(w, http.StatusGone,
+				"watermark %d is ahead of this primary's seq %d; re-bootstrap from /v1/replicate/snapshot", from, seq)
+			return
 		}
 		reg := s.pipeline.Obs()
 		reg.Counter("quagmire_replicate_wal_streams_total").Inc()

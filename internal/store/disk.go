@@ -61,6 +61,11 @@ type Disk struct {
 	c        *core
 	wal      walFile
 	walBytes int64
+	// walIndex locates every intact record in wal.log, in file order.
+	// Sequence numbers only grow through the file, so ReplayFrom finds the
+	// first record past a watermark by binary search and reads only from
+	// there.
+	walIndex []walEntry
 	// seq is the sequence number of the last durable WAL record (or the
 	// snapshot watermark right after recovery/compaction).
 	seq uint64
@@ -83,6 +88,13 @@ type Disk struct {
 	// store then refuses all further writes (reads stay available) so no
 	// acknowledged write can land beyond an unparseable tail.
 	failed error
+}
+
+// walEntry is one walIndex entry: a record's sequence number and the byte
+// offset of its frame in wal.log.
+type walEntry struct {
+	seq uint64
+	off int64
 }
 
 // OpenDisk opens (creating if needed) a durable store rooted at dir and
@@ -158,7 +170,8 @@ func (d *Disk) recover() error {
 	// snapshot: a crash between snapshot save and WAL truncation leaves
 	// them behind, and replaying them would duplicate creates and appends.
 	var skipped int
-	offset, records, corrupt, err := replayWAL(f, func(op walOp) error {
+	offset, records, corrupt, err := replayWAL(f, func(op walOp, off int64) error {
+		d.walIndex = append(d.walIndex, walEntry{seq: op.Seq, off: off})
 		if op.Seq <= d.seq {
 			skipped++
 			return nil
@@ -266,8 +279,10 @@ func (d *Disk) logBatch(ops []walOp) error {
 	}
 	var written int64
 	var err error
+	entries := make([]walEntry, len(ops))
 	for i := range ops {
 		ops[i].Seq = d.seq + uint64(i) + 1
+		entries[i] = walEntry{seq: ops[i].Seq, off: d.walBytes + written}
 		var n int
 		n, err = appendWALRecord(d.wal, ops[i])
 		if err != nil {
@@ -298,6 +313,7 @@ func (d *Disk) logBatch(ops []walOp) error {
 	d.lastErr = nil
 	d.seq += uint64(len(ops))
 	d.walBytes += written
+	d.walIndex = append(d.walIndex, entries...)
 	// Wake WAL-tail watchers: the records are durable and applied-or-about-
 	// to-be under the same lock hold, so a woken replication stream reads a
 	// consistent tail.
@@ -365,6 +381,7 @@ func (d *Disk) compactLocked() error {
 		return fmt.Errorf("store: reset wal after snapshot: %w", err)
 	}
 	d.walBytes = 0
+	d.walIndex = d.walIndex[:0]
 	// A legacy v1 snapshot is now stale; drop it (best effort) so future
 	// opens never prefer outdated state and the disk holds one copy.
 	if err := d.snap.Delete(snapshotKey); err != nil {

@@ -129,7 +129,7 @@ func inspectWAL(dir string, info *Info, byID map[string]*InspectPolicy) error {
 		return fmt.Errorf("store: open wal for inspection: %w", err)
 	}
 	defer f.Close()
-	offset, _, corrupt, err := replayWAL(f, func(op Record) error {
+	offset, _, corrupt, err := replayWAL(f, func(op Record, _ int64) error {
 		info.WALRecords++
 		info.WALSeq = op.Seq
 		if op.Seq <= info.SnapshotSeq {

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 )
 
@@ -91,6 +92,10 @@ func (d *Disk) SnapshotTo(w io.Writer, started func(seq uint64)) (uint64, error)
 // strictly greater than seq, in order. It returns ErrCompacted when seq
 // predates the snapshot watermark — the records are gone and the caller
 // must bootstrap via SnapshotTo. A fn error aborts the replay.
+//
+// The WAL index locates the first record past seq, so a replay reads and
+// decodes only the records it yields, not the whole log, and a caught-up
+// caller costs no file I/O at all.
 func (d *Disk) ReplayFrom(seq uint64, fn func(Record) error) error {
 	defer d.opts.observe("replay_from", time.Now())
 	d.mu.RLock()
@@ -101,17 +106,19 @@ func (d *Disk) ReplayFrom(seq uint64, fn func(Record) error) error {
 	if seq < d.snapSeq {
 		return fmt.Errorf("%w: requested replay from seq %d, snapshot watermark is %d", ErrCompacted, seq, d.snapSeq)
 	}
+	i := sort.Search(len(d.walIndex), func(i int) bool { return d.walIndex[i].seq > seq })
+	if i == len(d.walIndex) {
+		return nil
+	}
+	start := d.walIndex[i].off
 	f, err := os.Open(d.walPath)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
 		return fmt.Errorf("store: open wal for replay: %w", err)
 	}
 	defer f.Close()
 	// Limit the read to the durable boundary: bytes past d.walBytes are a
 	// rolled-back or torn tail and were never acknowledged.
-	_, _, corrupt, err := replayWAL(io.LimitReader(f, d.walBytes), func(op Record) error {
+	_, _, corrupt, err := replayWAL(io.NewSectionReader(f, start, d.walBytes-start), func(op Record, _ int64) error {
 		if op.Seq <= seq {
 			return nil
 		}
@@ -121,6 +128,7 @@ func (d *Disk) ReplayFrom(seq uint64, fn func(Record) error) error {
 		return err
 	}
 	if corrupt != nil {
+		corrupt.offset += start
 		return fmt.Errorf("store: wal corrupt inside durable boundary: %w", corrupt)
 	}
 	return nil

@@ -57,15 +57,17 @@ func (e *corruptTailError) Error() string {
 	return fmt.Sprintf("store: corrupt wal record at offset %d: %s", e.offset, e.reason)
 }
 
-// replayWAL reads records from r, invoking apply for each. It returns the
-// byte offset of the last intact record boundary, the record count, and a
-// *corruptTailError (nil for a clean log). Apply errors abort the replay.
+// replayWAL reads records from r, invoking apply for each with the byte
+// offset, relative to the start of r, at which the record's frame begins.
+// It returns the byte offset of the last intact record boundary, the
+// record count, and a *corruptTailError (nil for a clean log). Apply
+// errors abort the replay.
 //
 // Only a genuinely torn tail (unexpected EOF, bad length, bad checksum,
 // undecodable payload) is reported as corruption; any other read error is
 // returned as a fatal error instead, so a transient I/O failure never
 // causes the caller to truncate away valid records.
-func replayWAL(r io.Reader, apply func(walOp) error) (offset int64, records int, corrupt *corruptTailError, err error) {
+func replayWAL(r io.Reader, apply func(op walOp, off int64) error) (offset int64, records int, corrupt *corruptTailError, err error) {
 	br := newByteCounter(r)
 	for {
 		var hdr [walHeaderSize]byte
@@ -97,7 +99,7 @@ func replayWAL(r io.Reader, apply func(walOp) error) (offset int64, records int,
 		if jerr := json.Unmarshal(payload, &op); jerr != nil {
 			return offset, records, &corruptTailError{offset, "undecodable payload"}, nil
 		}
-		if aerr := apply(op); aerr != nil {
+		if aerr := apply(op, offset); aerr != nil {
 			return offset, records, nil, fmt.Errorf("store: replay wal record %d: %w", records, aerr)
 		}
 		offset = br.n

@@ -50,7 +50,7 @@ func TestReplayWALSurfacesTransientReadErrors(t *testing.T) {
 		"at-boundary": &flakyReader{data: log, err: ioErr},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, _, corrupt, err := replayWAL(r, func(walOp) error { return nil })
+			_, _, corrupt, err := replayWAL(r, func(walOp, int64) error { return nil })
 			_ = corrupt
 			if !errors.Is(err, ioErr) {
 				t.Fatalf("err = %v, want wrapped %v", err, ioErr)
@@ -74,7 +74,7 @@ func TestReplayWALTornTailStillTruncates(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			applied := 0
 			offset, records, corrupt, err := replayWAL(bytes.NewReader(append(append([]byte{}, log...), tail...)),
-				func(walOp) error { applied++; return nil })
+				func(walOp, int64) error { applied++; return nil })
 			if err != nil {
 				t.Fatalf("torn tail must not be fatal: %v", err)
 			}
