@@ -116,14 +116,16 @@ func DecodeAnalysisEnvelope(data []byte) (*Analysis, error) {
 }
 
 // BuildEngine attaches a query engine — wired to this pipeline's limits,
-// workers, caches and metrics — to a decoded analysis. A core image
-// decoded from a v2 payload is handed to the engine, which restores its
-// shared solver from it on first use. Idempotent: an analysis that
-// already has an engine is left untouched.
+// workers, caches and metrics — to a decoded analysis and warms it, so a
+// stored analysis is ready for questions when it is served: the
+// vocabulary index is built and, with a shared core, the solver is
+// restored from the v2 payload's core image (or rebuilt without one).
+// Idempotent: an analysis that already has an engine is left untouched.
 func (p *Pipeline) BuildEngine(a *Analysis) {
 	if a.Engine == nil {
 		a.Engine = p.newEngine(a.KG)
 		a.Engine.PreloadCore = a.CoreImage
+		a.Engine.Warm()
 	}
 }
 

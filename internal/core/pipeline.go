@@ -160,7 +160,7 @@ type Analysis struct {
 func (a *Analysis) Stats() kg.Stats { return a.KG.Stats() }
 
 // Analyze runs Phases 1 and 2 over a policy text and prepares the query
-// engine.
+// engine, which embeds the graph's vocabulary on its first question.
 func (p *Pipeline) Analyze(ctx context.Context, policy string) (*Analysis, error) {
 	phase1 := time.Now()
 	ex, err := p.extractor.ExtractPolicy(ctx, policy)
@@ -183,7 +183,8 @@ func (p *Pipeline) Analyze(ctx context.Context, policy string) (*Analysis, error
 // incrementally: only changed segments are re-extracted and only affected
 // graph branches are touched. The previous analysis is never mutated — the
 // update works on a copy of its graph — so readers (e.g. concurrent server
-// requests) can keep querying prev while the new version is built.
+// requests) can keep querying prev while the new version is built. As
+// with Analyze, the new engine embeds its vocabulary on its first question.
 func (p *Pipeline) Update(ctx context.Context, prev *Analysis, newPolicy string) (*Analysis, segment.Diff, kg.UpdateStats, error) {
 	phase1 := time.Now()
 	ex, diff, err := p.extractor.ReExtract(ctx, prev.Extraction, newPolicy)

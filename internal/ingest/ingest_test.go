@@ -107,6 +107,40 @@ func TestIngestDeterminism(t *testing.T) {
 	}
 }
 
+// TestIngestNeverEmbeds: ingest encodes each analysis without asking it
+// anything, so no engine builds its vocabulary index; serving one of the
+// stored analyses builds exactly one.
+func TestIngestNeverEmbeds(t *testing.T) {
+	dir := writeTestCorpus(t, 6)
+	p := testPipeline(t)
+	st := store.NewMem(store.Options{})
+	sum, err := Run(context.Background(), p, st, dir, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Ingested != 6 || len(sum.Failed) != 0 {
+		t.Fatalf("summary %+v", sum)
+	}
+	builds := p.Obs().Histogram("quagmire_engine_index_seconds", obs.TimeBuckets)
+	if n := builds.Count(); n != 0 {
+		t.Errorf("ingest built %d vocabulary indexes, want 0", n)
+	}
+	pols, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := st.LoadPayload(pols[0].ID, pols[0].Versions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.DecodeAnalysis(payload); err != nil {
+		t.Fatal(err)
+	}
+	if n := builds.Count(); n != 1 {
+		t.Errorf("decoding one stored analysis built %d vocabulary indexes, want 1", n)
+	}
+}
+
 // TestIngestResume interrupts an ingest mid-corpus (SIGKILL-style: the
 // disk store is abandoned without Close, so recovery replays the WAL)
 // and checks the rerun picks up exactly where the commits stopped —

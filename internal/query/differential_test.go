@@ -168,54 +168,23 @@ func checkAgainstReference(t *testing.T, e *Engine, q string) (*Result, bool) {
 // status and reported formula equals the reference's.
 func TestOneCoreMatchesFreshSolvers(t *testing.T) {
 	const policies, perKind = 50, 3
-	dir := t.TempDir()
-	names, err := corpus.WriteCorpus(dir, policies, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := make([]*Engine, len(names))
-	for i, name := range names {
-		text, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = engineFor(t, string(text))
-	}
+	engines := corpusEngines(t, policies, 13)
 	asked := 0
 	branch := map[string]int{}
 	for i, e := range engines {
-		// Full flow, flow without its receiver, and the company's verbs
-		// over the next policy's data types.
-		company, flows := e.KG.Company, ownFlows(e)
-		var withRecv, noRecv, swapped []string
-		own := map[string]bool{}
-		for _, ed := range flows {
-			own[ed.To] = true
-			if ed.Other != "" && ed.Other != "user" {
-				withRecv = append(withRecv, fmt.Sprintf("Does %s %s my %s with %s?", company, ed.Label, ed.To, ed.Other))
+		for _, q := range questionGrid(engines, i, perKind) {
+			got, ok := checkAgainstReference(t, e, q)
+			if !ok {
+				continue
 			}
-			noRecv = append(noRecv, fmt.Sprintf("Does %s %s my %s?", company, ed.Label, ed.To))
-		}
-		for _, ed := range ownFlows(engines[(i+1)%len(engines)]) {
-			if !own[ed.To] && len(flows) > 0 {
-				swapped = append(swapped, fmt.Sprintf("Does %s %s my %s?", company, flows[len(swapped)%len(flows)].Label, ed.To))
-			}
-		}
-		for _, kind := range [][]string{withRecv, noRecv, swapped} {
-			for _, q := range kind[:min(perKind, len(kind))] {
-				got, ok := checkAgainstReference(t, e, q)
-				if !ok {
-					continue
-				}
-				asked++
-				switch {
-				case got.Contradiction:
-					branch["contradiction"]++
-				case len(got.ConditionalOn) > 0:
-					branch["conditional"]++
-				default:
-					branch[string(got.Verdict)]++
-				}
+			asked++
+			switch {
+			case got.Contradiction:
+				branch["contradiction"]++
+			case len(got.ConditionalOn) > 0:
+				branch["conditional"]++
+			default:
+				branch[string(got.Verdict)]++
 			}
 		}
 	}
@@ -228,6 +197,53 @@ func TestOneCoreMatchesFreshSolvers(t *testing.T) {
 			t.Errorf("no question took the %s branch: %v", b, branch)
 		}
 	}
+}
+
+// corpusEngines analyzes n generated policies into query engines.
+func corpusEngines(t *testing.T, n int, seed int64) []*Engine {
+	t.Helper()
+	dir := t.TempDir()
+	names, err := corpus.WriteCorpus(dir, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := make([]*Engine, len(names))
+	for i, name := range names {
+		text, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = engineFor(t, string(text))
+	}
+	return engines
+}
+
+// questionGrid derives up to perKind questions of each kind for
+// engines[i] from the graphs' own edges: the full flow, the flow without
+// its receiver, and the company's verbs over the next policy's data
+// types.
+func questionGrid(engines []*Engine, i, perKind int) []string {
+	e := engines[i]
+	company, flows := e.KG.Company, ownFlows(e)
+	var withRecv, noRecv, swapped []string
+	own := map[string]bool{}
+	for _, ed := range flows {
+		own[ed.To] = true
+		if ed.Other != "" && ed.Other != "user" {
+			withRecv = append(withRecv, fmt.Sprintf("Does %s %s my %s with %s?", company, ed.Label, ed.To, ed.Other))
+		}
+		noRecv = append(noRecv, fmt.Sprintf("Does %s %s my %s?", company, ed.Label, ed.To))
+	}
+	for _, ed := range ownFlows(engines[(i+1)%len(engines)]) {
+		if !own[ed.To] && len(flows) > 0 {
+			swapped = append(swapped, fmt.Sprintf("Does %s %s my %s?", company, flows[len(swapped)%len(flows)].Label, ed.To))
+		}
+	}
+	var qs []string
+	for _, kind := range [][]string{withRecv, noRecv, swapped} {
+		qs = append(qs, kind[:min(perKind, len(kind))]...)
+	}
+	return qs
 }
 
 // ownFlows returns the company's own outbound edges.

@@ -1,0 +1,152 @@
+package query
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"github.com/privacy-quagmire/quagmire/internal/obs"
+)
+
+// indexBuilds counts the engine's vocabulary index builds.
+func indexBuilds(e *Engine) uint64 {
+	return e.Obs.Histogram("quagmire_engine_index_seconds", obs.TimeBuckets).Count()
+}
+
+// answerDiff reports how two answers to one question differ in the fields
+// a verdict is read from, or "" when they agree.
+func answerDiff(got, want *Result) string {
+	type view struct {
+		Verdict       Verdict
+		Translations  map[string]string
+		MatchedEdges  []string
+		Formula       string
+		ConditionalOn []string
+		Contradiction bool
+	}
+	g := view{got.Verdict, got.Translations, got.MatchedEdges, got.Formula, got.ConditionalOn, got.Contradiction}
+	w := view{want.Verdict, want.Translations, want.MatchedEdges, want.Formula, want.ConditionalOn, want.Contradiction}
+	if reflect.DeepEqual(g, w) {
+		return ""
+	}
+	return fmt.Sprintf("got  %+v\nwant %+v", g, w)
+}
+
+// translatedQuestions each carry a term that names no node of the test
+// policy's graph ("e-mail addresses", "partners", "gadget information",
+// "advertisers"), so answering any of them searches the embedding index.
+var translatedQuestions = []string{
+	"Does TikTak share my e-mail addresses with advertisers?",
+	"Does TikTak share my email address with partners?",
+	"Does TikTak collect my gadget information?",
+	"Does TikTak sell my personal information to advertisers?",
+}
+
+// TestIndexBuiltOnFirstQuestion: a fresh engine embeds nothing until a
+// question needs vocabulary translation, then builds its index once.
+func TestIndexBuiltOnFirstQuestion(t *testing.T) {
+	eng := newEngine(t)
+	eng.Obs = obs.NewRegistry()
+	if n := indexBuilds(eng); n != 0 {
+		t.Fatalf("fresh engine recorded %d index builds, want 0", n)
+	}
+	ctx := context.Background()
+	for _, q := range translatedQuestions {
+		if _, err := eng.Ask(ctx, q); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if n := indexBuilds(eng); n != 1 {
+			t.Fatalf("after %q: %d index builds, want 1", q, n)
+		}
+	}
+	eng.Warm()
+	if n := indexBuilds(eng); n != 1 {
+		t.Errorf("Warm after questions rebuilt the index: %d builds, want 1", n)
+	}
+}
+
+// TestIndexConcurrentFirstQuestions races 16 first questions on a fresh
+// engine (run under -race): the index is built exactly once, and every
+// answer equals the one a second engine gives to the same question asked
+// sequentially.
+func TestIndexConcurrentFirstQuestions(t *testing.T) {
+	const askers = 16
+	ctx := context.Background()
+	ref := newEngine(t)
+	want := map[string]*Result{}
+	for _, q := range translatedQuestions {
+		res, err := ref.Ask(ctx, q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		want[q] = res
+	}
+
+	eng := newEngine(t)
+	eng.Obs = obs.NewRegistry()
+	start := make(chan struct{})
+	got := make([]*Result, askers)
+	var wg sync.WaitGroup
+	for i := 0; i < askers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			res, err := eng.Ask(ctx, translatedQuestions[i%len(translatedQuestions)])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = res
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if n := indexBuilds(eng); n != 1 {
+		t.Errorf("%d concurrent first questions built the index %d times, want 1", askers, n)
+	}
+	for i, res := range got {
+		q := translatedQuestions[i%len(translatedQuestions)]
+		if res == nil {
+			continue // reported above
+		}
+		if d := answerDiff(res, want[q]); d != "" {
+			t.Errorf("%q asked concurrently differs from sequential:\n%s", q, d)
+		}
+	}
+}
+
+// TestLazyIndexMatchesWarmed is the identity test for building the index
+// on the first question: over generated policies and questions derived
+// from their own edges, an engine that indexes lazily answers exactly
+// like one warmed as soon as it was made.
+func TestLazyIndexMatchesWarmed(t *testing.T) {
+	const policies, perKind = 50, 3
+	ctx := context.Background()
+	engines := corpusEngines(t, policies, 29)
+	asked := 0
+	for i, lazy := range engines {
+		warmed := NewEngine(lazy.KG, lazy.Client, lazy.Model)
+		warmed.Warm()
+		for _, q := range questionGrid(engines, i, perKind) {
+			want, werr := warmed.Ask(ctx, q)
+			got, gerr := lazy.Ask(ctx, q)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%q: lazy error %v, warmed error %v", q, gerr, werr)
+			}
+			if werr != nil {
+				continue // the extractor found no flow, on both engines
+			}
+			asked++
+			if d := answerDiff(got, want); d != "" {
+				t.Errorf("%q: lazily indexed engine differs from warmed:\n%s", q, d)
+			}
+		}
+	}
+	t.Logf("%d questions over %d policies", asked, policies)
+	if asked < 5*policies {
+		t.Errorf("only %d questions asked", asked)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/privacy-quagmire/quagmire/internal/embed"
@@ -123,8 +124,9 @@ type Engine struct {
 	// time and instantiation counts. Safe to share across engines.
 	Obs *obs.Registry
 
-	index  *embed.Index
-	shared sharedState
+	index     *embed.Index
+	indexOnce sync.Once
+	shared    sharedState
 }
 
 // phaseTimer observes one Phase 3 stage's latency on the engine's
@@ -155,26 +157,52 @@ func (e *Engine) observeSolve(results []smt.Result) {
 	e.Obs.Counter("quagmire_smt_instantiations_total").Add(uint64(inst))
 }
 
-// NewEngine builds an engine with pre-computed embeddings for all graph
-// elements (Algorithm 1 line 17).
+// NewEngine builds an engine over a knowledge graph. The embeddings of
+// the graph's elements (Algorithm 1 line 17) are computed when the first
+// question needs them, or by Warm.
 func NewEngine(k *kg.KnowledgeGraph, client llm.Client, model *embed.Model) *Engine {
-	e := &Engine{
+	return &Engine{
 		KG: k, Client: client, Model: model,
 		TopK: 10, SubgraphDepth: 2, SimplifyFOL: true,
 	}
-	e.index = embed.NewIndex(model)
-	for _, n := range k.ED.Nodes() {
-		e.index.Add("node:"+n.ID, n.ID)
+}
+
+// vocabIndex returns the embedding index translate searches, building it
+// once per engine on first use: every node, every edge and every data
+// term of the graph. Engines that never answer a question never embed.
+func (e *Engine) vocabIndex() *embed.Index {
+	e.indexOnce.Do(func() {
+		start := time.Now()
+		ix := embed.NewIndex(e.Model)
+		for _, n := range e.KG.ED.Nodes() {
+			ix.Add("node:"+n.ID, n.ID)
+		}
+		// Edge representations: source+action+target concatenations, "for
+		// more accurate matching" (§3).
+		for i, ed := range e.KG.ED.Edges() {
+			ix.Add(fmt.Sprintf("edge:%d", i), ed.From+" "+ed.Label+" "+ed.To)
+		}
+		for _, term := range e.KG.DataH.Terms() {
+			ix.Add("node:"+term, term)
+		}
+		e.index = ix
+		e.Obs.Histogram("quagmire_engine_index_seconds", obs.TimeBuckets).ObserveSince(start)
+	})
+	return e.index
+}
+
+// Warm builds what the engine's first question would otherwise build: the
+// vocabulary index and, with SharedCore, the shared ground core. Safe to
+// race with queries: each is built exactly once per engine whether Warm or
+// the first Ask gets there first.
+func (e *Engine) Warm() {
+	e.vocabIndex()
+	if !e.SharedCore {
+		return
 	}
-	// Edge representations: source+action+target concatenations, "for
-	// more accurate matching" (§3).
-	for i, ed := range k.ED.Edges() {
-		e.index.Add(fmt.Sprintf("edge:%d", i), ed.From+" "+ed.Label+" "+ed.To)
-	}
-	for _, term := range k.DataH.Terms() {
-		e.index.Add("node:"+term, term)
-	}
-	return e
+	e.shared.mu.Lock()
+	e.ensureSharedCoreLocked()
+	e.shared.mu.Unlock()
 }
 
 // Ask answers a natural-language query.
@@ -366,7 +394,7 @@ func (e *Engine) translate(ctx context.Context, term string, record map[string]s
 	if k <= 0 {
 		k = 10
 	}
-	for _, m := range e.index.Search(term, k) {
+	for _, m := range e.vocabIndex().Search(term, k) {
 		if !strings.HasPrefix(m.Key, "node:") {
 			continue
 		}

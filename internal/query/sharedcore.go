@@ -72,20 +72,6 @@ func (e *Engine) ExportCoreImage() *smt.CoreImage {
 	return e.shared.inc.Image()
 }
 
-// Warm eagerly builds the shared ground core so the engine's first query
-// pays no construction cost. A no-op without SharedCore — the default
-// per-query subgraph path has no long-lived state to prepare. Safe to
-// race with queries: the core mutex guarantees exactly one build per
-// engine whether Warm or the first Ask gets there first.
-func (e *Engine) Warm() {
-	if !e.SharedCore {
-		return
-	}
-	e.shared.mu.Lock()
-	e.ensureSharedCoreLocked()
-	e.shared.mu.Unlock()
-}
-
 // sharedGoal builds the per-query scoped formula: subtype facts linking
 // the query's data term into the base hierarchy (when it is not already an
 // edge target) plus the negated goal.

@@ -54,6 +54,9 @@ func BenchmarkCorpusQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// Index the engine before timing, as BuildEngine does for a
+		// stored policy, so every iteration times the fan-out alone.
+		a.Engine.Warm()
 		payload, err := core.EncodeAnalysis(a)
 		if err != nil {
 			b.Fatal(err)

@@ -202,11 +202,10 @@ func (s *Server) startWarmer(ids []string, workers int) {
 				if cell == nil {
 					continue // deleted/raced; nothing to warm
 				}
-				if a, err := cell.get(s, "warmer"); err == nil {
-					// Pre-build the shared ground core too (no-op without
-					// SharedCore), so the first query is solve-only.
-					a.Engine.Warm()
-				}
+				// The cell build warms the engine, so the first query
+				// builds nothing. A failed build quarantines the cell,
+				// which reports it to every later reader.
+				_, _ = cell.get(s, "warmer")
 			}
 		}()
 	}

@@ -173,7 +173,7 @@ func (s *Server) recoverLive(rec RecoveryOptions) error {
 	}
 	reg := s.pipeline.Obs()
 	reg.SetHelp(metricQuarantined, "Policies whose stored payload failed to decode; served as 503 until repaired.")
-	reg.SetHelp(metricWarmPending, "Recovered policies whose engine has not been built yet.")
+	reg.SetHelp(metricWarmPending, "Recovered policies whose engine is not yet built and indexed for questions.")
 	reg.SetHelp(metricColdStart, "Time to decode a stored payload and build its engine, by trigger source.")
 	ids := make([]string, 0, len(pols))
 	for _, p := range pols {

@@ -17,17 +17,26 @@ import (
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
+	ts, _ := newPipelineServer(t, Options{})
+	return ts
+}
+
+// newPipelineServer starts an in-memory server with opts on a fresh
+// default pipeline, which it returns for its metrics.
+func newPipelineServer(t *testing.T, opts Options) (*httptest.Server, *core.Pipeline) {
+	t.Helper()
 	p, err := core.New(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{Pipeline: p})
+	opts.Pipeline = p
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	return ts, p
 }
 
 func doJSON(t *testing.T, method, url string, body any, out any) *http.Response {
@@ -309,7 +318,9 @@ func TestBodySizeLimit(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	ts := newTestServer(t)
+	// The queue holds the whole burst: this test is about concurrent
+	// correctness, and TestOverloadShedsPastAdmissionCap covers shedding.
+	ts, _ := newPipelineServer(t, Options{Admission: AdmissionConfig{MaxQueue: 20}})
 	id := createPolicy(t, ts)["id"].(string)
 	var wg sync.WaitGroup
 	errs := make(chan error, 20)
