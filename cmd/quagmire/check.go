@@ -50,7 +50,7 @@ func runCheck(ctx context.Context, args []string, maxInst, workers int) error {
 		return err
 	}
 	if *suitePath == "" {
-		return fmt.Errorf("check: -suite is required (or use the legacy form: quagmire check <policy.txt> <suite.txt>)")
+		return fmt.Errorf("check: -suite is required (a .qq scenario suite or a directory of them; see docs/sample-suite.qq)")
 	}
 	if rest := fs.Args(); len(rest) > 0 {
 		return fmt.Errorf("check: unexpected argument %q", rest[0])

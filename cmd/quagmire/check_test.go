@@ -64,6 +64,22 @@ func TestCheckScenarioSuite(t *testing.T) {
 	}
 }
 
+// TestCheckSampleSuite runs the documented sample suite: the five Acme
+// questions keep their verdicts, including the conditional one.
+func TestCheckSampleSuite(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"check", "-suite", filepath.Join("..", "..", "docs", "sample-suite.qq")})
+	})
+	if err != nil {
+		t.Fatalf("check failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{"5 passed, 0 skipped, 0 failed, 0 errored", "conditional on: cond_legitimate_business_purposes"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("check output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestCheckScenarioDirectory(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -195,6 +211,8 @@ func TestCheckStoredPolicy(t *testing.T) {
 func TestCheckConfigErrors(t *testing.T) {
 	p := writeSuite(t, "green.qq", greenSuite)
 	for _, args := range [][]string{
+		{"check"},
+		{"check", writePolicy(t, corpus.Mini()), p}, // positional form is gone
 		{"check", "-suite", "/nonexistent"},
 		{"check", "-suite", p, "-corpus", "bogus"},
 		{"check", "-suite", p, "-policy", "id"}, // missing -data

@@ -12,7 +12,6 @@
 //	quagmire vague    <policy.txt>             vague conditions needing human review
 //	quagmire report   <policy.txt>             markdown audit report
 //	quagmire dot      <policy.txt> [graph|data|entity]  Graphviz export
-//	quagmire check    <policy.txt> <suite.txt> run a plain-text conformance suite
 //	quagmire check    -suite <dir|file.qq> [-policy id[@n] -data dir | -policy-file f | -corpus name]
 //	                  [-junit out.xml] [-json out.json] [-deadline 30s]
 //	                                           run compliance-as-code scenario suites (CI gate)
@@ -38,7 +37,6 @@ import (
 
 	"github.com/privacy-quagmire/quagmire"
 	"github.com/privacy-quagmire/quagmire/internal/compare"
-	"github.com/privacy-quagmire/quagmire/internal/conformance"
 	"github.com/privacy-quagmire/quagmire/internal/core"
 	"github.com/privacy-quagmire/quagmire/internal/corpus"
 	"github.com/privacy-quagmire/quagmire/internal/extract"
@@ -255,47 +253,7 @@ func run(args []string) error {
 		return nil
 
 	case "check":
-		// Flag form runs compliance-as-code scenario suites; the legacy
-		// positional form (`check <policy.txt> <suite.txt>`) keeps running
-		// plain-text conformance suites.
-		if len(rest) < 2 || strings.HasPrefix(rest[1], "-") {
-			return runCheck(ctx, rest[1:], *maxInst, *workers)
-		}
-		if len(rest) != 3 {
-			return fmt.Errorf("usage: quagmire check <policy.txt> <suite.txt> | quagmire check -suite <dir|file.qq> [flags]")
-		}
-		text, err := readPolicy(rest[1])
-		if err != nil {
-			return err
-		}
-		suiteFile, err := os.Open(rest[2])
-		if err != nil {
-			return err
-		}
-		defer suiteFile.Close()
-		cases, err := conformance.ParseSuite(suiteFile)
-		if err != nil {
-			return err
-		}
-		p, err := core.New(core.Options{
-			Limits: smt.Limits{MaxInstantiations: *maxInst},
-		})
-		if err != nil {
-			return err
-		}
-		a, err := p.Analyze(ctx, text)
-		if err != nil {
-			return err
-		}
-		res, err := conformance.Run(ctx, a.Engine, cases)
-		if err != nil {
-			return err
-		}
-		fmt.Print(conformance.Render(res))
-		if res.Failed > 0 {
-			return fmt.Errorf("%d conformance case(s) failed", res.Failed)
-		}
-		return nil
+		return runCheck(ctx, rest[1:], *maxInst, *workers)
 
 	case "explore":
 		if len(rest) < 3 {

@@ -153,28 +153,6 @@ func TestReportSubcommand(t *testing.T) {
 	}
 }
 
-func TestCheckSubcommand(t *testing.T) {
-	p := writePolicy(t, corpus.Mini())
-	suite := filepath.Join(t.TempDir(), "suite.txt")
-	content := "EXPECT VALID: Does Acme collect my device identifiers?\nEXPECT INVALID: Does Acme sell my personal information?\n"
-	if err := os.WriteFile(suite, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := capture(t, func() error { return run([]string{"check", p, suite}) })
-	if err != nil {
-		t.Fatalf("check failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "2 passed, 0 failed") {
-		t.Errorf("check output:\n%s", out)
-	}
-	// A failing suite exits with error.
-	bad := filepath.Join(t.TempDir(), "bad.txt")
-	os.WriteFile(bad, []byte("EXPECT VALID: Does Acme sell my personal information?\n"), 0o644)
-	if _, err := capture(t, func() error { return run([]string{"check", p, bad}) }); err == nil {
-		t.Error("failing suite should return error")
-	}
-}
-
 func TestDotSubcommand(t *testing.T) {
 	p := writePolicy(t, corpus.Mini())
 	out, err := capture(t, func() error { return run([]string{"dot", p, "data"}) })

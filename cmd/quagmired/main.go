@@ -7,23 +7,23 @@
 //	quagmired -addr :8080 [-data DIR] [-max-instantiations N] [-preload]
 //	          [-read-timeout D] [-solve-timeout D] [-max-solves N]
 //	          [-solve-queue N] [-queue-wait D] [-drain-timeout D]
-//	          [-lazy-recovery=BOOL] [-warm-workers N]
-//	          [-corpus-workers N] [-corpus-policy-timeout D]
+//	          [-warm-workers N] [-corpus-workers N] [-corpus-policy-timeout D]
 //	          [-follow URL]
 //
 // With -data the policy store is durable: every policy version is logged
 // to DIR's write-ahead log before it is acknowledged, a restart recovers
 // the full registry, and a clean shutdown compacts the log into a
-// snapshot. Without -data policies live in memory and die with the
-// process.
+// snapshot. A DIR whose only snapshot is a legacy store-snapshot.json
+// (codec 1) is refused at startup with its upgrade path (see README).
+// Without -data policies live in memory and die with the process.
 //
-// Recovery is lazy by default: boot indexes the store without decoding
-// payloads (boot-to-ready is independent of policy count), each policy's
-// query engine builds on its first query, and a -warm-workers pool fills
-// the remaining engines in the background. A payload that fails to decode
-// quarantines that one policy (served as 503, listed with a marker,
-// /healthz degraded) instead of refusing boot. -lazy-recovery=false
-// restores the eager rebuild-everything-before-serving behavior.
+// Recovery is lazy: boot indexes the store without decoding payloads
+// (boot-to-ready is independent of policy count), each policy's query
+// engine builds on its first query, and a -warm-workers pool fills the
+// remaining engines in the background (-warm-workers -1 leaves every
+// engine to its first query). A payload that fails to decode quarantines
+// that one policy (served as 503, listed with a marker, /healthz
+// degraded) instead of refusing boot.
 //
 // With -follow the process is a read replica: it bootstraps its -data
 // directory from the primary's snapshot stream, tails the primary's WAL
@@ -74,7 +74,6 @@ func main() {
 	flag.IntVar(&cfg.solveQueue, "solve-queue", 0, "solver requests allowed to queue for a slot (0 = 8×max-solves, negative = none)")
 	flag.DurationVar(&cfg.queueWait, "queue-wait", 0, "longest a queued solver request waits before a 429 (0 = 2s)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
-	flag.BoolVar(&cfg.lazyRecovery, "lazy-recovery", true, "index stored policies at boot and build engines on demand (false = rebuild everything before serving)")
 	flag.IntVar(&cfg.warmWorkers, "warm-workers", 0, "background engine-warmer pool size after lazy recovery (0 = default, negative = off)")
 	flag.IntVar(&cfg.corpusWorkers, "corpus-workers", 0, "worker pool size for the /v1/corpus fan-out endpoints (0 = max(2, GOMAXPROCS))")
 	flag.DurationVar(&cfg.corpusPolicyTimeout, "corpus-policy-timeout", 0, "per-policy deadline inside a corpus query (0 = 5s, negative = off)")
@@ -94,7 +93,6 @@ type serveConfig struct {
 	readTimeout, solveTimeout time.Duration
 	maxSolves, solveQueue     int
 	queueWait, drainTimeout   time.Duration
-	lazyRecovery              bool
 	warmWorkers               int
 	corpusWorkers             int
 	corpusPolicyTimeout       time.Duration
@@ -163,10 +161,7 @@ func run(cfg serveConfig, logger *log.Logger) error {
 			MaxQueue:      cfg.solveQueue,
 			QueueWait:     cfg.queueWait,
 		},
-		Recovery: server.RecoveryOptions{
-			Eager:       !cfg.lazyRecovery,
-			WarmWorkers: cfg.warmWorkers,
-		},
+		Recovery: server.RecoveryOptions{WarmWorkers: cfg.warmWorkers},
 		Corpus: server.CorpusConfig{
 			Workers:       cfg.corpusWorkers,
 			PolicyTimeout: cfg.corpusPolicyTimeout,

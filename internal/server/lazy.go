@@ -44,12 +44,9 @@ const (
 	metricVersionMisses = "quagmire_version_engine_cache_misses_total"
 )
 
-// RecoveryOptions configures how stored policies come back at startup.
+// RecoveryOptions configures how stored policies come back at startup:
+// always as lazy cells, optionally filled by the background warmer.
 type RecoveryOptions struct {
-	// Eager decodes every policy and builds its engine inside New (the
-	// pre-lazy behavior, minus the boot abort: corrupt payloads quarantine
-	// in both modes). Default is lazy cells plus the background warmer.
-	Eager bool
 	// WarmWorkers sizes the background warmer pool that populates lazy
 	// cells after boot; 0 selects DefaultWarmWorkers, negative disables
 	// background warming (cells build strictly on first query).
@@ -128,8 +125,7 @@ func newStatsCell(id string, version int, stats store.VersionStats) *engineCell 
 // failed build quarantines the cell — the error is latched and every
 // later get returns it without retrying (a corrupt payload does not fix
 // itself; repair goes through the PUT path, which installs a new cell).
-// source labels the cold-start histogram ("query", "warmer", "eager",
-// "version").
+// source labels the cold-start histogram ("query", "warmer", "version").
 func (c *engineCell) get(s *Server, source string) (*core.Analysis, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,9 +1,10 @@
 package server
 
-// Lazy-recovery tests: corruption quarantine, lazy/eager differential
-// equivalence, warmer build-once semantics, and the pinned-version engine
-// cache. Stores are seeded and then abandoned or reopened the same way the
-// restart tests do, so recovery always runs against real disk state.
+// Lazy-recovery tests: corruption quarantine, differential equivalence of
+// on-demand and warmed cells, warmer build-once semantics, and the
+// pinned-version engine cache. Stores are seeded and then abandoned or
+// reopened the same way the restart tests do, so recovery always runs
+// against real disk state.
 
 import (
 	"context"
@@ -98,23 +99,24 @@ func seedStoreDirect(t testing.TB, dir string, n int, corrupt bool) (ids []strin
 
 // TestRecoveryQuarantinesCorruptPayload is the regression test for the
 // boot-abort bug: one undecodable stored payload used to fail New for the
-// whole store. Now, in both recovery modes, every healthy policy serves
-// and the corrupt one is quarantined — 503 on analysis endpoints, marked
-// in the list, /healthz degraded, gauge set — until a PUT repairs it.
+// whole store. Now every healthy policy serves and the corrupt one is
+// quarantined — 503 on analysis endpoints, marked in the list, /healthz
+// degraded, gauge set — until a PUT repairs it. The default server's
+// warmer finds the corruption before any query; with the warmer off, the
+// first query to the corrupt policy finds it.
 func TestRecoveryQuarantinesCorruptPayload(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		rec  RecoveryOptions
 	}{
 		{"lazy", RecoveryOptions{}},
-		{"eager", RecoveryOptions{Eager: true}},
+		{"on-demand", RecoveryOptions{WarmWorkers: -1}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
 			ids, broken := seedStoreDirect(t, dir, 2, true)
 			ts, srv, p := diskServerRec(t, dir, nil, mode.rec, core.Options{})
-			// Let the warmer touch every cell so even the lazy server has
-			// discovered the corruption before we assert on it.
+			// With a warmer, let it touch every cell before asserting.
 			if srv.warmDone != nil {
 				<-srv.warmDone
 			}
@@ -197,11 +199,12 @@ func TestRecoveryQuarantinesCorruptPayload(t *testing.T) {
 	}
 }
 
-// TestRecoveryLazyEagerIdentical is the differential test: after a
-// SIGKILL-style abandon, an eager server and a lazy server over the same
-// data directory must expose byte-identical state — policy list, version
-// histories, and query verdicts.
-func TestRecoveryLazyEagerIdentical(t *testing.T) {
+// TestRecoveryOnDemandWarmedIdentical is the differential test for lazy
+// recovery: after a SIGKILL-style abandon, a server whose cells build only
+// on demand and a server whose warmer has built every cell must both
+// expose byte-identical state to the server before the restart — policy
+// list, version histories, and query verdicts.
+func TestRecoveryOnDemandWarmedIdentical(t *testing.T) {
 	dir := t.TempDir()
 	ts0 := diskServer(t, dir, nil)
 	a := createPolicy(t, ts0)["id"].(string)
@@ -211,18 +214,25 @@ func TestRecoveryLazyEagerIdentical(t *testing.T) {
 	before := observe(t, ts0, ids)
 	ts0.Close() // abandoned un-Closed: recovery replays the WAL
 
-	tsEager, _, _ := diskServerRec(t, dir, nil, RecoveryOptions{Eager: true}, core.Options{})
-	eager := observe(t, tsEager, ids)
-	tsEager.Close()
-
-	tsLazy, _, _ := diskServerRec(t, dir, nil, RecoveryOptions{}, core.Options{})
-	lazy := observe(t, tsLazy, ids)
-
-	if before != eager {
-		t.Errorf("eager recovery diverged from pre-restart state:\nbefore:\n%s\neager:\n%s", before, eager)
+	tsCold, _, pCold := diskServerRec(t, dir, nil, RecoveryOptions{WarmWorkers: -1}, core.Options{})
+	if pending := pCold.Obs().Gauge(metricWarmPending).Value(); pending != float64(len(ids)) {
+		t.Fatalf("on-demand server: %v cells pending before any query, want %d", pending, len(ids))
 	}
-	if eager != lazy {
-		t.Errorf("lazy recovery diverged from eager:\neager:\n%s\nlazy:\n%s", eager, lazy)
+	onDemand := observe(t, tsCold, ids)
+	tsCold.Close()
+
+	tsWarm, srvWarm, pWarm := diskServerRec(t, dir, nil, RecoveryOptions{}, core.Options{})
+	<-srvWarm.warmDone
+	if pending := pWarm.Obs().Gauge(metricWarmPending).Value(); pending != 0 {
+		t.Fatalf("warmed server: %v cells still pending after the warmer finished", pending)
+	}
+	warmed := observe(t, tsWarm, ids)
+
+	if before != onDemand {
+		t.Errorf("on-demand recovery diverged from pre-restart state:\nbefore:\n%s\non-demand:\n%s", before, onDemand)
+	}
+	if before != warmed {
+		t.Errorf("warmed recovery diverged from pre-restart state:\nbefore:\n%s\nwarmed:\n%s", before, warmed)
 	}
 }
 

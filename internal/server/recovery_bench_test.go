@@ -1,20 +1,18 @@
 package server
 
 // BenchmarkRecoveryBoot measures server boot against a populated disk
-// store in the three recovery modes:
+// store in two modes:
 //
-//	eager   decode + rebuild every engine before New returns (old behavior)
 //	lazy    index metadata only, no warmer — boot-to-first-byte
 //	warmed  lazy boot plus waiting for the background warmer — boot-to-hot
 //
 // The point of lazy recovery is that "lazy" stays flat as the policy count
-// grows while "eager" scales linearly with it; "warmed" bounds the total
-// background work. The seeded directory is a cleanly-compacted snapshot,
-// so since snapshot format v2 every mode here boots through the indexed
-// open path (header + metadata index, payloads lazy behind LoadPayload) —
-// the lazy legs are guarded against BENCH_PR9.json to lock that in, on
-// top of the BENCH_PR7.json guard from the v1 era. EXPERIMENTS.md E15
-// runs the same sweep at 100/1k scale; E17 isolates the format A/B.
+// grows, while "warmed" decodes and builds every engine and so bounds the
+// total background work. The seeded directory is a cleanly-compacted
+// snapshot, so both modes boot through the indexed open path (header +
+// metadata index, payloads lazy behind LoadPayload). BENCH_PR7.json and
+// BENCH_PR9.json guard these legs. EXPERIMENTS.md E15 runs the same sweep
+// at 100/1k scale; E17 isolates the format A/B.
 
 import (
 	"fmt"
@@ -55,7 +53,6 @@ func BenchmarkRecoveryBoot(b *testing.B) {
 			rec  RecoveryOptions
 			warm bool
 		}{
-			{"eager", RecoveryOptions{Eager: true}, false},
 			{"lazy", RecoveryOptions{WarmWorkers: -1}, false},
 			{"warmed", RecoveryOptions{WarmWorkers: 2}, true},
 		} {

@@ -3,11 +3,10 @@
 // vague conditions, verified against natural-language compliance queries,
 // and updated incrementally across versions. Policies and their full
 // version history live in a store.PolicyStore — with the disk backend the
-// server recovers every policy across restarts: lazily by default (each
-// query engine builds on first demand, a background warmer fills the rest,
-// and a corrupt payload quarantines one policy instead of refusing boot;
-// see lazy.go), or eagerly on request. A raw SMT-LIB solving endpoint
-// exposes the built-in solver. The server is
+// server recovers every policy across restarts, lazily: each query engine
+// builds on first demand, a background warmer fills the rest, and a
+// corrupt payload quarantines one policy instead of refusing boot (see
+// lazy.go). A raw SMT-LIB solving endpoint exposes the built-in solver. The server is
 // self-contained over net/http (Go 1.22 pattern routing) with request
 // logging, body-size limits and JSON error envelopes.
 package server
@@ -110,8 +109,8 @@ type Options struct {
 	// wait queue, shedding excess with 429 + Retry-After. The zero value
 	// selects defaults; MaxConcurrent < 0 disables.
 	Admission AdmissionConfig
-	// Recovery selects lazy (default) or eager engine rebuild for stored
-	// policies, and sizes the background warmer (see lazy.go).
+	// Recovery sizes the background warmer that builds stored policies'
+	// engines after boot (see lazy.go).
 	Recovery RecoveryOptions
 	// Corpus bounds the cross-policy fan-out endpoints (corpus.go); zero
 	// fields select defaults.
@@ -125,9 +124,7 @@ type Options struct {
 // disk-backed store after a restart) they are indexed into lazy engine
 // cells: boot touches only metadata, each policy's engine builds on first
 // query (or via the background warmer), and a payload that fails to
-// decode quarantines that one policy instead of refusing boot. With
-// Recovery.Eager every engine is rebuilt before New returns, matching the
-// old behavior minus the boot abort.
+// decode quarantines that one policy instead of refusing boot.
 func New(opts Options) (*Server, error) {
 	if opts.Pipeline == nil {
 		return nil, fmt.Errorf("server: Options.Pipeline is required")
@@ -160,11 +157,10 @@ func New(opts Options) (*Server, error) {
 // recoverLive rebuilds the live map from the store. Store recovery proper
 // (snapshot load + WAL replay) already happened when the store was
 // opened; this layer indexes each policy's latest version into an
-// engineCell — metadata only, no payload decode — then either builds
-// every cell in place (eager) or hands the ID list to the background
-// warmer (lazy). In both modes a payload that fails to decode quarantines
-// that one policy; recovery itself only fails when the store cannot be
-// read at all.
+// engineCell — metadata only, no payload decode — and hands the ID list
+// to the background warmer. A payload that fails to decode quarantines
+// that one policy when its cell builds; recovery itself only fails when
+// the store cannot be read at all.
 func (s *Server) recoverLive(rec RecoveryOptions) error {
 	start := time.Now()
 	pols, err := s.store.List()
@@ -189,18 +185,6 @@ func (s *Server) recoverLive(rec RecoveryOptions) error {
 	}
 	reg.Gauge(metricWarmPending).Set(float64(len(pols)))
 	reg.Gauge("quagmire_store_recovery_seconds", "phase", "index").Set(time.Since(start).Seconds())
-	if rec.Eager {
-		for _, id := range ids {
-			_, _ = s.live[id].get(s, "eager") // failure = quarantine, not abort
-		}
-		elapsed := time.Since(start)
-		reg.Gauge("quagmire_store_recovery_seconds", "phase", "rebuild").Set(elapsed.Seconds())
-		if s.logger != nil {
-			s.logger.Printf("server: rebuilt %d policies from store in %s (%d quarantined)",
-				len(pols), elapsed.Round(time.Millisecond), int(reg.Gauge(metricQuarantined).Value()))
-		}
-		return nil
-	}
 	if s.logger != nil {
 		s.logger.Printf("server: indexed %d policies from store in %s (lazy rebuild)",
 			len(pols), time.Since(start).Round(time.Millisecond))
@@ -488,7 +472,7 @@ func policyStatsJSON(p store.Policy, st store.VersionStats) policyResponse {
 
 // policyJSON renders policy metadata plus the latest analysis's stats.
 // Identical to policyStatsJSON over versionStats(a) — the stored stats
-// were computed from the same analysis — so lazy and eager recovery
+// were computed from the same analysis — so a cold cell and a built one
 // render byte-identical listings.
 func policyJSON(p store.Policy, a *core.Analysis) policyResponse {
 	return policyStatsJSON(p, versionStats(a))

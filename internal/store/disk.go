@@ -9,34 +9,17 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
-
-	"github.com/privacy-quagmire/quagmire/internal/cache"
 )
 
-// snapshotKey is the cache.Store key the legacy v1 snapshot lives under.
-// v1 snapshots are still read on open; compaction always writes the
-// indexed v2 format (snapshot.v2) and deletes the legacy file.
-const snapshotKey = "store-snapshot"
-
-// snapshotCodec is the legacy monolithic-JSON snapshot schema version.
-const snapshotCodec = 1
+// legacyV1Name names the monolithic JSON snapshot (codec 1) that builds
+// before snapshot format v2 wrote. It is no longer read: a directory that
+// holds only this file is refused with an upgrade path (see
+// checkNotLegacyV1), and one that also holds snapshot.v2 keeps v2 as the
+// authority while compaction deletes the stale file.
+const legacyV1Name = "store-snapshot.json"
 
 // defaultSnapshotThreshold compacts the WAL once it exceeds 4 MiB.
 const defaultSnapshotThreshold = 4 << 20
-
-// snapshotState is the serialized form of a legacy v1 snapshot: the whole
-// store as one JSON document, payloads inline. Retained so old data
-// directories still open (they are rewritten as v2 on the next
-// compaction).
-type snapshotState struct {
-	Codec int `json:"codec"`
-	// Seq is the WAL sequence number the snapshot was taken at; replay
-	// skips records at or below it, so a snapshot whose WAL truncation
-	// never completed (crash mid-compaction) replays cleanly.
-	Seq      uint64        `json:"seq"`
-	NextID   int           `json:"next_id"`
-	Policies []policyState `json:"policies"`
-}
 
 // walFile is the WAL's file handle. *os.File satisfies it; tests
 // substitute failure-injecting wrappers.
@@ -55,7 +38,6 @@ type Disk struct {
 	opts    Options
 	dir     string
 	walPath string
-	snap    *cache.Store
 
 	mu       sync.RWMutex
 	c        *core
@@ -74,8 +56,7 @@ type Disk struct {
 	// all waiters by closing the final channel.
 	seqWatch chan struct{}
 	// snapFile is the open v2 snapshot lazy payload loads ReadAt from;
-	// nil when the store was booted fresh or from a legacy v1 snapshot
-	// (whose payloads are held inline until the next compaction).
+	// nil when the store was booted without a snapshot.
 	snapFile *snapshotFile
 	// snapSeq is the watermark of the on-disk snapshot: records at or
 	// below it are compacted away and unavailable to ReplayFrom.
@@ -101,15 +82,13 @@ type walEntry struct {
 // recovers its state: snapshot first, then WAL replay.
 func OpenDisk(dir string, opts Options) (*Disk, error) {
 	start := time.Now()
-	snap, err := cache.Open(dir)
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %q: %w", dir, err)
 	}
 	d := &Disk{
 		opts:     opts,
 		dir:      dir,
 		walPath:  filepath.Join(dir, "wal.log"),
-		snap:     snap,
 		c:        newCore(),
 		seqWatch: make(chan struct{}),
 	}
@@ -128,10 +107,10 @@ func OpenDisk(dir string, opts Options) (*Disk, error) {
 	return d, nil
 }
 
-// recover loads the snapshot (indexed v2 preferred, legacy v1 fallback)
-// and replays the WAL into the core. The v2 path installs metadata only —
-// payload bytes stay on disk behind refs until LoadPayload asks for them,
-// so boot cost is O(index), not O(corpus).
+// recover loads the indexed v2 snapshot, if any, and replays the WAL into
+// the core. The snapshot installs metadata only — payload bytes stay on
+// disk behind refs until LoadPayload asks for them, so boot cost is
+// O(index), not O(corpus).
 func (d *Disk) recover() error {
 	sf, err := openSnapshotV2(filepath.Join(d.dir, snapshotV2Name))
 	switch {
@@ -152,7 +131,7 @@ func (d *Disk) recover() error {
 		d.snapSeq = sf.hdr.Seq
 		d.snapFile = sf
 	case errors.Is(err, fs.ErrNotExist):
-		if err := d.recoverLegacyV1(); err != nil {
+		if err := checkNotLegacyV1(d.dir); err != nil {
 			return err
 		}
 	default:
@@ -201,28 +180,23 @@ func (d *Disk) recover() error {
 	return nil
 }
 
-// recoverLegacyV1 loads a legacy monolithic v1 snapshot, payloads inline
-// (eager). The next compaction rewrites it in the indexed v2 format.
-func (d *Disk) recoverLegacyV1() error {
-	var st snapshotState
-	switch err := d.snap.Load(snapshotKey, &st); {
+// checkNotLegacyV1 refuses a data directory whose only snapshot is the
+// legacy v1 file. Without snapshot.v2 the store would otherwise open empty
+// and silently lose every policy the v1 file holds. Callers run it only
+// after finding no snapshot.v2, so a stale v1 file left beside v2 (a
+// compaction that crashed before deleting it) never triggers it.
+func checkNotLegacyV1(dir string) error {
+	path := filepath.Join(dir, legacyV1Name)
+	switch _, err := os.Stat(path); {
 	case err == nil:
-		if st.Codec > snapshotCodec {
-			return fmt.Errorf("store: snapshot codec %d is newer than supported %d", st.Codec, snapshotCodec)
-		}
-		for i := range st.Policies {
-			ps := st.Policies[i]
-			d.c.policies[ps.Meta.ID] = &ps
-		}
-		d.c.nextID = st.NextID
-		d.seq = st.Seq
-		d.snapSeq = st.Seq
-	case errors.Is(err, cache.ErrNotFound):
-		// Fresh store.
+		return fmt.Errorf("store: %s is a legacy v1 snapshot, which this build no longer reads; "+
+			"to rewrite it as %s, open the directory once with a build from commit d7110fa through 11eb374 "+
+			"and shut it down cleanly (quagmired -data %s, then SIGTERM)", path, snapshotV2Name, dir)
+	case errors.Is(err, fs.ErrNotExist):
+		return nil
 	default:
-		return err
+		return fmt.Errorf("store: %w", err)
 	}
-	return nil
 }
 
 // applyOp applies one replayed record to the core, preserving the logged
@@ -382,9 +356,9 @@ func (d *Disk) compactLocked() error {
 	}
 	d.walBytes = 0
 	d.walIndex = d.walIndex[:0]
-	// A legacy v1 snapshot is now stale; drop it (best effort) so future
-	// opens never prefer outdated state and the disk holds one copy.
-	if err := d.snap.Delete(snapshotKey); err != nil {
+	// A legacy v1 snapshot left beside v2 is stale; drop it (best effort)
+	// so the disk holds one copy.
+	if err := os.Remove(filepath.Join(d.dir, legacyV1Name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		d.opts.logf("store: remove legacy snapshot: %v", err)
 	}
 	d.opts.Obs.Counter("quagmire_store_snapshots_total").Inc()
@@ -543,10 +517,10 @@ func (d *Disk) Version(id string, n int) (Version, error) {
 	return v, err
 }
 
-// LoadPayload implements PolicyStore. Versions still WAL-resident (or
-// legacy v1, eagerly loaded) are served from memory; snapshotted versions
-// are read out of the indexed v2 file and CRC-verified — which is where
-// payload corruption surfaces, at first use rather than at open.
+// LoadPayload implements PolicyStore. Versions still WAL-resident are
+// served from memory; snapshotted versions are read out of the indexed v2
+// file and CRC-verified — which is where payload corruption surfaces, at
+// first use rather than at open.
 func (d *Disk) LoadPayload(id string, n int) ([]byte, error) {
 	defer d.opts.observe("load_payload", time.Now())
 	d.mu.RLock()

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"github.com/privacy-quagmire/quagmire/internal/cache"
 )
 
 // InspectPolicy is one policy's row in an Info report.
@@ -27,8 +25,7 @@ type InspectPolicy struct {
 type Info struct {
 	Dir string `json:"dir"`
 	// SnapshotCodec is the snapshot format version: 2 for the indexed
-	// format, 1 for a legacy monolithic JSON snapshot, 0 when the
-	// directory has no snapshot (WAL only).
+	// format, 0 when the directory has no snapshot (WAL only).
 	SnapshotCodec int    `json:"snapshot_codec"`
 	SnapshotSeq   uint64 `json:"snapshot_seq"`
 	SnapshotBytes int64  `json:"snapshot_bytes"`
@@ -44,8 +41,17 @@ type Info struct {
 }
 
 // Inspect reads the snapshot index and scans the WAL of the data
-// directory at dir, merging both into one report.
+// directory at dir, merging both into one report. dir must be an existing
+// directory: inspection never creates one. A directory holding only a
+// legacy v1 snapshot is refused with the same upgrade path OpenDisk names.
 func Inspect(dir string) (Info, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return Info{}, fmt.Errorf("store: inspect: %w", err)
+	}
+	if !fi.IsDir() {
+		return Info{}, fmt.Errorf("store: inspect: %s is not a directory", dir)
+	}
 	info := Info{Dir: dir}
 	byID := map[string]*InspectPolicy{}
 
@@ -66,7 +72,7 @@ func Inspect(dir string) (Info, error) {
 			byID[p.ID] = p
 		}
 	case errors.Is(err, fs.ErrNotExist):
-		if lerr := inspectLegacyV1(dir, &info, byID); lerr != nil {
+		if lerr := checkNotLegacyV1(dir); lerr != nil {
 			return Info{}, lerr
 		}
 	default:
@@ -90,34 +96,6 @@ func Inspect(dir string) (Info, error) {
 		return info.Policies[i].ID < info.Policies[j].ID
 	})
 	return info, nil
-}
-
-func inspectLegacyV1(dir string, info *Info, byID map[string]*InspectPolicy) error {
-	var st snapshotState
-	snap, err := cache.Open(dir)
-	if err != nil {
-		return err
-	}
-	switch err := snap.Load(snapshotKey, &st); {
-	case err == nil:
-		info.SnapshotCodec = st.Codec
-		info.SnapshotSeq = st.Seq
-		if fi, serr := os.Stat(filepath.Join(dir, snapshotKey+".json")); serr == nil {
-			info.SnapshotBytes = fi.Size()
-		}
-		for _, ps := range st.Policies {
-			p := &InspectPolicy{ID: ps.Meta.ID, Name: ps.Meta.Name, Versions: len(ps.Versions)}
-			for _, v := range ps.Versions {
-				p.PayloadBytes += int64(len(v.Payload))
-			}
-			byID[p.ID] = p
-		}
-	case errors.Is(err, cache.ErrNotFound):
-		// No snapshot at all: WAL-only directory.
-	default:
-		return err
-	}
-	return nil
 }
 
 func inspectWAL(dir string, info *Info, byID map[string]*InspectPolicy) error {

@@ -128,6 +128,25 @@ func TestInspectV2(t *testing.T) {
 	}
 }
 
+// TestInspectMissingDir: inspection needs an existing directory. A
+// missing path or a regular file is an error, and nothing is created.
+func TestInspectMissingDir(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-store")
+	if _, err := Inspect(missing); err == nil {
+		t.Error("Inspect of a missing directory succeeded")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("Inspect created %s (stat err = %v)", missing, err)
+	}
+	file := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Inspect(file); err == nil {
+		t.Error("Inspect of a regular file succeeded")
+	}
+}
+
 func fileSize(t *testing.T, path string) int64 {
 	t.Helper()
 	fi, err := os.Stat(path)

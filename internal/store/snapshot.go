@@ -47,8 +47,9 @@ var (
 )
 
 // snapHeader is the eagerly-read head of a v2 snapshot. Seq is the WAL
-// watermark the snapshot was taken at, with the same replay-skip contract
-// as the v1 snapshotState.
+// watermark the snapshot was taken at: replay skips records at or below
+// it, so a snapshot whose WAL truncation never completed (crash
+// mid-compaction) replays cleanly.
 type snapHeader struct {
 	Codec  int    `json:"codec"`
 	Seq    uint64 `json:"seq"`
@@ -165,7 +166,8 @@ type snapshotFile struct {
 }
 
 // openSnapshotV2 opens and validates the v2 snapshot at path. A missing
-// file surfaces as fs.ErrNotExist so callers can fall back to v1.
+// file surfaces as fs.ErrNotExist so callers can tell a directory without
+// a snapshot from one with a damaged snapshot.
 func openSnapshotV2(path string) (*snapshotFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -274,8 +276,7 @@ func (sf *snapshotFile) load(ref payloadRef) ([]byte, error) {
 func (sf *snapshotFile) Close() error { return sf.f.Close() }
 
 // saveSnapshotV2 writes a v2 snapshot durably and atomically into dir
-// (temp file, fsync, rename, directory fsync — the same discipline as
-// cache.Save) and reopens it for reading. The WAL is truncated right
+// (temp file, fsync, rename, directory fsync) and reopens it for reading. The WAL is truncated right
 // after this returns, so a snapshot living only in the page cache would
 // mean losing both.
 func saveSnapshotV2(dir string, hdr snapHeader, policies []*policyState, load func(id string, v *Version) ([]byte, error)) (*snapshotFile, snapIndex, error) {

@@ -3,25 +3,18 @@ package store
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
-// BenchmarkSnapshotOpen measures OpenDisk against the two snapshot
-// formats at equal logical content:
-//
-//	v1  legacy monolithic JSON snapshot — recovery decodes every payload
-//	    (base64 inside JSON) before the store is usable
-//	v2  indexed snapshot — recovery reads the header and metadata index;
-//	    payloads stay on disk behind LoadPayload
-//
-// The v2 dir is produced by migrating the v1 fixture (open + Close), so
-// both formats hold byte-identical policies. Payloads carry 2KiB of
-// filler to model real analysis envelopes. E17 in EXPERIMENTS.md runs
-// this sweep at 100/1k; sizes are overridable for larger runs with e.g.
-// QUAGMIRE_SNAPSHOT_BENCH_SIZES=100,1000,10000.
+// BenchmarkSnapshotOpen measures OpenDisk against an indexed v2 snapshot:
+// recovery reads the header and metadata index, and payloads stay on disk
+// behind LoadPayload. Each policy holds one version whose payload carries
+// 2KiB of filler to model real analysis envelopes. E17 in EXPERIMENTS.md
+// runs this sweep at 100/1k; sizes are overridable for larger runs with
+// e.g. QUAGMIRE_SNAPSHOT_BENCH_SIZES=100,1000,10000.
 
 const snapshotBenchPayloadPad = 2048
 
@@ -41,48 +34,41 @@ func snapshotBenchSizes(b *testing.B) []int {
 	return sizes
 }
 
+// writeSnapshotBenchDir fills dir with n single-version policies in one
+// batch and closes the store, which compacts them into snapshot.v2. The
+// names, companies, payload bytes and fixed clock reproduce the snapshot
+// BENCH_PR9.json's rows were recorded against (then made by migrating a
+// v1 fixture), so B/op and allocs/op stay comparable.
+func writeSnapshotBenchDir(b *testing.B, dir string, n int) {
+	b.Helper()
+	created := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	d, err := OpenDisk(dir, Options{Clock: func() time.Time { return created }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := make([]BatchEntry, n)
+	for i := range entries {
+		company := fmt.Sprintf("LegacyCo%d", i+1)
+		payload := fmt.Sprintf(`{"codec":1,"legacy":true,"policy":%d,"version":1}`, i+1) +
+			strings.Repeat("x", snapshotBenchPayloadPad)
+		entries[i] = BatchEntry{
+			Name:    fmt.Sprintf("legacy-%d.txt", i+1),
+			Version: Version{VersionMeta: VersionMeta{Company: company}, Payload: []byte(payload)},
+		}
+	}
+	if _, err := d.AppendBatch(entries); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkSnapshotOpen(b *testing.B) {
 	for _, n := range snapshotBenchSizes(b) {
-		// v1: each open replays the legacy snapshot. Opening a v1 dir
-		// upgrades it on Close, so the pristine legacy file is restored
-		// between iterations (off the clock).
-		b.Run(fmt.Sprintf("v1/policies-%d", n), func(b *testing.B) {
-			dir := b.TempDir()
-			writeLegacyV1Dir(b, dir, n, 1, snapshotBenchPayloadPad)
-			legacyPath := filepath.Join(dir, snapshotKey+".json")
-			legacy, err := os.ReadFile(legacyPath)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d, err := OpenDisk(dir, Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := d.Close(); err != nil {
-					b.Fatal(err)
-				}
-				os.Remove(filepath.Join(dir, snapshotV2Name))
-				os.Remove(filepath.Join(dir, "wal.log"))
-				if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
-
 		b.Run(fmt.Sprintf("v2/policies-%d", n), func(b *testing.B) {
 			dir := b.TempDir()
-			writeLegacyV1Dir(b, dir, n, 1, snapshotBenchPayloadPad)
-			d, err := OpenDisk(dir, Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := d.Close(); err != nil { // migrates to v2
-				b.Fatal(err)
-			}
+			writeSnapshotBenchDir(b, dir, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d, err := OpenDisk(dir, Options{})
