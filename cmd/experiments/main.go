@@ -116,6 +116,13 @@ func run(exp string) error {
 			fmt.Println(l)
 		}
 		fmt.Println()
+		fmt.Println("== E21: subtype encodings on the §4.4 questions (subgraph mode, default limits) ==")
+		rows, err := experiments.EncodingComparison(ctx, false, smt.Limits{})
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiments.RenderEncodings(rows))
+		fmt.Println()
 	}
 	if all || exp == "domains" {
 		fmt.Println("== E7: cross-domain generalization (consumer vs clinical) ==")
@@ -137,11 +144,19 @@ func run(exp string) error {
 	}
 	if all || exp == "wholepolicy" {
 		fmt.Println("== A3 context: subgraph vs whole-policy encoding ==")
-		rows, err := experiments.WholePolicyComparison(ctx, smt.Limits{MaxInstantiations: 20000})
+		limits := smt.Limits{MaxInstantiations: 20000}
+		rows, err := experiments.WholePolicyComparison(ctx, limits)
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.RenderWholePolicy(rows))
+		fmt.Println()
+		fmt.Println("== E21: subtype encodings, whole-policy mode ==")
+		enc, err := experiments.EncodingComparison(ctx, true, limits)
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiments.RenderEncodings(enc))
 		fmt.Println()
 	}
 	if all || exp == "scenarios" {

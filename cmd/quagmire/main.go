@@ -122,6 +122,9 @@ func run(args []string) error {
 				return err
 			}
 			fmt.Printf("verdict: %s\n", res.Verdict)
+			if res.Cause != "" {
+				fmt.Printf("cause: %s\n", res.Cause)
+			}
 			if len(res.ConditionalOn) > 0 {
 				fmt.Printf("conditional on: %s\n", strings.Join(res.ConditionalOn, ", "))
 			}

@@ -274,3 +274,55 @@ func TestSMTLIBValidityBothPolicies(t *testing.T) {
 		t.Errorf("lines = %v", lines)
 	}
 }
+
+// TestEncodingComparison pins E21's §4.4 reproduction rows: with the
+// paper's transitivity axiom under full grounding, TikTak's whole-policy
+// question and MetaBook's subgraph question stop at the instantiation
+// budget; the served closure-facts encoding decides both, and triggers
+// (ablation A4) never claim sat on quantified input.
+func TestEncodingComparison(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus-scale experiment")
+	}
+	ctx := context.Background()
+	const budget = "model found but quantifier instantiation incomplete"
+	find := func(rows []EncodingRow, policy, encoding string) EncodingRow {
+		t.Helper()
+		for _, r := range rows {
+			if r.Policy == policy && r.Encoding == encoding {
+				return r
+			}
+		}
+		t.Fatalf("no %s row for %s in %+v", encoding, policy, rows)
+		return EncodingRow{}
+	}
+	check := func(r EncodingRow, want query.Verdict, reason string) {
+		t.Helper()
+		if r.Verdict != want || r.Reason != reason {
+			t.Errorf("%s %s %s: %s (%q), want %s (%q)", r.Policy, r.Mode, r.Encoding, r.Verdict, r.Reason, want, reason)
+		}
+	}
+
+	whole, err := EncodingComparison(ctx, true, smt.Limits{MaxInstantiations: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(find(whole, "TikTak", "paper axioms, full grounding"), query.Unknown, budget)
+	check(find(whole, "TikTak", "paper axioms, triggers (A4)"), query.Unknown, budget)
+	served := find(whole, "TikTak", "closure facts (served)")
+	check(served, query.Invalid, "")
+	if paper := find(whole, "TikTak", "paper axioms, full grounding"); served.Instantiations >= paper.Instantiations {
+		t.Errorf("TikTak whole-policy: closure facts ground %d instances, paper axioms %d", served.Instantiations, paper.Instantiations)
+	}
+
+	sub, err := EncodingComparison(ctx, false, smt.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(find(sub, "MetaBook", "paper axioms, full grounding"), query.Unknown, budget)
+	check(find(sub, "MetaBook", "closure facts (served)"), query.Valid, "")
+	check(find(sub, "TikTak", "closure facts (served)"), query.Invalid, "")
+	if RenderEncodings(sub) == "" {
+		t.Error("rendering broken")
+	}
+}

@@ -11,8 +11,9 @@ package experiments
 // solver cost), and the sweep crosses two policy scales because the
 // strategies trade off on policy size, not suite size: the shared core
 // amortizes its one build across cases but that build covers the entire
-// policy, re-encountering the paper's E3 blowup as policies grow, while
-// subgraph encoding only ever pays for the practices a question touches.
+// policy, so every solve propagates over the whole policy's clauses,
+// while subgraph encoding only ever pays for the practices a question
+// touches.
 // What the shared core buys is not speed but whole-policy semantics —
 // cross-section contradictions surface as UNKNOWN instead of being
 // invisible to a local subgraph — which is why `quagmire check` uses it

@@ -267,9 +267,9 @@ func TestContradictionFixture(t *testing.T) {
 	if !ok {
 		t.Fatal("question did not parse")
 	}
-	if got.Verdict != Unknown || !got.Contradiction || got.SMT.Status != smt.Unsat {
-		t.Errorf("conflicting flow: verdict %s, contradiction %v, smt %s; want UNKNOWN, true, unsat",
-			got.Verdict, got.Contradiction, got.SMT.Status)
+	if got.Verdict != Unknown || !got.Contradiction || got.Cause != CauseContradiction || got.SMT.Status != smt.Unsat {
+		t.Errorf("conflicting flow: verdict %s, contradiction %v, cause %q, smt %s; want UNKNOWN, true, %q, unsat",
+			got.Verdict, got.Contradiction, got.Cause, got.SMT.Status, CauseContradiction)
 	}
 	got, ok = checkAgainstReference(t, e, "Does Acme collect my location data?")
 	if !ok {

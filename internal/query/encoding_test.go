@@ -1,0 +1,244 @@
+package query
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/privacy-quagmire/quagmire/internal/fol"
+	"github.com/privacy-quagmire/quagmire/internal/graph"
+	"github.com/privacy-quagmire/quagmire/internal/smt"
+	"github.com/privacy-quagmire/quagmire/internal/smtlib"
+)
+
+// paperAxioms are the quantified subtype axioms of the paper's encoding,
+// built here independently of subtypeAxioms: reflexivity and
+// ∀x,y,z. subtype(x,y) ∧ subtype(y,z) → subtype(x,z).
+func paperAxioms() []*fol.Formula {
+	return []*fol.Formula{
+		fol.Forall("x", fol.Pred("subtype", fol.Var("x"), fol.Var("x"))),
+		fol.Forall("x", fol.Forall("y", fol.Forall("z",
+			fol.Implies(
+				fol.And(
+					fol.Pred("subtype", fol.Var("x"), fol.Var("y")),
+					fol.Pred("subtype", fol.Var("y"), fol.Var("z")),
+				),
+				fol.Pred("subtype", fol.Var("x"), fol.Var("z")),
+			)))),
+	}
+}
+
+// paperFacts encodes edges the paper's way: practice facts, the closure's
+// ground subtype facts over terms, and paperAxioms.
+func paperFacts(e *Engine, edges []*graph.Edge, terms []string, placeholderSet map[string]bool) []*fol.Formula {
+	facts := e.practiceFacts(edges, placeholderSet)
+	facts = append(facts, e.subtypeFacts(terms)...)
+	return append(facts, paperAxioms()...)
+}
+
+// paperScriptResults compiles a question under the paper's encoding into
+// the script shape the engine serves (main check, the check assuming the
+// placeholders, the policy alone) and returns each check's result.
+func paperScriptResults(t *testing.T, e *Engine, q resolved) []smt.Result {
+	t.Helper()
+	edges := e.relevantEdges(q.actor, q.action, q.data, q.other)
+	placeholderSet := map[string]bool{}
+	policy := fol.And(paperFacts(e, edges, dataTermList(edges, q.data), placeholderSet)...)
+	negGoal := fol.Not(queryGoal(q.actor, q.action, q.data, q.other))
+	if e.SimplifyFOL {
+		policy, negGoal = fol.Simplify(policy), fol.Simplify(negGoal)
+	}
+	placeholders := make([]string, 0, len(placeholderSet))
+	for p := range placeholderSet {
+		placeholders = append(placeholders, p)
+	}
+	sort.Strings(placeholders)
+	script, err := smtlib.CompileQuery(policy, negGoal, placeholders, smtlib.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runScript(t, script.String(), e.Limits)
+}
+
+func runScript(t *testing.T, script string, lim smt.Limits) []smt.Result {
+	t.Helper()
+	results, err := smt.RunScript(script, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+func statuses(results []smt.Result) []smt.Status {
+	out := make([]smt.Status, len(results))
+	for i, r := range results {
+		out[i] = r.Status
+	}
+	return out
+}
+
+func instantiations(results []smt.Result) int {
+	n := 0
+	for _, r := range results {
+		n += r.Stats.Instantiations
+	}
+	return n
+}
+
+// budgetStop reports whether an UNKNOWN came from a resource budget.
+func budgetStop(r smt.Result) bool {
+	switch r.Reason {
+	case "model found but quantifier instantiation incomplete",
+		"SAT step budget exhausted", "theory lemma budget exhausted":
+		return true
+	}
+	return false
+}
+
+// fixtureQuestions are the contradiction fixture's questions: the
+// conflicting flow, the vaguely guarded flow and one the policy is silent
+// on.
+var fixtureQuestions = []string{
+	"Does Acme share my email address with advertisers?",
+	"Does Acme collect my location data?",
+	"Does Acme sell my email address?",
+}
+
+// TestClosureFactsMatchPaperEncoding is the differential test for
+// dropping the transitivity axiom. The reference is the paper's encoding
+// (closure facts, reflexivity and transitivity) built above; the engine
+// serves closure facts and reflexivity alone.
+//
+// Subgraph mode, over 50 corpus policies' question grid plus the
+// contradiction fixture: the main, conditional and policy-alone checks
+// answer with identical statuses on every question.
+//
+// Shared core, on every 10th policy plus the fixture (the paper encoding
+// grounds its whole-policy core into the budget, so this leg is slow):
+// wherever the paper encoding decides, the served status is the same, and
+// every paper-encoding UNKNOWN is a budget stop.
+func TestClosureFactsMatchPaperEncoding(t *testing.T) {
+	ctx := context.Background()
+	engines := corpusEngines(t, 50, 13)
+	fixture := engineFor(t, contradictionPolicy)
+	questions := func(i int) []string {
+		if i == len(engines) {
+			return fixtureQuestions
+		}
+		return questionGrid(engines, i, 3)
+	}
+	engineAt := func(i int) *Engine {
+		if i == len(engines) {
+			return fixture
+		}
+		return engines[i]
+	}
+
+	asked, paperInst, servedInst := 0, 0, 0
+	for i := 0; i <= len(engines); i++ {
+		e := engineAt(i)
+		for _, text := range questions(i) {
+			p, err := e.parseQuery(ctx, text)
+			if err != nil {
+				continue // the extractor found no flow
+			}
+			res, err := e.AskParams(ctx, p)
+			if err != nil {
+				t.Fatalf("%q: %v", text, err)
+			}
+			served := runScript(t, res.Script, e.Limits)
+			if served[0].Status != res.SMT.Status {
+				t.Fatalf("%q: replayed script says %s, engine %s", text, served[0].Status, res.SMT.Status)
+			}
+			q, err := resolve(ctx, e, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paper := paperScriptResults(t, e, q)
+			if got, want := statuses(served), statuses(paper); !reflect.DeepEqual(got, want) {
+				t.Errorf("policy %d %q: closure facts %v, paper encoding %v", i, text, got, want)
+			}
+			asked++
+			paperInst += instantiations(paper)
+			servedInst += instantiations(served)
+		}
+	}
+	t.Logf("subgraph mode: %d questions, instantiations paper %d, closure facts %d", asked, paperInst, servedInst)
+	if asked < 5*len(engines) {
+		t.Errorf("only %d questions asked", asked)
+	}
+	if servedInst >= paperInst {
+		t.Errorf("closure facts ground %d instances, paper encoding %d: the axiom did not go", servedInst, paperInst)
+	}
+
+	decided, stops := 0, map[string]int{}
+	compare := func(what string, served, paper smt.Result) {
+		if paper.Status == smt.Unknown {
+			stops[paper.Reason]++
+			if !budgetStop(paper) {
+				t.Errorf("%s: paper encoding UNKNOWN without a budget reason: %q", what, paper.Reason)
+			}
+			return
+		}
+		decided++
+		if served.Status != paper.Status {
+			t.Errorf("%s: shared core with closure facts %s (%s), paper encoding %s",
+				what, served.Status, served.Reason, paper.Status)
+		}
+	}
+	for i := 0; i <= len(engines); i += 10 {
+		sub := engineAt(i)
+		e := &Engine{KG: sub.KG, Client: sub.Client, Model: sub.Model, TopK: sub.TopK,
+			SubgraphDepth: sub.SubgraphDepth, SimplifyFOL: sub.SimplifyFOL, Limits: sub.Limits,
+			SharedCore: true}
+		e.Warm()
+		edges := e.KG.ED.Edges()
+		// One paper core per policy, asked in the served order, as the
+		// shared core answered a suite before the axiom went.
+		paperCore := smt.NewIncremental(e.Limits, smt.FullGrounding)
+		if err := paperCore.AssertBase(paperFacts(e, edges, dataTermList(edges, ""), map[string]bool{})...); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("policy %d", i)
+		if i == len(engines) {
+			name = "fixture"
+		}
+		compare(name+" policy alone", e.shared.inc.Solve(ctx, nil), paperCore.Solve(ctx, nil))
+		for _, text := range questions(i) {
+			p, err := e.parseQuery(ctx, text)
+			if err != nil {
+				continue
+			}
+			q, err := resolve(ctx, e, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, placeholders := e.buildParts(e.relevantEdges(q.actor, q.action, q.data, q.other), q.actor, q.action, q.data, q.other)
+			what := name + " " + text
+			served, err := e.sharedSolve(ctx, q.actor, q.action, q.data, q.other, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compare(what, served, paperCore.Solve(ctx, e.sharedGoal(q.actor, q.action, q.data, q.other)))
+			if len(placeholders) == 0 {
+				continue
+			}
+			served, err = e.sharedSolve(ctx, q.actor, q.action, q.data, q.other, placeholders)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conds := make([]*fol.Formula, len(placeholders))
+			for j, ph := range placeholders {
+				conds[j] = fol.UninterpretedPred(ph)
+			}
+			compare(what+" assuming placeholders", served,
+				paperCore.Solve(ctx, e.sharedGoal(q.actor, q.action, q.data, q.other), conds...))
+		}
+	}
+	t.Logf("shared core: paper encoding decided %d checks; its UNKNOWNs by reason: %v", decided, stops)
+	if decided == 0 {
+		t.Error("the paper encoding decided no shared-core check: nothing was compared")
+	}
+}

@@ -72,7 +72,17 @@ type Result struct {
 	// unsatisfiable on their own (an unconditional allow/deny conflict) —
 	// the PolicyLint-style apparent contradiction surfaced for review.
 	Contradiction bool `json:"contradiction,omitempty"`
+	// Cause says why the verdict is UNKNOWN: CauseContradiction when the
+	// policy contradicts itself, otherwise the solver's reason for giving
+	// up (a resource budget, a timeout or cancellation). Empty for VALID
+	// and INVALID, so a reader can tell "the policy is unclear" from "the
+	// tool gave up".
+	Cause string `json:"cause,omitempty"`
 }
+
+// CauseContradiction is Result.Cause for an UNKNOWN that comes from a
+// self-contradictory policy rather than from the solver's budget.
+const CauseContradiction = "contradiction"
 
 // Engine answers queries against one knowledge graph.
 type Engine struct {
@@ -310,6 +320,7 @@ func (e *Engine) AskParams(ctx context.Context, p llm.ParamSet) (*Result, error)
 		if contradictory() {
 			res.Verdict = Unknown
 			res.Contradiction = true
+			res.Cause = CauseContradiction
 		}
 	case smt.Sat:
 		res.Verdict = Invalid
@@ -319,6 +330,7 @@ func (e *Engine) AskParams(ctx context.Context, p llm.ParamSet) (*Result, error)
 		}
 	default:
 		res.Verdict = Unknown
+		res.Cause = smtRes.Reason
 	}
 	e.Obs.Counter("quagmire_query_verdicts_total", "verdict", string(res.Verdict)).Inc()
 	return res, nil
@@ -515,9 +527,17 @@ func (e *Engine) buildFormula(edges []*graph.Edge, actor, action, data, other st
 
 // buildParts encodes the subgraph and query per §3: policy statements
 // become implications/facts over a practice predicate, the hierarchy
-// contributes subtype facts plus transitivity, conditions become boolean
-// predicates (vague ones uninterpreted, returned sorted as placeholders),
-// and the query becomes an existentially quantified goal.
+// contributes ground subtype facts plus reflexivity, conditions become
+// boolean predicates (vague ones uninterpreted, returned sorted as
+// placeholders), and the query becomes an existentially quantified goal.
+//
+// There is no transitivity axiom. subtypeFacts already emits every
+// ancestor pair among the encoded data terms, and the ancestor pairs of a
+// tree are transitive. subtype occurs positively only in those facts and
+// in reflexivity, negatively only in ¬goal, and under no equality, so any
+// model can shrink subtype to identity plus the emitted pairs: asserting
+// transitivity changes no status, while full grounding instantiates it
+// over every constant cubed.
 func (e *Engine) buildParts(edges []*graph.Edge, actor, action, data, other string) (policy, goal *fol.Formula, placeholders []string) {
 	placeholderSet := map[string]bool{}
 	axioms := e.practiceFacts(edges, placeholderSet)
@@ -598,20 +618,13 @@ func (e *Engine) subtypeFacts(termList []string) []*fol.Formula {
 	return facts
 }
 
-// subtypeAxioms returns reflexivity and transitivity of subtype (the
-// quantified axioms — these are what push full-policy formulas beyond the
-// solver's reach).
+// subtypeAxioms returns reflexivity of subtype, the one quantified axiom
+// of the encoding. It must stay: ¬goal instantiated at d = data refutes a
+// practice on the queried term itself only through subtype(data, data).
+// Transitivity is left out (see buildParts).
 func subtypeAxioms() []*fol.Formula {
 	return []*fol.Formula{
 		fol.Forall("x", fol.Pred("subtype", fol.Var("x"), fol.Var("x"))),
-		fol.Forall("x", fol.Forall("y", fol.Forall("z",
-			fol.Implies(
-				fol.And(
-					fol.Pred("subtype", fol.Var("x"), fol.Var("y")),
-					fol.Pred("subtype", fol.Var("y"), fol.Var("z")),
-				),
-				fol.Pred("subtype", fol.Var("x"), fol.Var("z")),
-			)))),
 	}
 }
 

@@ -32,6 +32,8 @@ type CaseResult struct {
 	Case Case
 	// Got is the produced verdict (empty on error).
 	Got query.Verdict
+	// Cause says why an UNKNOWN verdict is unknown (query.Result.Cause).
+	Cause string
 	// ConditionalOn lists the vague conditions a VALID verdict hinged on.
 	ConditionalOn []string
 	// Elapsed is the case's wall time.
@@ -193,6 +195,7 @@ func runCase(ctx context.Context, eng *query.Engine, c Case, deadline time.Durat
 		return out
 	}
 	out.Got = qr.Verdict
+	out.Cause = qr.Cause
 	out.ConditionalOn = qr.ConditionalOn
 	return out
 }

@@ -83,7 +83,7 @@ func WriteJUnit(w io.Writer, results []*SuiteResult) error {
 					Body:    "question: " + cr.Case.Question,
 				}
 			case Skip:
-				tc.Skipped = &junitMessage{Message: "verdict UNKNOWN: human judgment required"}
+				tc.Skipped = &junitMessage{Message: "verdict UNKNOWN: " + skipNote(cr.Cause)}
 			}
 			ts.Cases = append(ts.Cases, tc)
 		}

@@ -54,6 +54,7 @@ type CaseReport struct {
 	Question       string        `json:"question"`
 	Want           query.Verdict `json:"want"`
 	Got            query.Verdict `json:"got,omitempty"`
+	Cause          string        `json:"cause,omitempty"`
 	Outcome        Outcome       `json:"outcome"`
 	ConditionalOn  []string      `json:"conditional_on,omitempty"`
 	Tags           []string      `json:"tags,omitempty"`
@@ -75,7 +76,7 @@ func NewReport(results []*SuiteResult) Report {
 		for _, cr := range r.Cases {
 			c := CaseReport{
 				Name: cr.Case.Name, Question: cr.Case.Question,
-				Want: cr.Case.Want, Got: cr.Got, Outcome: cr.Outcome(),
+				Want: cr.Case.Want, Got: cr.Got, Cause: cr.Cause, Outcome: cr.Outcome(),
 				ConditionalOn:  cr.ConditionalOn,
 				Tags:           cr.Case.Tags,
 				Origin:         cr.Case.Origin,
@@ -107,6 +108,19 @@ func WriteJSON(w io.Writer, rep Report) error {
 	return enc.Encode(rep)
 }
 
+// skipNote explains a pinned UNKNOWN on the text SKIP line: a
+// contradiction needs human judgment, any other cause is the solver
+// giving up.
+func skipNote(cause string) string {
+	switch cause {
+	case query.CauseContradiction:
+		return "human judgment required: contradiction"
+	case "":
+		return "human judgment required"
+	}
+	return "solver gave up: " + cause
+}
+
 // RenderText prints a run in the go-test-like format the CLI shows on
 // stdout.
 func RenderText(results []*SuiteResult) string {
@@ -123,7 +137,7 @@ func RenderText(results []*SuiteResult) string {
 			case Pass:
 				fmt.Fprintf(&b, "PASS  %-8s %s\n", cr.Got, cr.Case.Name)
 			case Skip:
-				fmt.Fprintf(&b, "SKIP  %-8s %s (human judgment required)\n", cr.Got, cr.Case.Name)
+				fmt.Fprintf(&b, "SKIP  %-8s %s (%s)\n", cr.Got, cr.Case.Name, skipNote(cr.Cause))
 			case Fail:
 				fmt.Fprintf(&b, "FAIL  want %s, got %-8s %s\n", cr.Case.Want, cr.Got, cr.Case.Name)
 				fmt.Fprintf(&b, "      question: %s\n", cr.Case.Question)

@@ -41,7 +41,7 @@ func goldenResults() []*SuiteResult {
 			Question: "Does Acme retain my usage data indefinitely?",
 			Want:     query.Unknown,
 		},
-		Got: query.Unknown, Elapsed: 7 * time.Millisecond,
+		Got: query.Unknown, Cause: query.CauseContradiction, Elapsed: 7 * time.Millisecond,
 	}
 	fail := CaseResult{
 		Case: Case{
@@ -142,7 +142,7 @@ func TestRenderText(t *testing.T) {
 	out := RenderText(goldenResults())
 	for _, want := range []string{
 		"PASS", "SKIP", "FAIL", "ERROR",
-		"human judgment required",
+		"SKIP  UNKNOWN  ambiguous retention clause (human judgment required: contradiction)",
 		"conditional on: cond_legitimate_business_purposes",
 		"want INVALID, got VALID",
 		"2 passed, 1 skipped, 1 failed, 1 errored",
@@ -150,5 +150,29 @@ func TestRenderText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSkipLineNamesCause: a pinned UNKNOWN that the solver's budget
+// produced says so on its SKIP line instead of asking for human judgment.
+func TestSkipLineNamesCause(t *testing.T) {
+	budget := "model found but quantifier instantiation incomplete"
+	res := []*SuiteResult{{
+		Suite: "budget",
+		Cases: []CaseResult{{
+			Case: Case{Name: "gave up", Want: query.Unknown},
+			Got:  query.Unknown, Cause: budget,
+		}},
+		Skipped: 1,
+	}}
+	out := RenderText(res)
+	if want := "SKIP  UNKNOWN  gave up (solver gave up: " + budget + ")"; !strings.Contains(out, want) {
+		t.Errorf("text report missing %q:\n%s", want, out)
+	}
+	if strings.Contains(out, "human judgment") {
+		t.Errorf("a budget stop must not ask for human judgment:\n%s", out)
+	}
+	if got := NewReport(res).Suites[0].Cases[0].Cause; got != budget {
+		t.Errorf("report cause = %q, want %q", got, budget)
 	}
 }

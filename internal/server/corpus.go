@@ -245,6 +245,7 @@ type corpusQueryLine struct {
 	Name          string        `json:"name"`
 	Company       string        `json:"company,omitempty"`
 	Verdict       query.Verdict `json:"verdict,omitempty"`
+	Cause         string        `json:"cause,omitempty"`
 	ConditionalOn []string      `json:"conditional_on,omitempty"`
 	Error         string        `json:"error,omitempty"`
 }
@@ -356,6 +357,7 @@ func (s *Server) corpusAsk(ctx context.Context, it corpusItem, q string) corpusQ
 		return line
 	}
 	line.Verdict = res.Verdict
+	line.Cause = res.Cause
 	line.ConditionalOn = res.ConditionalOn
 	reg.Counter("quagmire_corpus_verdicts_total", "verdict", string(res.Verdict)).Inc()
 	return line

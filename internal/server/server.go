@@ -829,6 +829,7 @@ type queryRequest struct {
 // queryResponse is the verification result payload.
 type queryResponse struct {
 	Verdict       query.Verdict     `json:"verdict"`
+	Cause         string            `json:"cause,omitempty"`
 	ConditionalOn []string          `json:"conditional_on,omitempty"`
 	Placeholders  []string          `json:"placeholders,omitempty"`
 	Translations  map[string]string `json:"translations,omitempty"`
@@ -857,6 +858,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := queryResponse{
 		Verdict:       res.Verdict,
+		Cause:         res.Cause,
 		ConditionalOn: res.ConditionalOn,
 		Placeholders:  res.Placeholders,
 		Translations:  res.Translations,
@@ -879,6 +881,7 @@ type verifyBatchRequest struct {
 type batchItemResponse struct {
 	Question      string        `json:"question"`
 	Verdict       query.Verdict `json:"verdict,omitempty"`
+	Cause         string        `json:"cause,omitempty"`
 	ConditionalOn []string      `json:"conditional_on,omitempty"`
 	Placeholders  []string      `json:"placeholders,omitempty"`
 	MatchedEdges  []string      `json:"matched_edges,omitempty"`
@@ -933,6 +936,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 			out.Error = it.Err.Error()
 		} else {
 			out.Verdict = it.Result.Verdict
+			out.Cause = it.Result.Cause
 			out.ConditionalOn = it.Result.ConditionalOn
 			out.Placeholders = it.Result.Placeholders
 			out.MatchedEdges = it.Result.MatchedEdges
