@@ -372,46 +372,6 @@ func BenchmarkBatchVerification(b *testing.B) {
 	}
 }
 
-// Incremental shared-core batch verification: one long-lived hash-consed
-// ground core answers the whole batch under selector assumptions, vs
-// building a fresh solver per query. "fresh-whole-policy" is the
-// apples-to-apples baseline (same axiom set, rebuilt each query);
-// "fresh-subgraph" is the default production path (smaller per-query
-// encodings, no reuse).
-func BenchmarkIncrementalAskBatch(b *testing.B) {
-	ctx := context.Background()
-	modes := []struct {
-		name                string
-		shared, wholePolicy bool
-	}{
-		{"fresh-subgraph", false, false},
-		{"fresh-whole-policy", false, true},
-		{"shared-core", true, false},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			eng := newMiniEngine(b)
-			eng.Workers = 4
-			eng.SharedCore = m.shared
-			eng.WholePolicy = m.wholePolicy
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				items, err := eng.AskBatch(ctx, batchQueries)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, it := range items {
-					if it.Err != nil {
-						b.Fatal(it.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(len(batchQueries)), "queries/op")
-		})
-	}
-}
-
 // SMT result cache effectiveness: the same batch re-verified against a
 // shared cache skips the solver on every repeat. Reported hit/miss
 // counters come straight from the cache.

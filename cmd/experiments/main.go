@@ -160,7 +160,7 @@ func run(exp string) error {
 		fmt.Println()
 	}
 	if all || exp == "scenarios" {
-		fmt.Println("== E14: compliance-as-code suite throughput (shared core vs per-ask subgraph) ==")
+		fmt.Println("== E14: compliance-as-code suite throughput (per-ask subgraph, 1 vs 4 workers) ==")
 		rows, err := experiments.ScenarioThroughput(ctx, 24)
 		if err != nil {
 			return err

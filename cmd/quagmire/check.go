@@ -33,9 +33,9 @@ import (
 //	                           "corpus:<name>", "file:<path relative to the
 //	                           suite file>", or "store:<id>[@n]" (needs -data)
 //
-// Engines are cached per policy reference and built with the shared
-// incremental solver core, so a multi-suite run pays one ground-core
-// construction per distinct policy.
+// Engines are cached per policy reference, so a multi-suite run analyzes
+// each distinct policy once. They answer exactly as the server's engines
+// do: each question is solved on its own subgraph.
 func runCheck(ctx context.Context, args []string, maxInst, workers int) error {
 	fs := flag.NewFlagSet("quagmire check", flag.ContinueOnError)
 	suitePath := fs.String("suite", "", "scenario suite file or directory of *.qq files (required)")
@@ -65,9 +65,8 @@ func runCheck(ctx context.Context, args []string, maxInst, workers int) error {
 		return err
 	}
 	p, err := core.New(core.Options{
-		Limits:           smt.Limits{MaxInstantiations: maxInst},
-		Workers:          workers,
-		SharedSolverCore: true,
+		Limits:  smt.Limits{MaxInstantiations: maxInst},
+		Workers: workers,
 	})
 	if err != nil {
 		return err

@@ -1,0 +1,265 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/privacy-quagmire/quagmire/internal/core"
+	"github.com/privacy-quagmire/quagmire/internal/corpus"
+	"github.com/privacy-quagmire/quagmire/internal/query"
+	"github.com/privacy-quagmire/quagmire/internal/replica"
+	"github.com/privacy-quagmire/quagmire/internal/scenario"
+	"github.com/privacy-quagmire/quagmire/internal/server"
+	"github.com/privacy-quagmire/quagmire/internal/store"
+)
+
+// caseOutcome is what every path must agree on for one case. No report
+// carries the contradiction flag as a field of its own; every path reports
+// it as cause "contradiction".
+type caseOutcome struct {
+	Verdict       query.Verdict
+	Cause         string
+	ConditionalOn []string
+	Contradiction bool
+}
+
+func outcome(verdict query.Verdict, cause string, conditionalOn []string) caseOutcome {
+	return caseOutcome{
+		Verdict: verdict, Cause: cause, ConditionalOn: conditionalOn,
+		Contradiction: cause == query.CauseContradiction,
+	}
+}
+
+// reportOutcomes keys a one-suite report's cases by name. A case that
+// errored fails the test: an error is no verdict to compare.
+func reportOutcomes(t *testing.T, path string, rep scenario.Report) map[string]caseOutcome {
+	t.Helper()
+	if len(rep.Suites) != 1 {
+		t.Fatalf("%s: %d suites in the report, want 1", path, len(rep.Suites))
+	}
+	out := map[string]caseOutcome{}
+	for _, c := range rep.Suites[0].Cases {
+		if c.Error != "" {
+			t.Fatalf("%s: case %q errored: %s", path, c.Name, c.Error)
+		}
+		out[c.Name] = outcome(c.Got, c.Cause, c.ConditionalOn)
+	}
+	return out
+}
+
+// pathServer is one quagmired, primary or follower, behind httptest.
+type pathServer struct {
+	name string
+	url  string
+}
+
+func (s pathServer) post(t *testing.T, path string, body, out any) {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(s.url+path, "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode/100 != 2 {
+		t.Fatalf("%s POST %s: %d %s", s.name, path, resp.StatusCode, raw)
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		t.Fatalf("%s POST %s: %v (%s)", s.name, path, err, raw)
+	}
+}
+
+func (s pathServer) get(t *testing.T, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(s.url + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(raw)
+}
+
+func pathPipeline(t *testing.T) *core.Pipeline {
+	t.Helper()
+	p, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// startPrimaryAndFollower wires a disk-backed primary and a follower
+// server the way cmd/quagmired does.
+func startPrimaryAndFollower(t *testing.T) (primary, follower pathServer, seq func() uint64, fol *replica.Follower) {
+	t.Helper()
+	disk, err := store.OpenDisk(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	psrv, err := server.New(server.Options{Pipeline: pathPipeline(t), Store: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := httptest.NewServer(psrv.Handler())
+	t.Cleanup(func() { pts.Close(); psrv.Close(); disk.Close() })
+
+	pipeline := pathPipeline(t)
+	fol, err = replica.New(replica.Options{
+		Primary:    pts.URL,
+		Dir:        t.TempDir(),
+		Store:      store.Options{Obs: pipeline.Obs()},
+		BackoffMin: 2 * time.Millisecond,
+		BackoffMax: 25 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsrv, err := server.New(server.Options{
+		Pipeline: pipeline,
+		Store:    fol,
+		Replica:  &server.ReplicaOptions{Primary: pts.URL, Status: fol.StatusAny},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fol.Start(replica.Hooks{OnApply: fsrv.ApplyReplicated, OnReload: fsrv.ReloadReplicated})
+	fts := httptest.NewServer(fsrv.Handler())
+	t.Cleanup(func() { fts.CloseClientConnections(); fts.Close(); fsrv.Close(); fol.Close() })
+	return pathServer{"primary", pts.URL}, pathServer{"follower", fts.URL}, disk.Seq, fol
+}
+
+// TestEveryPathSameVerdict runs each bundled suite through every path a
+// question can take and asserts one verdict semantics: `quagmire check
+// -json`, POST /v1/policies/{id}/check on a primary and on its follower,
+// and /query for each case on both give every case the same verdict,
+// cause, conditions and contradiction flag. The contradiction fixture
+// covers a contradiction inside one question's subgraph and outside the
+// others'; the sample suite covers plain, conditional and unsupported
+// flows.
+func TestEveryPathSameVerdict(t *testing.T) {
+	fixtureText, err := os.ReadFile("../../examples/suites/contradiction_policy.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	suites := []struct {
+		file, policy string
+	}{
+		{"../../examples/suites/contradiction.qq", string(fixtureText)},
+		{"../../docs/sample-suite.qq", corpus.Mini()},
+	}
+
+	primary, follower, seq, fol := startPrimaryAndFollower(t)
+	ids := make([]string, len(suites))
+	for i, s := range suites {
+		var created struct {
+			ID string `json:"id"`
+		}
+		primary.post(t, "/v1/policies", map[string]string{"name": filepath.Base(s.file), "text": s.policy}, &created)
+		ids[i] = created.ID
+	}
+	// The follower's store can reach a seq before its server swaps in the
+	// policy's engine, so wait until it serves each policy as the primary
+	// does, not only until its watermark arrives.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := fol.WaitFor(ctx, seq()); err != nil {
+		t.Fatalf("follower never caught up: %v", err)
+	}
+	for _, id := range ids {
+		_, want := primary.get(t, "/v1/policies/"+id)
+		for {
+			code, got := follower.get(t, "/v1/policies/"+id)
+			if code == http.StatusOK && got == want {
+				break
+			}
+			if ctx.Err() != nil {
+				t.Fatalf("follower never served %s like the primary: %d %s, want %s", id, code, got, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	for i, s := range suites {
+		src, err := os.ReadFile(s.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := scenario.Parse(s.file, string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := scenario.Compile(parsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		paths := map[string]map[string]caseOutcome{}
+		jsonOut := filepath.Join(t.TempDir(), "report.json")
+		out, err := capture(t, func() error { return run([]string{"check", "-suite", s.file, "-json", jsonOut}) })
+		if err != nil {
+			t.Errorf("%s: quagmire check is not green: %v\n%s", s.file, err, out)
+		}
+		raw, err := os.ReadFile(jsonOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cliReport scenario.Report
+		if err := json.Unmarshal(raw, &cliReport); err != nil {
+			t.Fatal(err)
+		}
+		paths["quagmire check"] = reportOutcomes(t, "quagmire check", cliReport)
+
+		for _, srv := range []pathServer{primary, follower} {
+			var checked struct {
+				Report scenario.Report `json:"report"`
+			}
+			srv.post(t, "/v1/policies/"+ids[i]+"/check", map[string]string{"suite": string(src)}, &checked)
+			name := srv.name + " /check"
+			paths[name] = reportOutcomes(t, name, checked.Report)
+
+			asked := map[string]caseOutcome{}
+			for _, c := range cs.Cases {
+				var res struct {
+					Verdict       query.Verdict `json:"verdict"`
+					Cause         string        `json:"cause"`
+					ConditionalOn []string      `json:"conditional_on"`
+				}
+				srv.post(t, "/v1/policies/"+ids[i]+"/query", map[string]string{"question": c.Question}, &res)
+				asked[c.Name] = outcome(res.Verdict, res.Cause, res.ConditionalOn)
+			}
+			paths[srv.name+" /query"] = asked
+		}
+
+		want := paths["quagmire check"]
+		if len(want) != len(cs.Cases) {
+			t.Fatalf("%s: the CLI report has %d cases, the suite %d", s.file, len(want), len(cs.Cases))
+		}
+		for name, got := range paths {
+			for _, c := range cs.Cases {
+				if g, w := got[c.Name], want[c.Name]; !reflect.DeepEqual(g, w) {
+					t.Errorf("%s: %q: %s gives %s, quagmire check %s", s.file, c.Name, name, describe(g), describe(w))
+				}
+			}
+		}
+	}
+}
+
+func describe(o caseOutcome) string {
+	return fmt.Sprintf("%s (cause %q, conditional on %v, contradiction %v)",
+		o.Verdict, o.Cause, o.ConditionalOn, o.Contradiction)
+}

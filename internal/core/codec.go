@@ -12,18 +12,15 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/extract"
 	"github.com/privacy-quagmire/quagmire/internal/graph"
 	"github.com/privacy-quagmire/quagmire/internal/kg"
-	"github.com/privacy-quagmire/quagmire/internal/smt"
 )
 
 // CodecVersion is the current analysis envelope schema version. Decoders
-// accept any version up to this and migrate older layouts; payloads from
-// a newer build are rejected rather than misread.
+// accept any version up to this; payloads from a newer build are rejected
+// rather than misread.
 //
-// v2 adds the optional interned solver-core image: when the encoding
-// analysis carries a shared incremental core, its hash-consed arena and
-// base clause set persist alongside the knowledge graph, and decoding
-// seeds the restored engine's core by table load instead of
-// re-clausifying and re-hash-consing the whole policy.
+// Versions 1 and 2 share one layout. Some stored v2 payloads also carry a
+// "core" section (a solver-core image); nothing reads it, and decoding
+// ignores it like any other unknown field.
 const CodecVersion = 2
 
 // analysisEnvelope is the serialized form of one Analysis.
@@ -37,15 +34,10 @@ type analysisEnvelope struct {
 	ED      *graph.Graph     `json:"ed"`
 	DataH   *graph.Hierarchy `json:"data_hierarchy"`
 	EntityH *graph.Hierarchy `json:"entity_hierarchy"`
-	// Core is the persisted shared solver core (v2, optional — present
-	// only when the encoding engine ran with a shared incremental core).
-	Core *smt.CoreImage `json:"core,omitempty"`
 }
 
 // EncodeAnalysis serializes an analysis into the versioned envelope. The
-// query engine itself is derived state and is not serialized — but when it
-// runs a shared incremental core, the core's interned base state is
-// exported into the envelope so decoding restores it without recomputation.
+// query engine is derived state and is not serialized.
 func EncodeAnalysis(a *Analysis) ([]byte, error) {
 	env := analysisEnvelope{
 		Codec:      CodecVersion,
@@ -54,9 +46,6 @@ func EncodeAnalysis(a *Analysis) ([]byte, error) {
 		ED:         a.KG.ED,
 		DataH:      a.KG.DataH,
 		EntityH:    a.KG.EntityH,
-	}
-	if a.Engine != nil {
-		env.Core = a.Engine.ExportCoreImage()
 	}
 	data, err := json.Marshal(env)
 	if err != nil {
@@ -112,19 +101,17 @@ func DecodeAnalysisEnvelope(data []byte) (*Analysis, error) {
 		DataH:   env.DataH,
 		EntityH: env.EntityH,
 	}
-	return &Analysis{Extraction: env.Extraction, KG: k, CoreImage: env.Core}, nil
+	return &Analysis{Extraction: env.Extraction, KG: k}, nil
 }
 
 // BuildEngine attaches a query engine — wired to this pipeline's limits,
 // workers, caches and metrics — to a decoded analysis and warms it, so a
 // stored analysis is ready for questions when it is served: the
-// vocabulary index is built and, with a shared core, the solver is
-// restored from the v2 payload's core image (or rebuilt without one).
-// Idempotent: an analysis that already has an engine is left untouched.
+// vocabulary index is built. Idempotent: an analysis that already has an
+// engine is left untouched.
 func (p *Pipeline) BuildEngine(a *Analysis) {
 	if a.Engine == nil {
 		a.Engine = p.newEngine(a.KG)
-		a.Engine.PreloadCore = a.CoreImage
 		a.Engine.Warm()
 	}
 }

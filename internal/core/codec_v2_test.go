@@ -4,231 +4,145 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
 	"github.com/privacy-quagmire/quagmire/internal/corpus"
 	"github.com/privacy-quagmire/quagmire/internal/query"
 )
 
-// sharedPipeline builds a pipeline whose engines run the shared
-// incremental core — the configuration under which codec v2 persists the
-// interned solver state.
-func sharedPipeline(t testing.TB) *Pipeline {
+// corePayloadFile is a Mini analysis written by an older build whose
+// engines kept a whole-policy solver core: a codec-2 payload with a "core"
+// section (the core's interned arena and base clauses). No current build
+// writes or reads that section.
+const corePayloadFile = "testdata/mini-v2-core.json"
+
+// codecQuestions are the Mini questions every decoded payload must answer
+// as a fresh analysis does.
+var codecQuestions = map[string]query.Verdict{
+	"Does Acme sell my personal information?":                     query.Invalid,
+	"Does Acme share my email address with advertising partners?": query.Valid,
+}
+
+func readCorePayload(t testing.TB) []byte {
 	t.Helper()
-	p, err := New(Options{SharedSolverCore: true})
+	data, err := os.ReadFile(corePayloadFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func encodeMini(t testing.TB, p *Pipeline) []byte {
+	t.Helper()
+	a, err := p.Analyze(context.Background(), corpus.Mini())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func newPipeline(t testing.TB) *Pipeline {
+	t.Helper()
+	p, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-// TestCodecV2PersistsSolverCore: encoding a shared-core analysis embeds
-// the interned arena + base clauses, and decoding restores the solver by
-// table load (counted by quagmire_ground_core_restores_total) instead of
-// rebuilding it — with identical verdicts.
-func TestCodecV2PersistsSolverCore(t *testing.T) {
-	ctx := context.Background()
-	p := sharedPipeline(t)
-	orig, err := p.Analyze(ctx, corpus.Mini())
+// askAll decodes a payload on a fresh pipeline and answers codecQuestions,
+// keyed by question.
+func askAll(t *testing.T, name string, data []byte) map[string]*query.Result {
+	t.Helper()
+	loaded, err := newPipeline(t).DecodeAnalysis(data)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: decode: %v", name, err)
 	}
-	data, err := EncodeAnalysis(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env analysisEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Codec != 2 || env.Core == nil {
-		t.Fatalf("shared-core payload: codec %d, core nil=%v; want codec 2 with core", env.Codec, env.Core == nil)
-	}
-	if len(env.Core.Clauses) == 0 || len(env.Core.Arena.Syms) == 0 {
-		t.Fatalf("persisted core is empty: %d clauses, %d syms", len(env.Core.Clauses), len(env.Core.Arena.Syms))
-	}
-
-	p2 := sharedPipeline(t)
-	loaded, err := p2.DecodeAnalysis(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.CoreImage == nil || loaded.Engine.PreloadCore == nil {
-		t.Fatal("decoded analysis lost the core image on the way to the engine")
-	}
-	for q, want := range map[string]query.Verdict{
-		"Does Acme sell my personal information?":                     query.Invalid,
-		"Does Acme share my email address with advertising partners?": query.Valid,
-	} {
-		res, err := loaded.Engine.Ask(ctx, q)
+	out := map[string]*query.Result{}
+	for q, want := range codecQuestions {
+		res, err := loaded.Engine.Ask(context.Background(), q)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %q: %v", name, q, err)
 		}
 		if res.Verdict != want {
-			t.Errorf("%q verdict = %s, want %s", q, res.Verdict, want)
+			t.Errorf("%s: %q verdict = %s, want %s", name, q, res.Verdict, want)
 		}
+		out[q] = res
 	}
-	if restores := p2.Obs().Counter("quagmire_ground_core_restores_total").Value(); restores != 1 {
-		t.Errorf("core restores = %d, want 1", restores)
+	return out
+}
+
+// TestCodecV2CorePayloadDecodes: a stored codec-2 payload that carries the
+// retired core section decodes to the same verdicts, causes and
+// conditions as a coreless Mini payload written by this build.
+func TestCodecV2CorePayloadDecodes(t *testing.T) {
+	withCore := readCorePayload(t)
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(withCore, &raw); err != nil {
+		t.Fatal(err)
 	}
-	if builds := p2.Obs().Counter("quagmire_ground_core_builds_total").Value(); builds != 0 {
-		t.Errorf("core builds = %d, want 0 (restore should have preempted the build)", builds)
+	if string(raw["codec"]) != "2" || len(raw["core"]) == 0 {
+		t.Fatalf("fixture is not a codec-2 payload with a core section: codec %s, core %d bytes",
+			raw["codec"], len(raw["core"]))
+	}
+
+	got := askAll(t, "core payload", withCore)
+	want := askAll(t, "coreless payload", encodeMini(t, newPipeline(t)))
+	for q := range codecQuestions {
+		g, w := got[q], want[q]
+		if g.Verdict != w.Verdict || g.Cause != w.Cause || g.Contradiction != w.Contradiction ||
+			!reflect.DeepEqual(g.ConditionalOn, w.ConditionalOn) {
+			t.Errorf("%q: core payload %s/%q/%v/%v, coreless %s/%q/%v/%v", q,
+				g.Verdict, g.Cause, g.ConditionalOn, g.Contradiction,
+				w.Verdict, w.Cause, w.ConditionalOn, w.Contradiction)
+		}
 	}
 }
 
-// TestCodecV2OmitsCoreWithoutSharedEngine: default pipelines (per-query
-// subgraph solving) have no long-lived core — their payloads must not grow
-// a core section, keeping ingest byte-output unchanged.
+// TestCodecV2OmitsCoreWithoutSharedEngine: EncodeAnalysis never writes a
+// core section, so every payload this build stores has the layout codecs
+// 1 and 2 share.
 func TestCodecV2OmitsCoreWithoutSharedEngine(t *testing.T) {
-	p, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := p.Analyze(context.Background(), corpus.Mini())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeAnalysis(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeMini(t, newPipeline(t))
 	if bytes.Contains(data, []byte(`"core"`)) {
-		t.Error("non-shared payload contains a core section")
+		t.Error("payload contains a core section")
 	}
 	var env analysisEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Core != nil {
-		t.Error("non-shared payload decoded with a core image")
+	if env.Codec != CodecVersion {
+		t.Errorf("codec = %d, want %d", env.Codec, CodecVersion)
 	}
 }
 
 // TestCodecV1StillDecodes: a v1 payload (codec 1, no core section) must
-// decode on a current build — the engine simply rebuilds its core from
-// the knowledge graph as before.
+// decode on a current build.
 func TestCodecV1StillDecodes(t *testing.T) {
-	ctx := context.Background()
-	p := sharedPipeline(t)
-	a, err := p.Analyze(ctx, corpus.Mini())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeAnalysis(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Downgrade to the v1 layout: codec 1, core section absent.
 	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
+	if err := json.Unmarshal(encodeMini(t, newPipeline(t)), &raw); err != nil {
 		t.Fatal(err)
 	}
 	raw["codec"] = json.RawMessage("1")
-	delete(raw, "core")
 	v1, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	p2 := sharedPipeline(t)
-	loaded, err := p2.DecodeAnalysis(v1)
-	if err != nil {
-		t.Fatalf("v1 payload rejected: %v", err)
-	}
-	if loaded.CoreImage != nil {
-		t.Error("v1 payload produced a core image")
-	}
-	res, err := loaded.Engine.Ask(ctx, "Does Acme share my email address with advertising partners?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != query.Valid {
-		t.Errorf("v1-decoded verdict = %s, want %s", res.Verdict, query.Valid)
-	}
-	if builds := p2.Obs().Counter("quagmire_ground_core_builds_total").Value(); builds != 1 {
-		t.Errorf("core builds = %d, want 1 (v1 has no image to restore)", builds)
-	}
-}
-
-// TestCodecV2RestoresWithoutSharedCore pins the per-policy restore path:
-// a default pipeline (per-query subgraph solving, no shared core) decodes
-// a v2 payload into an engine with identical verdicts and never touches
-// the shared-core restore/build machinery — whether the payload carries a
-// core image or not. This is the path every follower and every default
-// primary takes for each replicated record.
-func TestCodecV2RestoresWithoutSharedCore(t *testing.T) {
-	ctx := context.Background()
-	defaultPipeline := func() *Pipeline {
-		p, err := New(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	// Two payload provenances: one encoded without a core image (default
-	// pipeline) and one with (shared-core pipeline). A default decoder
-	// must serve both.
-	encode := func(p *Pipeline) []byte {
-		a, err := p.Analyze(ctx, corpus.Mini())
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := EncodeAnalysis(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	for name, data := range map[string][]byte{
-		"coreless payload":    encode(defaultPipeline()),
-		"shared-core payload": encode(sharedPipeline(t)),
-	} {
-		p := defaultPipeline()
-		loaded, err := p.DecodeAnalysis(data)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if loaded.Engine == nil {
-			t.Fatalf("%s: decoded analysis has no engine", name)
-		}
-		for q, want := range map[string]query.Verdict{
-			"Does Acme sell my personal information?":                     query.Invalid,
-			"Does Acme share my email address with advertising partners?": query.Valid,
-		} {
-			res, err := loaded.Engine.Ask(ctx, q)
-			if err != nil {
-				t.Fatalf("%s: %q: %v", name, q, err)
-			}
-			if res.Verdict != want {
-				t.Errorf("%s: %q verdict = %s, want %s", name, q, res.Verdict, want)
-			}
-		}
-		obs := p.Obs()
-		for _, counter := range []string{
-			"quagmire_ground_core_restores_total",
-			"quagmire_ground_core_builds_total",
-			"quagmire_ground_core_restore_failures_total",
-		} {
-			if v := obs.Counter(counter).Value(); v != 0 {
-				t.Errorf("%s: %s = %d, want 0 (no shared core in play)", name, counter, v)
-			}
-		}
-	}
+	askAll(t, "v1 payload", v1)
 }
 
 // TestCorruptPayloadsErrorNotPanic: hostile or damaged payload bytes must
 // surface as decode errors — the signal the serving layer quarantines
 // on — never as a panic or a half-built analysis.
 func TestCorruptPayloadsErrorNotPanic(t *testing.T) {
-	p := sharedPipeline(t)
-	a, err := p.Analyze(context.Background(), corpus.Mini())
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid, err := EncodeAnalysis(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPipeline(t)
+	valid := encodeMini(t, p)
 	cases := map[string][]byte{
 		"empty":            {},
 		"not json":         []byte("\xff\xfe:definitely-not-json"),
@@ -251,47 +165,23 @@ func TestCorruptPayloadsErrorNotPanic(t *testing.T) {
 	}
 }
 
-// TestCorruptCoreImageFallsBack: a tampered core image must not fail the
-// decode or the query — the engine detects the corruption at first use
-// and falls back to the full build.
-func TestCorruptCoreImageFallsBack(t *testing.T) {
-	ctx := context.Background()
-	p := sharedPipeline(t)
-	a, err := p.Analyze(ctx, corpus.Mini())
-	if err != nil {
+// TestCorruptCoreSectionIsIgnored: the core section is never read, so a
+// tampered one fails neither the decode nor the query.
+func TestCorruptCoreSectionIsIgnored(t *testing.T) {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(readCorePayload(t), &raw); err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeAnalysis(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env analysisEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
-	}
-	env.Core.Arena.Terms[0] = 99 // invalid term kind
-	corrupted, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p2 := sharedPipeline(t)
-	loaded, err := p2.DecodeAnalysis(corrupted)
-	if err != nil {
-		t.Fatalf("decode rejected payload with corrupt core: %v", err)
-	}
-	res, err := loaded.Engine.Ask(ctx, "Does Acme share my email address with advertising partners?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != query.Valid {
-		t.Errorf("fallback verdict = %s, want %s", res.Verdict, query.Valid)
-	}
-	obs := p2.Obs()
-	if fails := obs.Counter("quagmire_ground_core_restore_failures_total").Value(); fails != 1 {
-		t.Errorf("restore failures = %d, want 1", fails)
-	}
-	if builds := obs.Counter("quagmire_ground_core_builds_total").Value(); builds != 1 {
-		t.Errorf("core builds = %d, want 1 (the fallback)", builds)
+	for name, core := range map[string]string{
+		"bad term kind": `{"arena":{"syms":["a"],"terms":[99,0,0],"atoms":[]},"clauses":[[-1]]}`,
+		"wrong type":    `[1,2,3]`,
+		"null":          `null`,
+	} {
+		raw["core"] = json.RawMessage(core)
+		data, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		askAll(t, name, data)
 	}
 }

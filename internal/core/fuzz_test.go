@@ -1,36 +1,19 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
-
-	"github.com/privacy-quagmire/quagmire/internal/corpus"
-	"github.com/privacy-quagmire/quagmire/internal/smt"
 )
 
 // FuzzDecodeAnalysis: the analysis codec must never panic — truncated,
 // bit-flipped, version-skewed or adversarially structured payloads all
-// come back as errors. When a payload does decode and carries a core
-// image, restoring the solver from it must hold the same property: the
-// image loader is the part of the codec that indexes into itself, so it
-// gets driven explicitly.
+// come back as errors, and a payload whose envelope decodes also yields
+// its extraction.
 func FuzzDecodeAnalysis(f *testing.F) {
-	p, err := New(Options{SharedSolverCore: true})
-	if err != nil {
-		f.Fatal(err)
-	}
-	a, err := p.Analyze(context.Background(), corpus.Mini())
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid, err := EncodeAnalysis(a)
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := encodeMini(f, newPipeline(f))
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // truncated
-	// Version-skewed: future codec, and v1 without a core.
+	// Version-skewed: future codec, and v1.
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(valid, &raw); err != nil {
 		f.Fatal(err)
@@ -39,26 +22,18 @@ func FuzzDecodeAnalysis(f *testing.F) {
 	skewed, _ := json.Marshal(raw)
 	f.Add(skewed)
 	raw["codec"] = json.RawMessage("1")
-	delete(raw, "core")
 	v1, _ := json.Marshal(raw)
 	f.Add(v1)
 	// Structurally valid JSON that is not an envelope.
 	f.Add([]byte(`{"codec":2,"core":{"arena":{"syms":["a"],"terms":[2,0,9],"atoms":[0,1,1,5]},"clauses":[[-1],[64]]}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
+	// An older build's payload with the retired core section.
+	f.Add(readCorePayload(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := DecodeAnalysisEnvelope(data)
-		if err != nil {
+		if _, err := DecodeAnalysisEnvelope(data); err != nil {
 			return
-		}
-		if env.CoreImage != nil {
-			// A loadable envelope may still carry a hostile image; the
-			// restore must error, not panic or index out of range.
-			inc, err := smt.NewIncrementalFromImage(smt.Limits{}, smt.FullGrounding, env.CoreImage)
-			if err == nil && inc == nil {
-				t.Fatal("nil solver without error")
-			}
 		}
 		if _, err := DecodeExtraction(data); err != nil {
 			t.Fatalf("envelope decoded but extraction failed: %v", err)

@@ -40,11 +40,6 @@ type Options struct {
 	// SMTCacheSize bounds the shared SMT result cache (entries); 0 selects
 	// the default, negative disables caching.
 	SMTCacheSize int
-	// SharedSolverCore routes each engine's solve stage through one
-	// long-lived incremental SMT core (see query.Engine.SharedCore): the
-	// policy's ground encoding is built once per knowledge-graph snapshot
-	// and batch queries share it via solver assumptions.
-	SharedSolverCore bool
 	// Obs is the metrics registry threaded through every phase; nil
 	// creates a fresh registry (observability is always on — a registry
 	// nobody scrapes costs a few atomic adds).
@@ -53,15 +48,14 @@ type Options struct {
 
 // Pipeline runs Algorithm 1.
 type Pipeline struct {
-	client     llm.Client
-	model      *embed.Model
-	extractor  *extract.Extractor
-	kgBuilder  *kg.Builder
-	limits     smt.Limits
-	workers    int
-	smtCache   *smt.ResultCache
-	obs        *obs.Registry
-	sharedCore bool
+	client    llm.Client
+	model     *embed.Model
+	extractor *extract.Extractor
+	kgBuilder *kg.Builder
+	limits    smt.Limits
+	workers   int
+	smtCache  *smt.ResultCache
+	obs       *obs.Registry
 }
 
 // New constructs a pipeline from options.
@@ -87,14 +81,13 @@ func New(opts Options) (*Pipeline, error) {
 	extractor.Workers = opts.Workers
 	extractor.Obs = reg
 	p := &Pipeline{
-		client:     client,
-		model:      model,
-		extractor:  extractor,
-		kgBuilder:  kg.NewBuilder(tb),
-		limits:     opts.Limits,
-		workers:    opts.Workers,
-		obs:        reg,
-		sharedCore: opts.SharedSolverCore,
+		client:    client,
+		model:     model,
+		extractor: extractor,
+		kgBuilder: kg.NewBuilder(tb),
+		limits:    opts.Limits,
+		workers:   opts.Workers,
+		obs:       reg,
 	}
 	if opts.SMTCacheSize >= 0 {
 		p.smtCache = smt.NewResultCache(opts.SMTCacheSize)
@@ -137,7 +130,6 @@ func (p *Pipeline) newEngine(k *kg.KnowledgeGraph) *query.Engine {
 	e.Workers = p.workers
 	e.Cache = p.smtCache
 	e.Obs = p.obs
-	e.SharedCore = p.sharedCore
 	return e
 }
 
@@ -150,10 +142,6 @@ type Analysis struct {
 	KG *kg.KnowledgeGraph
 	// Engine answers queries (Phase 3).
 	Engine *query.Engine
-	// CoreImage is the persisted shared solver core carried by codec-v2
-	// payloads; BuildEngine seeds the engine's incremental core from it so
-	// the first query restores interned state instead of re-deriving it.
-	CoreImage *smt.CoreImage
 }
 
 // Stats returns the Table 1 metrics of the analysis.

@@ -1,23 +1,13 @@
 package experiments
 
 // E14: compliance-as-code suite throughput. The scenario executor routes a
-// whole suite through one engine, so the interesting comparison is the
-// solve-sharing strategy: a shared incremental core (whole-policy ground
-// encoding built once, every scenario solved under assumptions) versus the
-// default per-question subgraph encoding (each ask builds its own small
-// formula), and — orthogonally — pooled workers versus one-at-a-time
-// execution. The suite asks every data-type × recipient combination, so
-// each case is a distinct question (no SMT result-cache hits masking the
-// solver cost), and the sweep crosses two policy scales because the
-// strategies trade off on policy size, not suite size: the shared core
-// amortizes its one build across cases but that build covers the entire
-// policy, so every solve propagates over the whole policy's clauses,
-// while subgraph encoding only ever pays for the practices a question
-// touches.
-// What the shared core buys is not speed but whole-policy semantics —
-// cross-section contradictions surface as UNKNOWN instead of being
-// invisible to a local subgraph — which is why `quagmire check` uses it
-// for compliance gating and why its cost is worth measuring.
+// whole suite through one engine, and every case is solved on its own
+// question's subgraph, as every endpoint solves it. The sweep compares
+// pooled workers against one-at-a-time execution. The suite asks every
+// data-type × recipient combination, so each case is a distinct question
+// (no SMT result-cache hits masking the solver cost), and it crosses two
+// policy scales to show that a case's cost follows the practices its
+// question touches, not the policy's size.
 
 import (
 	"context"
@@ -41,9 +31,6 @@ type ScenarioRow struct {
 	Mode string
 	// Elapsed is the whole-suite wall time.
 	Elapsed time.Duration
-	// CoreBuilds counts ground-core constructions during the run (0 for
-	// subgraph mode, which never builds a shared core).
-	CoreBuilds uint64
 }
 
 // PerCase is the amortized per-scenario cost.
@@ -98,25 +85,22 @@ func scenarioPolicies() []struct{ name, text string } {
 
 // scenarioStrategies are the execution strategies under comparison.
 var scenarioStrategies = []struct {
-	mode       string
-	sharedCore bool
-	workers    int
+	mode    string
+	workers int
 }{
-	{"subgraph one-at-a-time", false, 1},
-	{"shared-core one-at-a-time", true, 1},
-	{"shared-core workers=4", true, 4},
+	{"subgraph one-at-a-time", 1},
+	{"subgraph workers=4", 4},
 }
 
 // ScenarioThroughput measures an n-case suite under every strategy at each
-// policy scale. Every cell gets a fresh pipeline and engine so the
-// ground-core build cost lands inside the measured run and the counters
-// start at zero.
+// policy scale. Every cell gets a fresh pipeline and engine, so no cell
+// answers from another's SMT result cache.
 func ScenarioThroughput(ctx context.Context, n int) ([]ScenarioRow, error) {
 	cs := &scenario.CompiledSuite{Name: fmt.Sprintf("grid-%d", n), Cases: scenarioGrid(n)}
 	var rows []ScenarioRow
 	for _, pol := range scenarioPolicies() {
 		for _, st := range scenarioStrategies {
-			p, err := core.New(core.Options{SharedSolverCore: st.sharedCore})
+			p, err := core.New(core.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -132,11 +116,10 @@ func ScenarioThroughput(ctx context.Context, n int) ([]ScenarioRow, error) {
 				return nil, fmt.Errorf("%s/%s: %d scenario errors", pol.name, st.mode, res.Errored)
 			}
 			rows = append(rows, ScenarioRow{
-				Policy:     pol.name,
-				Cases:      len(cs.Cases),
-				Mode:       st.mode,
-				Elapsed:    res.Elapsed,
-				CoreBuilds: p.Obs().Counter("quagmire_ground_core_builds_total").Value(),
+				Policy:  pol.name,
+				Cases:   len(cs.Cases),
+				Mode:    st.mode,
+				Elapsed: res.Elapsed,
 			})
 		}
 	}
@@ -144,11 +127,11 @@ func ScenarioThroughput(ctx context.Context, n int) ([]ScenarioRow, error) {
 }
 
 // RenderScenarios renders the sweep, with each policy block's cost
-// relative to its one-at-a-time subgraph baseline.
+// relative to its one-at-a-time run.
 func RenderScenarios(rows []ScenarioRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-26s %6s %-28s %12s %12s %12s %10s\n",
-		"Policy", "Cases", "Strategy", "Elapsed", "Per-case", "Core builds", "vs subgraph")
+	fmt.Fprintf(&b, "%-26s %6s %-24s %12s %12s %12s\n",
+		"Policy", "Cases", "Strategy", "Elapsed", "Per-case", "vs 1 worker")
 	baselines := map[string]time.Duration{}
 	for _, r := range rows {
 		if r.Mode == scenarioStrategies[0].mode {
@@ -160,10 +143,9 @@ func RenderScenarios(rows []ScenarioRow) string {
 		if base, ok := baselines[r.Policy]; ok && base > 0 && r.Elapsed != base {
 			rel = fmt.Sprintf("x%.2f", float64(r.Elapsed)/float64(base))
 		}
-		fmt.Fprintf(&b, "%-26s %6d %-28s %12s %12s %12d %10s\n",
+		fmt.Fprintf(&b, "%-26s %6d %-24s %12s %12s %12s\n",
 			r.Policy, r.Cases, r.Mode,
-			r.Elapsed.Round(10*time.Microsecond), r.PerCase().Round(time.Microsecond),
-			r.CoreBuilds, rel)
+			r.Elapsed.Round(10*time.Microsecond), r.PerCase().Round(time.Microsecond), rel)
 	}
 	return b.String()
 }

@@ -72,8 +72,7 @@ type atomNode struct {
 
 // Arena hash-conses terms and atoms to dense integer IDs. The zero value
 // is not ready; use NewArena. An Arena is not safe for concurrent use;
-// callers that share one across goroutines must serialize access (the smt
-// incremental core does).
+// callers that share one across goroutines must serialize access.
 type Arena struct {
 	syms    []string
 	symIDs  map[string]Sym

@@ -109,6 +109,25 @@ func TestAskBatchContextCancel(t *testing.T) {
 	}
 }
 
+// TestAskDoneContextGetsNoCachedVerdict: a question whose context is
+// already done is not answered, even when the caches a pipeline wires in
+// (model responses, solver results) hold everything it needs, so a
+// scenario's per-case deadline holds on every path.
+func TestAskDoneContextGetsNoCachedVerdict(t *testing.T) {
+	eng := newEngine(t)
+	eng.Client = llm.NewCachingClient(eng.Client)
+	eng.Cache = smt.NewResultCache(0)
+	q := batchQueries[0]
+	if _, err := eng.Ask(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := eng.Ask(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Ask on a cancelled context = %+v, %v; want context.Canceled", res, err)
+	}
+}
+
 func TestAskBatchReportsPerQueryErrors(t *testing.T) {
 	eng := newEngine(t)
 	eng.Workers = 4

@@ -114,21 +114,6 @@ type Engine struct {
 	// Cache, when non-nil, memoizes solver results by compiled script +
 	// limits so repeated or overlapping queries skip the solver entirely.
 	Cache *smt.ResultCache
-	// SharedCore, when true, routes the solve stage through one long-lived
-	// incremental SMT core per engine: the whole policy's ground encoding
-	// (practice facts, subtype facts, hierarchy axioms) is clausified,
-	// interned and instantiated once, and every query solves only its goal
-	// under a selector assumption, reusing the base clauses, quantifier
-	// instantiations and learned clauses across the batch. Opt-in because
-	// it fixes the axiom set to the whole policy (as WholePolicy does):
-	// verdicts can differ from subgraph mode where the wider axiom set
-	// strengthens an Unsat.
-	SharedCore bool
-	// PreloadCore, when non-nil alongside SharedCore, seeds the shared
-	// solver from a persisted smt.CoreImage (codec-v2 analysis payloads)
-	// instead of re-clausifying the knowledge graph. Restore failures fall
-	// back to the full build transparently.
-	PreloadCore *smt.CoreImage
 	// Obs, when non-nil, receives verification metrics: per-phase latency
 	// (translate/subgraph/compile/solve), per-verdict counts, fresh solver
 	// time and instantiation counts. Safe to share across engines.
@@ -136,7 +121,6 @@ type Engine struct {
 
 	index     *embed.Index
 	indexOnce sync.Once
-	shared    sharedState
 }
 
 // phaseTimer observes one Phase 3 stage's latency on the engine's
@@ -202,18 +186,9 @@ func (e *Engine) vocabIndex() *embed.Index {
 }
 
 // Warm builds what the engine's first question would otherwise build: the
-// vocabulary index and, with SharedCore, the shared ground core. Safe to
-// race with queries: each is built exactly once per engine whether Warm or
-// the first Ask gets there first.
-func (e *Engine) Warm() {
-	e.vocabIndex()
-	if !e.SharedCore {
-		return
-	}
-	e.shared.mu.Lock()
-	e.ensureSharedCoreLocked()
-	e.shared.mu.Unlock()
-}
+// vocabulary index. Safe to race with queries: the index is built exactly
+// once per engine whether Warm or the first Ask gets there first.
+func (e *Engine) Warm() { e.vocabIndex() }
 
 // Ask answers a natural-language query.
 func (e *Engine) Ask(ctx context.Context, q string) (*Result, error) {
@@ -224,8 +199,13 @@ func (e *Engine) Ask(ctx context.Context, q string) (*Result, error) {
 	return e.AskParams(ctx, params)
 }
 
-// AskParams answers a query already parsed into semantic roles.
+// AskParams answers a query already parsed into semantic roles. A
+// question whose context is already done is not started, so a cached
+// verdict never outlives its caller's deadline.
 func (e *Engine) AskParams(ctx context.Context, p llm.ParamSet) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	res := &Result{Translations: map[string]string{}}
 
 	// Map flow roles onto the graph's actor/counterparty convention.
@@ -280,57 +260,38 @@ func (e *Engine) AskParams(ctx context.Context, p llm.ParamSet) (*Result, error)
 
 	stopSolve := e.phaseTimer("solve")
 	defer stopSolve()
-	// The main check decides the verdict; one follow-up refines it.
-	// holdsAssuming re-checks a sat goal with every vague placeholder
-	// condition assumed true, and contradictory re-checks an unsat one
-	// on the policy alone to tell "follows from the policy" from "the
-	// policy contradicts itself" (ex falso).
-	var smtRes smt.Result
-	var holdsAssuming, contradictory func() bool
-	if e.SharedCore {
-		smtRes, err = e.sharedSolve(ctx, actor, action, data, other, nil)
-		if err != nil {
-			return nil, fmt.Errorf("query: solve: %w", err)
-		}
-		e.observeSolve([]smt.Result{smtRes})
-		holdsAssuming = func() bool {
-			r, err := e.sharedSolve(ctx, actor, action, data, other, placeholders)
-			return err == nil && r.Status == smt.Unsat
-		}
-		contradictory = func() bool { return e.sharedPolicyAloneUnsat(ctx) }
-	} else {
-		// One script, one ground core: main check, the check assuming the
-		// placeholders (when there are any), then the policy alone.
-		results, err := smt.RunScriptCachedCtx(ctx, e.Cache, res.Script, e.Limits)
-		if err != nil {
-			return nil, fmt.Errorf("query: solve: %w", err)
-		}
-		if want := queryChecks(placeholders); len(results) != want {
-			return nil, fmt.Errorf("query: solve: script gave %d results, want %d", len(results), want)
-		}
-		e.observeSolve(results)
-		smtRes = results[0]
-		holdsAssuming = func() bool { return results[1].Status == smt.Unsat }
-		contradictory = func() bool { return results[len(results)-1].Status == smt.Unsat }
+	// One script, one ground core: the main check decides the verdict; the
+	// check assuming every vague placeholder (when there are any) refines
+	// a sat goal, and the policy alone tells "follows from the policy"
+	// from "the policy contradicts itself" (ex falso) for an unsat one.
+	// Only the question's subgraph is encoded, so a contradiction outside
+	// it does not change this verdict.
+	results, err := smt.RunScriptCachedCtx(ctx, e.Cache, res.Script, e.Limits)
+	if err != nil {
+		return nil, fmt.Errorf("query: solve: %w", err)
 	}
-	res.SMT = smtRes
-	switch smtRes.Status {
+	if want := queryChecks(placeholders); len(results) != want {
+		return nil, fmt.Errorf("query: solve: script gave %d results, want %d", len(results), want)
+	}
+	e.observeSolve(results)
+	res.SMT = results[0]
+	switch res.SMT.Status {
 	case smt.Unsat:
 		res.Verdict = Valid
-		if contradictory() {
+		if results[len(results)-1].Status == smt.Unsat {
 			res.Verdict = Unknown
 			res.Contradiction = true
 			res.Cause = CauseContradiction
 		}
 	case smt.Sat:
 		res.Verdict = Invalid
-		if len(placeholders) > 0 && holdsAssuming() {
+		if len(placeholders) > 0 && results[1].Status == smt.Unsat {
 			res.Verdict = Valid
 			res.ConditionalOn = placeholders
 		}
 	default:
 		res.Verdict = Unknown
-		res.Cause = smtRes.Reason
+		res.Cause = res.SMT.Reason
 	}
 	e.Obs.Counter("quagmire_query_verdicts_total", "verdict", string(res.Verdict)).Inc()
 	return res, nil

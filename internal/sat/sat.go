@@ -698,6 +698,3 @@ func (s *Solver) Stats() Stats { return s.stats }
 // NumClauses returns the number of clauses currently stored (including
 // learned clauses).
 func (s *Solver) NumClauses() int { return len(s.clauses) }
-
-// NumLearned returns the number of currently retained learned clauses.
-func (s *Solver) NumLearned() int { return s.learnedCnt }

@@ -7,11 +7,11 @@ import (
 )
 
 // BenchmarkScenarioSuite measures a full check-run unit of work: compile the
-// fixture suite, execute it against the shared-core Mini engine, and render
+// fixture suite, execute it against the Mini engine, and render
 // both reports. This is the per-suite cost a CI scenario gate pays, guarded
 // by cmd/benchguard.
 func BenchmarkScenarioSuite(b *testing.B) {
-	eng := sharedMiniEngine(b)
+	eng := miniEngine(b)
 	parsed, err := Parse("bench.qq", miniSuiteSrc)
 	if err != nil {
 		b.Fatal(err)

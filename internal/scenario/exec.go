@@ -106,11 +106,9 @@ type ExecOptions struct {
 
 // Execute runs a compiled suite against a policy's query engine. Cases run
 // concurrently over a bounded pool — the scenario analog of
-// query.AskBatch — so a suite executed against a SharedCore engine pays
-// for one ground-core construction and solves every scenario incrementally
-// on it. Per-case failures (including per-case deadline expiry) are
-// recorded on the corresponding CaseResult; Execute itself only errors
-// when ctx is cancelled.
+// query.AskBatch. Per-case failures (including per-case deadline expiry)
+// are recorded on the corresponding CaseResult; Execute itself only
+// errors when ctx is cancelled.
 func Execute(ctx context.Context, eng *query.Engine, cs *CompiledSuite, opts ExecOptions) (*SuiteResult, error) {
 	res := &SuiteResult{
 		Suite: cs.Name, File: cs.File, Policy: cs.Policy,

@@ -45,13 +45,13 @@ var (
 	miniErr  error
 )
 
-// sharedMiniEngine analyzes the Mini corpus once for the whole package,
-// through a SharedSolverCore pipeline (the configuration `quagmire check`
-// uses).
-func sharedMiniEngine(t testing.TB) *query.Engine {
+// miniEngine analyzes the Mini corpus once for the whole package, through
+// a default pipeline (the configuration `quagmire check` and the server
+// use).
+func miniEngine(t testing.TB) *query.Engine {
 	t.Helper()
 	miniOnce.Do(func() {
-		p, err := core.New(core.Options{SharedSolverCore: true})
+		p, err := core.New(core.Options{})
 		if err != nil {
 			miniErr = err
 			return
@@ -83,7 +83,7 @@ func compileSrc(t testing.TB, src string) *CompiledSuite {
 }
 
 func TestExecuteMiniSuite(t *testing.T) {
-	eng := sharedMiniEngine(t)
+	eng := miniEngine(t)
 	cs := compileSrc(t, miniSuiteSrc)
 	reg := obs.NewRegistry()
 	res, err := Execute(context.Background(), eng, cs, ExecOptions{Obs: reg})
@@ -114,41 +114,8 @@ func TestExecuteMiniSuite(t *testing.T) {
 	}
 }
 
-// TestExecuteSharedCoreBuildsOnce is the acceptance criterion for routing
-// scenario suites through the shared incremental core: a whole suite run —
-// pack cases included — must cost exactly one ground-core construction, and
-// a second suite on the same engine must reuse it.
-func TestExecuteSharedCoreBuildsOnce(t *testing.T) {
-	p, err := core.New(core.Options{SharedSolverCore: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := p.Analyze(context.Background(), corpus.Mini())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := a.Engine
-	cs := compileSrc(t, miniSuiteSrc)
-	if len(cs.Cases) < 5 {
-		t.Fatalf("fixture too small to prove sharing: %d cases", len(cs.Cases))
-	}
-	if _, err := Execute(context.Background(), eng, cs, ExecOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	builds := eng.Obs.Counter("quagmire_ground_core_builds_total")
-	if got := builds.Value(); got != 1 {
-		t.Fatalf("ground core built %d times for a %d-case suite, want 1", got, len(cs.Cases))
-	}
-	if _, err := Execute(context.Background(), eng, cs, ExecOptions{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if got := builds.Value(); got != 1 {
-		t.Fatalf("second suite run rebuilt the ground core (builds = %d)", got)
-	}
-}
-
 func TestExecuteFailClassification(t *testing.T) {
-	eng := sharedMiniEngine(t)
+	eng := miniEngine(t)
 	cs := compileSrc(t, `suite "regression" {
   scenario "wrong expectation" {
     ask "Does Acme sell my personal information?"
@@ -173,7 +140,7 @@ func TestExecuteFailClassification(t *testing.T) {
 }
 
 func TestExecutePerCaseDeadline(t *testing.T) {
-	eng := sharedMiniEngine(t)
+	eng := miniEngine(t)
 	cs := compileSrc(t, `suite "slow" {
   deadline 1ns
   scenario "cannot finish" {
@@ -202,7 +169,7 @@ func TestExecutePerCaseDeadline(t *testing.T) {
 }
 
 func TestExecuteCancelledContext(t *testing.T) {
-	eng := sharedMiniEngine(t)
+	eng := miniEngine(t)
 	cs := compileSrc(t, miniSuiteSrc)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -235,7 +202,7 @@ func TestOutcomeClassification(t *testing.T) {
 }
 
 func TestExecutePolicyLabelOverride(t *testing.T) {
-	eng := sharedMiniEngine(t)
+	eng := miniEngine(t)
 	cs := compileSrc(t, `suite "labelled" {
   scenario "one" { ask "Does Acme collect my device identifiers?" expect VALID }
 }`)

@@ -4,9 +4,10 @@
 // to produce — plus the stack that makes those files executable: a
 // lexer→parser→compiler front end that lowers a suite to vocabulary-bound
 // batched queries, an executor that runs the batch through a policy's query
-// engine (sharing one incremental solver core across the whole suite), and
-// JSON / JUnit XML reporters whose exit semantics make a policy change that
-// silently flips a verdict fail a CI build instead of going unnoticed.
+// engine (each question solved on its own subgraph, as every endpoint
+// solves it), and JSON / JUnit XML reporters whose exit semantics make a
+// policy change that silently flips a verdict fail a CI build instead of
+// going unnoticed.
 //
 // A minimal suite:
 //

@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -171,17 +170,16 @@ func TestEPRAgainstModelEnumeration(t *testing.T) {
 }
 
 // TestIncrementalMatchesFromScratch is the differential property test for
-// the incremental solver: solving base ∧ goal on a long-lived Incremental
-// (goal scoped behind a selector, core reused across goals) must agree
-// with a fresh from-scratch Solver on every goal. On the first goal — where
-// the two solvers see identical universes — the instantiation counts must
-// also be comparable: the incremental path may at most double the work
-// (base clauses and scoped clauses dedupe separately per selector), never
-// blow up asymptotically.
+// ground-core reuse: solving base ∧ goal on a long-lived Solver (each goal
+// in a pushed scope behind a selector, the core reused across goals) must
+// agree with a fresh from-scratch Solver on every goal. On the first goal
+// — where the two solvers see identical universes — the instantiation
+// counts must also be comparable: the long-lived path may at most double
+// the work (base clauses and scoped clauses dedupe separately per
+// selector), never blow up asymptotically.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	lim := Limits{MaxInstantiations: 20000, MaxRounds: 4}
-	ctx := context.Background()
 	const iterations = 25
 	const goalsPerBase = 3
 	for iter := 0; iter < iterations; iter++ {
@@ -193,10 +191,9 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			goals[i] = randomEPR(r, 2, nil)
 		}
 
-		inc := NewIncremental(lim, FullGrounding)
-		if err := inc.AssertBase(base); err != nil {
-			t.Fatalf("iter %d: AssertBase: %v", iter, err)
-		}
+		long := NewSolver()
+		long.Limits = lim
+		long.Assert(base)
 		for gi, goal := range goals {
 			fresh := NewSolver()
 			fresh.Limits = lim
@@ -204,21 +201,21 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			fresh.Assert(goal)
 			want := fresh.CheckSat()
 
-			got := inc.Solve(ctx, goal)
+			got := checkInScope(long, goal)
 			if got.Status != want.Status {
-				t.Fatalf("iter %d goal %d: incremental=%v fresh=%v\nbase: %s\ngoal: %s",
+				t.Fatalf("iter %d goal %d: long-lived=%v fresh=%v\nbase: %s\ngoal: %s",
 					iter, gi, got.Status, want.Status, base, goals[gi])
 			}
 			if gi == 0 && want.Status != Unknown {
 				// First goal: same universe, so instantiation work must be
-				// comparable. fresh ≤ inc (shared dedup can only add the
-				// selector split) and inc ≤ 2·fresh + ε.
+				// comparable. fresh ≤ long-lived (shared dedup can only add
+				// the selector split) and long-lived ≤ 2·fresh + ε.
 				if got.Stats.Instantiations < want.Stats.Instantiations {
-					t.Fatalf("iter %d: incremental did less instantiation (%d) than fresh (%d)?",
+					t.Fatalf("iter %d: long-lived solver did less instantiation (%d) than fresh (%d)?",
 						iter, got.Stats.Instantiations, want.Stats.Instantiations)
 				}
 				if got.Stats.Instantiations > 2*want.Stats.Instantiations+4 {
-					t.Fatalf("iter %d: incremental instantiations %d not within 2x of fresh %d",
+					t.Fatalf("iter %d: long-lived instantiations %d not within 2x of fresh %d",
 						iter, got.Stats.Instantiations, want.Stats.Instantiations)
 				}
 			}

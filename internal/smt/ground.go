@@ -34,11 +34,10 @@ type qClause struct {
 }
 
 // callStats accumulates per-check effort (the deltas reported in
-// Result.Stats for one CheckSat or Incremental solve).
+// Result.Stats for one check).
 type callStats struct {
 	count  int
 	rounds int
-	ground int
 }
 
 // dedupEntry is one canonical ground clause in the dedup table, keyed
@@ -54,8 +53,8 @@ type dedupEntry struct {
 // core, quantified clauses with their instantiation progress, the term
 // universe and the E-matching atom index. Everything is integer-keyed — no
 // String() rendering and no map[string] on the solve path — and all state
-// is reused across instantiation rounds, theory-lemma iterations and
-// (via Incremental) across whole queries.
+// is reused across instantiation rounds, theory-lemma iterations and a
+// Solver's successive checks.
 type groundCore struct {
 	arena    *fol.Arena
 	strategy InstStrategy
@@ -93,13 +92,7 @@ type groundCore struct {
 
 	groundClauses int // distinct ground clauses handed to the SAT core
 	dedupHits     int // clauses requested again and answered by the table
-	instTotal     int // distinct instances generated over the core's life
 	skolemSeq     int // per-addFormula skolem tag sequence
-
-	// baseClauses records every base (sel==0) interned clause in assertion
-	// order — the clause half of a CoreImage. Copies, never aliases of
-	// clauses the core may canonicalize in place.
-	baseClauses []fol.IClause
 
 	scratchSub map[fol.Sym]fol.TermID
 	litBuf     []sat.Lit
@@ -316,7 +309,10 @@ func (g *groundCore) pickTriggerInterned(lits fol.IClause, vars []fol.Sym) (fol.
 
 // addFormula clausifies an assertion and feeds it to the core. sel (when
 // non-zero) scopes every resulting clause — original and instances — to
-// that selector. Clausification failures are returned verbatim.
+// that selector. Each interned clause's constants join the universe and
+// its function symbols are noted (they break grounding completeness);
+// ground clauses go to the SAT core and quantified ones to the
+// instantiation queue. Clausification failures are returned verbatim.
 func (g *groundCore) addFormula(f *fol.Formula, sel sat.Lit) error {
 	tag := ""
 	if g.skolemSeq > 0 {
@@ -329,44 +325,26 @@ func (g *groundCore) addFormula(f *fol.Formula, sel sat.Lit) error {
 	}
 	for _, c := range clauses {
 		ic := g.arena.InternClause(c)
-		if sel == 0 {
-			// Record the interned base clause for CoreImage export. A copy,
-			// not the slice itself: addGround canonicalizes ground clauses
-			// in place.
-			cp := make(fol.IClause, len(ic))
-			copy(cp, ic)
-			g.baseClauses = append(g.baseClauses, cp)
-		}
-		g.addInterned(ic, sel)
-	}
-	return nil
-}
-
-// addInterned feeds one already-interned clause to the core: harvest its
-// constants into the universe, note function symbols (they break grounding
-// completeness), then route ground clauses to the SAT core and quantified
-// ones to the instantiation queue. Shared by clausification (addFormula)
-// and image restore (NewIncrementalFromImage), which skips clausification
-// because the interned clauses were persisted.
-func (g *groundCore) addInterned(ic fol.IClause, sel sat.Lit) {
-	for _, l := range ic {
-		for _, arg := range g.arena.AtomArgs(l.Atom()) {
-			g.harvestConstants(arg)
-			if g.termContainsApp(arg) {
-				g.funcSels[sel] = true
+		for _, l := range ic {
+			for _, arg := range g.arena.AtomArgs(l.Atom()) {
+				g.harvestConstants(arg)
+				if g.termContainsApp(arg) {
+					g.funcSels[sel] = true
+				}
 			}
 		}
+		vars := g.arena.ClauseVars(ic)
+		if len(vars) == 0 {
+			g.addGround(ic, sel, false)
+			continue
+		}
+		qc := qClause{lits: ic, vars: vars, sel: sel}
+		if g.strategy == TriggerBased {
+			qc.trigger, qc.hasTrigger = g.pickTriggerInterned(ic, vars)
+		}
+		g.quant = append(g.quant, qc)
 	}
-	vars := g.arena.ClauseVars(ic)
-	if len(vars) == 0 {
-		g.addGround(ic, sel, false)
-		return
-	}
-	qc := qClause{lits: ic, vars: vars, sel: sel}
-	if g.strategy == TriggerBased {
-		qc.trigger, qc.hasTrigger = g.pickTriggerInterned(ic, vars)
-	}
-	g.quant = append(g.quant, qc)
+	return nil
 }
 
 // itoa is strconv.Itoa without the import weight in this hot file.
@@ -533,7 +511,6 @@ func (g *groundCore) instantiateTuple(st *callStats, qc *qClause, idxs []int) {
 	}
 	if g.addGround(inst, qc.sel, true) {
 		st.count++
-		g.instTotal++
 	}
 }
 
@@ -586,7 +563,6 @@ func (g *groundCore) instantiateTrigger(ctx context.Context, lim Limits, st *cal
 				}
 				if g.addGround(inst, qc.sel, false) {
 					st.count++
-					g.instTotal++
 					grew = true
 				}
 			}
@@ -618,7 +594,7 @@ func (g *groundCore) retire(sel sat.Lit) {
 // solveLoop is the DPLL(T) refinement loop: SAT-solve (under the given
 // assumptions), theory-check the model, add a blocking lemma, repeat.
 // Blocking lemmas are theory-valid, so they are added unconditionally and
-// persist across incremental solves. The result's Status/Reason/Model
+// persist across a Solver's checks. The result's Status/Reason/Model
 // fields are filled in; callers fill the rest of Stats.
 func (g *groundCore) solveLoop(ctx context.Context, lim Limits, deadline time.Time, res *Result, assumptions []sat.Lit) {
 	for lemmas := 0; ; lemmas++ {

@@ -728,7 +728,7 @@ func TestSolverGroundsOnce(t *testing.T) {
 
 // TestModelOmitsStaleAtoms: a model lists the nullary atoms of the
 // problem it decided, not those of popped scopes or of earlier checks'
-// assumptions that the shared core still has variables for.
+// assumptions that the solver's one ground core still has variables for.
 func TestModelOmitsStaleAtoms(t *testing.T) {
 	s := NewSolver()
 	s.Assert(fol.Pred("p"))

@@ -83,8 +83,7 @@ type Stats struct {
 	// Atoms counts distinct ground atoms.
 	Atoms int
 	// SAT holds the boolean core's counters. They are cumulative over the
-	// core's lifetime: a Solver shares its core across checks and an
-	// Incremental across Solve calls.
+	// core's lifetime: a Solver shares its core across checks.
 	SAT sat.Stats
 	// Elapsed is the wall-clock duration of the check. For a Result
 	// answered from a ResultCache (FromCache set) it is the lookup or

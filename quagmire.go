@@ -83,12 +83,6 @@ type Config struct {
 	// verification; 0 selects runtime.GOMAXPROCS(0), 1 forces sequential
 	// processing.
 	Workers int
-	// SharedSolverCore routes Phase 3 verification through one long-lived
-	// incremental SMT core per analysis: the policy's ground encoding is
-	// hash-consed and clausified once, and every query in a batch re-solves
-	// it under a selector assumption, retaining learned clauses. Verdicts
-	// follow whole-policy semantics (every edge is always encoded).
-	SharedSolverCore bool
 }
 
 // Analyzer runs the three-phase pipeline.
@@ -103,7 +97,6 @@ func New(cfg Config) (*Analyzer, error) {
 		TaxonomyFilterThreshold: cfg.TaxonomyFilterThreshold,
 		Limits:                  cfg.SolverLimits,
 		Workers:                 cfg.Workers,
-		SharedSolverCore:        cfg.SharedSolverCore,
 	})
 	if err != nil {
 		return nil, err
