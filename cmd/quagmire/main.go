@@ -275,6 +275,9 @@ func run(args []string) error {
 			for _, ph := range exp.Placeholders {
 				parts = append(parts, fmt.Sprintf("%s=%v", ph, sc.Assumptions[ph]))
 			}
+			if sc.Cause != "" {
+				parts = append(parts, "(cause: "+sc.Cause+")")
+			}
 			fmt.Printf("%-8s %s\n", sc.Verdict, strings.Join(parts, " "))
 		}
 		fmt.Printf("always valid: %v  never valid: %v\n", exp.AlwaysValid, exp.NeverValid)

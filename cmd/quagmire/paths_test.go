@@ -83,6 +83,48 @@ func (s pathServer) post(t *testing.T, path string, body, out any) {
 	}
 }
 
+// corpusRow sweeps the server's corpus with question q and returns the
+// outcome of policy id's row.
+func (s pathServer) corpusRow(t *testing.T, id, q string) caseOutcome {
+	t.Helper()
+	data, err := json.Marshal(map[string]string{"query": q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(s.url+"/v1/corpus/query", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s POST /v1/corpus/query: %d", s.name, resp.StatusCode)
+	}
+	// One row per policy, then a summary line, which has no id.
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var row struct {
+			ID            string        `json:"id"`
+			Verdict       query.Verdict `json:"verdict"`
+			Cause         string        `json:"cause"`
+			ConditionalOn []string      `json:"conditional_on"`
+			Error         string        `json:"error"`
+		}
+		if err := dec.Decode(&row); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("%s /v1/corpus/query: %v", s.name, err)
+		}
+		if row.ID == id {
+			if row.Error != "" {
+				t.Fatalf("%s /v1/corpus/query %q: %s errored: %s", s.name, q, id, row.Error)
+			}
+			return outcome(row.Verdict, row.Cause, row.ConditionalOn)
+		}
+	}
+	t.Fatalf("%s /v1/corpus/query %q: no row for %s", s.name, q, id)
+	return caseOutcome{}
+}
+
 func (s pathServer) get(t *testing.T, path string) (int, string) {
 	t.Helper()
 	resp, err := http.Get(s.url + path)
@@ -146,8 +188,11 @@ func startPrimaryAndFollower(t *testing.T) (primary, follower pathServer, seq fu
 // TestEveryPathSameVerdict runs each bundled suite through every path a
 // question can take and asserts one verdict semantics: `quagmire check
 // -json`, POST /v1/policies/{id}/check on a primary and on its follower,
-// and /query for each case on both give every case the same verdict,
-// cause, conditions and contradiction flag. The contradiction fixture
+// and /query and the policy's /corpus/query row for each case on both
+// give every case the same verdict, cause, conditions and contradiction
+// flag. /explore on both agrees too: it is always valid exactly when the
+// verdict is an unconditional VALID, and its scenario assuming every
+// vague condition has the verdict and cause. The contradiction fixture
 // covers a contradiction inside one question's subgraph and outside the
 // others'; the sample suite covers plain, conditional and unsupported
 // flows.
@@ -209,6 +254,7 @@ func TestEveryPathSameVerdict(t *testing.T) {
 		}
 
 		paths := map[string]map[string]caseOutcome{}
+		explorations := map[string]map[string]query.Exploration{}
 		jsonOut := filepath.Join(t.TempDir(), "report.json")
 		out, err := capture(t, func() error { return run([]string{"check", "-suite", s.file, "-json", jsonOut}) })
 		if err != nil {
@@ -232,7 +278,8 @@ func TestEveryPathSameVerdict(t *testing.T) {
 			name := srv.name + " /check"
 			paths[name] = reportOutcomes(t, name, checked.Report)
 
-			asked := map[string]caseOutcome{}
+			asked, swept := map[string]caseOutcome{}, map[string]caseOutcome{}
+			explored := map[string]query.Exploration{}
 			for _, c := range cs.Cases {
 				var res struct {
 					Verdict       query.Verdict `json:"verdict"`
@@ -241,8 +288,14 @@ func TestEveryPathSameVerdict(t *testing.T) {
 				}
 				srv.post(t, "/v1/policies/"+ids[i]+"/query", map[string]string{"question": c.Question}, &res)
 				asked[c.Name] = outcome(res.Verdict, res.Cause, res.ConditionalOn)
+				swept[c.Name] = srv.corpusRow(t, ids[i], c.Question)
+				var exp query.Exploration
+				srv.post(t, "/v1/policies/"+ids[i]+"/explore", map[string]string{"question": c.Question}, &exp)
+				explored[c.Name] = exp
 			}
 			paths[srv.name+" /query"] = asked
+			paths[srv.name+" /corpus/query"] = swept
+			explorations[srv.name+" /explore"] = explored
 		}
 
 		want := paths["quagmire check"]
@@ -256,7 +309,36 @@ func TestEveryPathSameVerdict(t *testing.T) {
 				}
 			}
 		}
+		for name, explored := range explorations {
+			for _, c := range cs.Cases {
+				exp, w := explored[c.Name], want[c.Name]
+				if unconditional := w.Verdict == query.Valid && len(w.ConditionalOn) == 0; exp.AlwaysValid != unconditional {
+					t.Errorf("%s: %q: %s always valid %v, quagmire check %s", s.file, c.Name, name, exp.AlwaysValid, describe(w))
+				}
+				sc, ok := allConditionsHold(exp)
+				if !ok {
+					t.Errorf("%s: %q: %s has no scenario assuming every condition: %+v", s.file, c.Name, name, exp.Scenarios)
+				} else if sc.Verdict != w.Verdict || sc.Cause != w.Cause {
+					t.Errorf("%s: %q: %s all-true scenario %s (cause %q), quagmire check %s", s.file, c.Name, name, sc.Verdict, sc.Cause, describe(w))
+				}
+			}
+		}
 	}
+}
+
+// allConditionsHold returns the exploration's scenario that assumes every
+// vague condition holds.
+func allConditionsHold(exp query.Exploration) (query.Scenario, bool) {
+	for _, sc := range exp.Scenarios {
+		all := len(sc.Assumptions) == len(exp.Placeholders)
+		for _, v := range sc.Assumptions {
+			all = all && v
+		}
+		if all {
+			return sc, true
+		}
+	}
+	return query.Scenario{}, false
 }
 
 func describe(o caseOutcome) string {

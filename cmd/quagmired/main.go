@@ -148,10 +148,9 @@ func run(cfg serveConfig, logger *log.Logger) error {
 		}()
 	}
 	srv, err := server.New(server.Options{
-		Pipeline:     pipeline,
-		Store:        policyStore,
-		SolverLimits: smt.Limits{MaxInstantiations: cfg.maxInst},
-		Logger:       logger,
+		Pipeline: pipeline,
+		Store:    policyStore,
+		Logger:   logger,
 		Timeouts: server.Timeouts{
 			Read:  cfg.readTimeout,
 			Solve: cfg.solveTimeout,

@@ -106,6 +106,10 @@ func New(opts Options) (*Pipeline, error) {
 	return p, nil
 }
 
+// Limits returns the SMT solver limits the pipeline's engines answer
+// questions with.
+func (p *Pipeline) Limits() smt.Limits { return p.limits }
+
 // Obs returns the pipeline's metrics registry (never nil).
 func (p *Pipeline) Obs() *obs.Registry { return p.obs }
 

@@ -89,9 +89,10 @@ func EncodingComparison(ctx context.Context, whole bool, limits smt.Limits) ([]E
 		for _, v := range encodingVariants {
 			start := time.Now()
 			results := solveVariant(prob, v, limits)
+			verdict, _, _ := query.Decide(results)
 			row := EncodingRow{
 				Policy: pol.name, Mode: mode, Encoding: v.name,
-				FormulaSize: res.FormulaSize, Verdict: scriptVerdict(results),
+				FormulaSize: res.FormulaSize, Verdict: verdict,
 				Reason: results[0].Reason, Elapsed: time.Since(start),
 			}
 			for _, r := range results {
@@ -136,26 +137,6 @@ func solveVariant(prob *smtlib.Problem, v encodingVariant, limits smt.Limits) []
 		}
 	}
 	return results
-}
-
-// scriptVerdict maps a query script's results (main check, the check
-// assuming the placeholders when there are any, the policy alone) to the
-// verdict the engine derives from them.
-func scriptVerdict(results []smt.Result) query.Verdict {
-	main, alone := results[0], results[len(results)-1]
-	switch main.Status {
-	case smt.Unsat:
-		if alone.Status == smt.Unsat {
-			return query.Unknown // the policy contradicts itself
-		}
-		return query.Valid
-	case smt.Sat:
-		if len(results) == 3 && results[1].Status == smt.Unsat {
-			return query.Valid // conditional on the placeholders
-		}
-		return query.Invalid
-	}
-	return query.Unknown
 }
 
 // subtypeTransitivity is the paper encoding's

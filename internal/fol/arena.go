@@ -1,12 +1,12 @@
 package fol
 
-// This file implements hash-consing of terms, atoms and ground clauses
-// into a per-problem Arena with stable integer IDs. The SMT hot path —
-// clause identity, substitution application, E-matching and the boolean
-// abstraction — becomes integer-keyed: no String() rendering and no
-// map[string] lookups per operation. Symbols (names of variables,
-// constants, functions and predicates) are interned once per distinct
-// spelling; everything after that is slice-indexed.
+// This file implements hash-consing of terms and atoms into a per-problem
+// Arena with stable integer IDs, and canonical clauses over the interned
+// literals. The SMT hot path — clause identity, substitution application,
+// E-matching and the boolean abstraction — becomes integer-keyed: no
+// String() rendering and no map[string] lookups per operation. Symbols
+// (names of variables, constants, functions and predicates) are interned
+// once per distinct spelling; everything after that is slice-indexed.
 
 // Sym is an interned symbol (variable, constant, function or predicate
 // name). IDs are dense and stable for the lifetime of the Arena.
@@ -83,18 +83,14 @@ type Arena struct {
 
 	atoms     []atomNode
 	atomTable map[uint64][]AtomID
-
-	clauseTable map[uint64][]IClause // canonical clause hash -> seen clauses
-	clauseCount int
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
 	return &Arena{
-		symIDs:      map[string]Sym{},
-		termTable:   map[uint64][]TermID{},
-		atomTable:   map[uint64][]AtomID{},
-		clauseTable: map[uint64][]IClause{},
+		symIDs:    map[string]Sym{},
+		termTable: map[uint64][]TermID{},
+		atomTable: map[uint64][]AtomID{},
 	}
 }
 
@@ -118,9 +114,6 @@ func (a *Arena) NumTerms() int { return len(a.terms) }
 
 // NumAtoms reports the number of distinct interned atoms.
 func (a *Arena) NumAtoms() int { return len(a.atoms) }
-
-// NumClauses reports the number of distinct interned clauses.
-func (a *Arena) NumClauses() int { return a.clauseCount }
 
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -386,35 +379,6 @@ func (c IClause) Tautology() bool {
 	return false
 }
 
-// SeenClause records the canonical clause in the arena's dedup set and
-// reports whether it was already present. The clause must be Canon-ed.
-func (a *Arena) SeenClause(c IClause) bool {
-	h := fnvOffset
-	for _, l := range c {
-		h = hashMix(h, uint64(l)+1)
-	}
-	for _, prev := range a.clauseTable[h] {
-		if len(prev) != len(c) {
-			continue
-		}
-		same := true
-		for i := range c {
-			if prev[i] != c[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	stored := make(IClause, len(c))
-	copy(stored, c)
-	a.clauseTable[h] = append(a.clauseTable[h], stored)
-	a.clauseCount++
-	return false
-}
-
 // Subst applies a substitution (variable sym -> replacement term ID) to a
 // term. Unmapped variables are left in place; the substitution never
 // introduces variables bound elsewhere (instantiation substitutions map
@@ -510,16 +474,6 @@ func (a *Arena) ClauseVars(c IClause) []Sym {
 		out = a.AtomVars(l.Atom(), out)
 	}
 	return out
-}
-
-// ClauseGround reports whether every literal's atom is ground.
-func (a *Arena) ClauseGround(c IClause) bool {
-	for _, l := range c {
-		if !a.atoms[l.Atom()].ground {
-			return false
-		}
-	}
-	return true
 }
 
 // Match unifies a pattern term (may contain variables) against a ground

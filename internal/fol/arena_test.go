@@ -130,6 +130,34 @@ func TestArenaSubstAndMatch(t *testing.T) {
 	}
 }
 
+// TestArenaMatchAtom: E-matching of a trigger atom against ground atoms
+// binds repeated variables consistently, requires constants to agree and
+// descends into function arguments.
+func TestArenaMatchAtom(t *testing.T) {
+	a := NewArena()
+	x, y := a.Sym("x"), a.Sym("y")
+	match := func(pattern, ground *Formula) (map[Sym]TermID, bool) {
+		sub := map[Sym]TermID{}
+		return sub, a.MatchAtom(a.InternAtom(pattern), a.InternAtom(ground), sub)
+	}
+	pattern := Pred("p", Var("x"), Const("k"), Var("x"))
+	if sub, ok := match(pattern, Pred("p", Const("a"), Const("k"), Const("a"))); !ok || a.Term(sub[x]).Name != "a" {
+		t.Errorf("match failed: %v %v", sub, ok)
+	}
+	// Conflicting repeated variable.
+	if _, ok := match(pattern, Pred("p", Const("a"), Const("k"), Const("b"))); ok {
+		t.Error("conflicting binding matched")
+	}
+	// Constant mismatch.
+	if _, ok := match(pattern, Pred("p", Const("a"), Const("z"), Const("a"))); ok {
+		t.Error("constant mismatch matched")
+	}
+	// Function patterns.
+	if sub, ok := match(Pred("q", App("f", Var("y"))), Pred("q", App("f", Const("c")))); !ok || a.Term(sub[y]).Name != "c" {
+		t.Errorf("function match failed: %v %v", sub, ok)
+	}
+}
+
 func TestArenaGroundSubterms(t *testing.T) {
 	a := NewArena()
 	id := a.InternTerm(App("f", Const("c"), App("g", Var("x"), Const("d"))))

@@ -213,17 +213,3 @@ func SignatureOf(f *Formula) (*Signature, error) {
 	}
 	return sig, nil
 }
-
-// Constants returns the sorted constant symbols of f.
-func Constants(f *Formula) []string {
-	sig, err := SignatureOf(f)
-	if err != nil {
-		return nil
-	}
-	out := make([]string, 0, len(sig.Consts))
-	for c := range sig.Consts {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}

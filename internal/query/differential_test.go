@@ -16,7 +16,6 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/graph"
 	"github.com/privacy-quagmire/quagmire/internal/kg"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
-	"github.com/privacy-quagmire/quagmire/internal/nlp"
 	"github.com/privacy-quagmire/quagmire/internal/smt"
 	"github.com/privacy-quagmire/quagmire/internal/taxonomy"
 )
@@ -68,12 +67,11 @@ type refOutcome struct {
 // after unsat, the policy axioms alone — without the query's data term —
 // on a fresh solver.
 func referenceAsk(ctx context.Context, e *Engine, p llm.ParamSet) (refOutcome, error) {
-	q, err := resolve(ctx, e, p)
+	q, err := e.resolve(ctx, p, map[string]string{})
 	if err != nil {
 		return refOutcome{}, err
 	}
-	edges := e.relevantEdges(q.actor, q.action, q.data, q.other)
-	formula, placeholders := e.buildFormula(edges, q.actor, q.action, q.data, q.other)
+	formula, placeholders := wholeFormula(e, q.edges, q)
 	if e.SimplifyFOL {
 		formula = fol.Simplify(formula)
 	}
@@ -89,7 +87,7 @@ func referenceAsk(ctx context.Context, e *Engine, p llm.ParamSet) (refOutcome, e
 	switch out.status {
 	case smt.Unsat:
 		out.verdict = Valid
-		axioms, _ := e.buildFormula(edges, "", "", "", "")
+		axioms, _ := wholeFormula(e, q.edges, &resolved{})
 		if fresh(axioms.Sub[0]) == smt.Unsat {
 			out.verdict, out.contradiction = Unknown, true
 		}
@@ -108,28 +106,11 @@ func referenceAsk(ctx context.Context, e *Engine, p llm.ParamSet) (refOutcome, e
 	return out, nil
 }
 
-// resolved is a question's roles in policy vocabulary.
-type resolved struct{ actor, action, data, other string }
-
-// resolve translates a question's roles the way AskParams does.
-func resolve(ctx context.Context, e *Engine, p llm.ParamSet) (resolved, error) {
-	trans := map[string]string{}
-	actorRole, otherRole := llm.FlowRoles(p)
-	actor, err := e.translate(ctx, actorRole, trans)
-	if err != nil {
-		return resolved{}, err
-	}
-	data, err := e.translate(ctx, p.DataType, trans)
-	if err != nil {
-		return resolved{}, err
-	}
-	other := ""
-	if otherRole != "" && otherRole != actorRole && otherRole != "user" {
-		if other, err = e.translate(ctx, otherRole, trans); err != nil {
-			return resolved{}, err
-		}
-	}
-	return resolved{actor, nlp.VerbBase(p.Action), data, other}, nil
+// wholeFormula encodes q over edges as one formula asserting
+// policy ∧ ¬goal, so unsat ⇔ the query follows from the policy.
+func wholeFormula(e *Engine, edges []*graph.Edge, q *resolved) (*fol.Formula, []string) {
+	policy, goal, placeholders := e.buildParts(edges, q.actor, q.action, q.data, q.other)
+	return fol.And(policy, fol.Not(goal)), placeholders
 }
 
 // checkAgainstReference asks one question through the engine and the

@@ -40,11 +40,10 @@ func paperFacts(e *Engine, edges []*graph.Edge, terms []string, placeholderSet m
 // paperScriptResults compiles a question under the paper's encoding into
 // the script shape the engine serves (main check, the check assuming the
 // placeholders, the policy alone) and returns each check's result.
-func paperScriptResults(t *testing.T, e *Engine, q resolved) []smt.Result {
+func paperScriptResults(t *testing.T, e *Engine, q *resolved) []smt.Result {
 	t.Helper()
-	edges := e.relevantEdges(q.actor, q.action, q.data, q.other)
 	placeholderSet := map[string]bool{}
-	policy := fol.And(paperFacts(e, edges, dataTermList(edges, q.data), placeholderSet)...)
+	policy := fol.And(paperFacts(e, q.edges, dataTermList(q.edges, q.data), placeholderSet)...)
 	negGoal := fol.Not(queryGoal(q.actor, q.action, q.data, q.other))
 	if e.SimplifyFOL {
 		policy, negGoal = fol.Simplify(policy), fol.Simplify(negGoal)
@@ -54,7 +53,8 @@ func paperScriptResults(t *testing.T, e *Engine, q resolved) []smt.Result {
 		placeholders = append(placeholders, p)
 	}
 	sort.Strings(placeholders)
-	script, err := smtlib.CompileQuery(policy, negGoal, placeholders, smtlib.CompileOptions{})
+	goals, _ := askGoals(placeholders)
+	script, err := smtlib.CompileQuery(policy, negGoal, goals, smtlib.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestClosureFactsMatchPaperEncoding(t *testing.T) {
 			if served[0].Status != res.SMT.Status {
 				t.Fatalf("%q: replayed script says %s, engine %s", text, served[0].Status, res.SMT.Status)
 			}
-			q, err := resolve(ctx, e, p)
+			q, err := e.resolve(ctx, p, map[string]string{})
 			if err != nil {
 				t.Fatal(err)
 			}

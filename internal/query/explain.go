@@ -7,7 +7,6 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/fol"
 	"github.com/privacy-quagmire/quagmire/internal/graph"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
-	"github.com/privacy-quagmire/quagmire/internal/nlp"
 	"github.com/privacy-quagmire/quagmire/internal/smt"
 )
 
@@ -26,71 +25,49 @@ type Explanation struct {
 
 // ExplainValid minimizes the edge set supporting a VALID verdict by
 // deletion: each edge is dropped in turn and the query re-checked; edges
-// whose removal flips the verdict are essential. Returns an error when the
-// query is not VALID in the first place.
+// whose removal flips the verdict are essential. The whole subgraph is
+// checked with Ask's script, so Explain starts from Ask's verdict, and
+// shares Ask's cached results; it returns an error unless that verdict is
+// an unconditional VALID. Every check stops at ctx's deadline.
 func (e *Engine) ExplainValid(ctx context.Context, p llm.ParamSet) (*Explanation, error) {
-	actorRole, otherRole := llm.FlowRoles(p)
-	trans := map[string]string{}
-	actor, err := e.translate(ctx, actorRole, trans)
+	q, err := e.resolve(ctx, p, map[string]string{})
 	if err != nil {
 		return nil, err
 	}
-	data, err := e.translate(ctx, p.DataType, trans)
-	if err != nil {
-		return nil, err
-	}
-	other := ""
-	if otherRole != "" && otherRole != actorRole && otherRole != "user" {
-		if other, err = e.translate(ctx, otherRole, trans); err != nil {
-			return nil, err
-		}
-	}
-	action := nlp.VerbBase(p.Action)
-	edges := e.relevantEdges(actor, action, data, other)
-
 	calls := 0
-	entails := func(subset []*graph.Edge) (bool, error) {
+	checkEdges := func(edges []*graph.Edge, goals goalsFunc) ([]smt.Result, error) {
 		calls++
-		formula, _ := e.buildFormula(subset, actor, action, data, other)
-		if e.SimplifyFOL {
-			formula = fol.Simplify(formula)
-		}
-		solver := smt.NewSolver()
-		solver.Limits = e.Limits
-		solver.Assert(formula)
-		res := solver.CheckSat()
-		if res.Status == smt.Unknown {
-			return false, fmt.Errorf("query: explanation solve budget exhausted (%s)", res.Reason)
-		}
-		return res.Status == smt.Unsat, nil
+		_, results, err := e.check(ctx, q, edges, goals)
+		return results, err
 	}
 
-	valid, err := entails(edges)
+	results, err := checkEdges(q.edges, askGoals)
 	if err != nil {
 		return nil, err
 	}
-	if !valid {
-		return nil, fmt.Errorf("query: verdict is not VALID; nothing to explain")
+	if v, cause, conditional := Decide(results); v != Valid || conditional {
+		return nil, fmt.Errorf("query: verdict is %s (cause %q, conditional %v); nothing to explain", v, cause, conditional)
 	}
 
 	// Deletion-based minimization: drop edges one at a time; keep the
-	// drop when the entailment survives.
-	core := append([]*graph.Edge(nil), edges...)
+	// drop when the entailment survives. A subset of a policy that does
+	// not contradict itself does not either, so the main check decides.
+	core := append([]*graph.Edge(nil), q.edges...)
 	for i := 0; i < len(core); {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		candidate := make([]*graph.Edge, 0, len(core)-1)
 		candidate = append(candidate, core[:i]...)
 		candidate = append(candidate, core[i+1:]...)
-		still, err := entails(candidate)
+		results, err := checkEdges(candidate, mainGoal)
 		if err != nil {
 			return nil, err
 		}
-		if still {
+		switch v, cause, _ := Decide(results); v {
+		case Valid:
 			core = candidate // edge i was inessential
-		} else {
+		case Invalid:
 			i++ // edge i is essential
+		default:
+			return nil, fmt.Errorf("query: explanation solve gave up (%s)", cause)
 		}
 	}
 	exp := &Explanation{Verdict: Valid, SolverCalls: calls}
@@ -99,6 +76,10 @@ func (e *Engine) ExplainValid(ctx context.Context, p llm.ParamSet) (*Explanation
 	}
 	return exp, nil
 }
+
+// mainGoal is the main check alone: does the goal follow with no
+// condition assumed?
+func mainGoal([]string) ([][]*fol.Formula, error) { return [][]*fol.Formula{nil}, nil }
 
 // ExplainQuestion parses a natural-language query and runs ExplainValid.
 func (e *Engine) ExplainQuestion(ctx context.Context, question string) (*Explanation, error) {

@@ -3,11 +3,9 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/privacy-quagmire/quagmire/internal/fol"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
-	"github.com/privacy-quagmire/quagmire/internal/nlp"
 	"github.com/privacy-quagmire/quagmire/internal/smt"
 )
 
@@ -19,6 +17,8 @@ type Scenario struct {
 	Assumptions map[string]bool `json:"assumptions"`
 	// Verdict is the query outcome under the assumptions.
 	Verdict Verdict `json:"verdict"`
+	// Cause says why Verdict is UNKNOWN, as Result.Cause does.
+	Cause string `json:"cause,omitempty"`
 	// Stats reports the scenario's solver effort. All scenarios share one
 	// ground core, so only the first grounds the formula.
 	Stats smt.Stats `json:"-"`
@@ -53,74 +53,44 @@ func (e *Engine) Explore(ctx context.Context, question string) (*Exploration, er
 }
 
 // ExploreConditions answers the query under every interpretation of its
-// vague placeholder conditions, reusing one incremental solver (assert the
-// formula once, check-sat-assuming per scenario) instead of re-solving
-// from scratch.
+// vague placeholder conditions with one script on one ground core: a
+// check-sat-assuming per scenario, then the policy alone, so every
+// scenario gets its verdict from Decide, the rule Ask uses. A policy that
+// contradicts itself makes every scenario UNKNOWN with cause
+// CauseContradiction.
 func (e *Engine) ExploreConditions(ctx context.Context, p llm.ParamSet) (*Exploration, error) {
-	// Build the formula exactly as AskParams does.
-	actorRole, otherRole := llm.FlowRoles(p)
-	trans := map[string]string{}
-	actor, err := e.translate(ctx, actorRole, trans)
+	q, err := e.resolve(ctx, p, map[string]string{})
 	if err != nil {
 		return nil, err
 	}
-	data, err := e.translate(ctx, p.DataType, trans)
+	enc, results, err := e.check(ctx, q, q.edges, scenarioGoals)
 	if err != nil {
 		return nil, err
 	}
-	other := ""
-	if otherRole != "" && otherRole != actorRole && otherRole != "user" {
-		if other, err = e.translate(ctx, otherRole, trans); err != nil {
-			return nil, err
+	alone := results[len(results)-1]
+	exp := &Exploration{Placeholders: enc.placeholders, AlwaysValid: true, NeverValid: true}
+	for mask, res := range results[:len(results)-1] {
+		sc := Scenario{Assumptions: map[string]bool{}, Stats: res.Stats}
+		for i, ph := range enc.placeholders {
+			sc.Assumptions[ph] = mask&(1<<i) != 0
 		}
+		sc.Verdict, sc.Cause, _ = Decide([]smt.Result{res, alone})
+		exp.AlwaysValid = exp.AlwaysValid && sc.Verdict == Valid
+		exp.NeverValid = exp.NeverValid && sc.Verdict != Valid
+		exp.Scenarios = append(exp.Scenarios, sc)
 	}
-	edges := e.relevantEdges(actor, nlp.VerbBase(p.Action), data, other)
-	formula, placeholders := e.buildFormula(edges, actor, nlp.VerbBase(p.Action), data, other)
-	if e.SimplifyFOL {
-		formula = fol.Simplify(formula)
-	}
+	return exp, nil
+}
+
+// scenarioGoals are Explore's goal checks: one per interpretation of the
+// placeholders, the scenario's index as its mask.
+func scenarioGoals(placeholders []string) ([][]*fol.Formula, error) {
 	if len(placeholders) > MaxExplorePlaceholders {
 		return nil, fmt.Errorf("query: %d placeholders exceed exploration cap %d", len(placeholders), MaxExplorePlaceholders)
 	}
-	sort.Strings(placeholders)
-
-	solver := smt.NewSolver()
-	solver.Limits = e.Limits
-	solver.Assert(formula)
-
-	exp := &Exploration{Placeholders: placeholders, AlwaysValid: true, NeverValid: true}
-	n := 1 << len(placeholders)
-	for mask := 0; mask < n; mask++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		assumptions := make([]*fol.Formula, len(placeholders))
-		values := map[string]bool{}
-		for i, ph := range placeholders {
-			atom := fol.UninterpretedPred(ph)
-			if mask&(1<<i) != 0 {
-				assumptions[i] = atom
-				values[ph] = true
-			} else {
-				assumptions[i] = fol.Not(atom)
-				values[ph] = false
-			}
-		}
-		res := solver.CheckSatAssuming(assumptions...)
-		verdict := Unknown
-		switch res.Status {
-		case smt.Unsat:
-			verdict = Valid
-		case smt.Sat:
-			verdict = Invalid
-		}
-		if verdict != Valid {
-			exp.AlwaysValid = false
-		}
-		if verdict == Valid {
-			exp.NeverValid = false
-		}
-		exp.Scenarios = append(exp.Scenarios, Scenario{Assumptions: values, Verdict: verdict, Stats: res.Stats})
+	goals := make([][]*fol.Formula, 1<<len(placeholders))
+	for mask := range goals {
+		goals[mask] = scenario(placeholders, mask)
 	}
-	return exp, nil
+	return goals, nil
 }

@@ -110,11 +110,11 @@ func TestExploreGroundsOnce(t *testing.T) {
 		}
 	}
 
-	q, err := resolve(ctx, eng, p)
+	q, err := eng.resolve(ctx, p, map[string]string{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	formula, _ := eng.buildFormula(eng.relevantEdges(q.actor, q.action, q.data, q.other), q.actor, q.action, q.data, q.other)
+	formula, _ := wholeFormula(eng, q.edges, q)
 	formula = fol.Simplify(formula)
 	for _, sc := range exp.Scenarios {
 		s := smt.NewSolver()

@@ -199,102 +199,187 @@ func (e *Engine) Ask(ctx context.Context, q string) (*Result, error) {
 	return e.AskParams(ctx, params)
 }
 
-// AskParams answers a query already parsed into semantic roles. A
-// question whose context is already done is not started, so a cached
-// verdict never outlives its caller's deadline.
+// AskParams answers a query already parsed into semantic roles. Ask,
+// Explore and Explain answer a question in the same steps: resolve it into
+// policy vocabulary and its subgraph, check it with one SMT-LIB script
+// that holds the goal checks the path needs, and map the check results to
+// verdicts with Decide.
 func (e *Engine) AskParams(ctx context.Context, p llm.ParamSet) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	res := &Result{Translations: map[string]string{}}
-
-	// Map flow roles onto the graph's actor/counterparty convention.
-	stopTranslate := e.phaseTimer("translate")
-	actorRole, otherRole := llm.FlowRoles(p)
-	actor, err := e.translate(ctx, actorRole, res.Translations)
+	q, err := e.resolve(ctx, p, res.Translations)
 	if err != nil {
 		return nil, err
 	}
-	data, err := e.translate(ctx, p.DataType, res.Translations)
+	enc, results, err := e.check(ctx, q, q.edges, askGoals)
+	if err != nil {
+		return nil, err
+	}
+	for _, ed := range q.edges {
+		res.MatchedEdges = append(res.MatchedEdges, ed.String())
+	}
+	formula := fol.And(enc.policy, enc.negGoal)
+	if e.SimplifyFOL {
+		formula = conjoin(enc.policy, enc.negGoal)
+	}
+	res.Formula = formula.String()
+	res.FormulaSize = formula.Size()
+	res.Placeholders = enc.placeholders
+	res.Script = enc.script
+	res.SMT = results[0]
+	var conditional bool
+	res.Verdict, res.Cause, conditional = Decide(results)
+	if conditional {
+		res.ConditionalOn = enc.placeholders
+	}
+	res.Contradiction = res.Cause == CauseContradiction
+	e.Obs.Counter("quagmire_query_verdicts_total", "verdict", string(res.Verdict)).Inc()
+	return res, nil
+}
+
+// resolved is a question in policy vocabulary: its roles translated and
+// the subgraph it is answered on.
+type resolved struct {
+	actor, action, data, other string
+	edges                      []*graph.Edge
+}
+
+// resolve translates the question's roles into policy vocabulary,
+// recording each translation, and extracts its subgraph: matched nodes,
+// hierarchy closure, local traversal.
+func (e *Engine) resolve(ctx context.Context, p llm.ParamSet, translations map[string]string) (*resolved, error) {
+	stopTranslate := e.phaseTimer("translate")
+	// Map flow roles onto the graph's actor/counterparty convention.
+	actorRole, otherRole := llm.FlowRoles(p)
+	actor, err := e.translate(ctx, actorRole, translations)
+	if err != nil {
+		return nil, err
+	}
+	data, err := e.translate(ctx, p.DataType, translations)
 	if err != nil {
 		return nil, err
 	}
 	other := ""
 	if otherRole != "" && otherRole != actorRole && otherRole != "user" {
-		other, err = e.translate(ctx, otherRole, res.Translations)
-		if err != nil {
+		if other, err = e.translate(ctx, otherRole, translations); err != nil {
 			return nil, err
 		}
 	}
-	action := nlp.VerbBase(p.Action)
+	q := &resolved{actor: actor, action: nlp.VerbBase(p.Action), data: data, other: other}
 	stopTranslate()
 
-	// Subgraph: matched nodes, hierarchy closure, local traversal.
 	stopSubgraph := e.phaseTimer("subgraph")
-	edges := e.relevantEdges(actor, action, data, other)
-	for _, ed := range edges {
-		res.MatchedEdges = append(res.MatchedEdges, ed.String())
-	}
+	q.edges = e.relevantEdges(q.actor, q.action, q.data, q.other)
 	stopSubgraph()
+	return q, nil
+}
 
+// goalsFunc lists the goal checks a path asks of a question, as sets of
+// assumed placeholder literals (see smtlib.CompileQuery), given the
+// question's sorted placeholders.
+type goalsFunc func(placeholders []string) ([][]*fol.Formula, error)
+
+// askGoals are Ask's goal checks: the main check, and when there are
+// vague placeholders, the check assuming all of them hold, which refines a
+// sat main check.
+func askGoals(placeholders []string) ([][]*fol.Formula, error) {
+	if len(placeholders) == 0 {
+		return [][]*fol.Formula{nil}, nil
+	}
+	return [][]*fol.Formula{nil, scenario(placeholders, 1<<len(placeholders)-1)}, nil
+}
+
+// scenario assumes each placeholder, or its negation where its bit in mask
+// (bit i for placeholders[i]) is clear.
+func scenario(placeholders []string, mask int) []*fol.Formula {
+	lits := make([]*fol.Formula, len(placeholders))
+	for i, ph := range placeholders {
+		lits[i] = fol.UninterpretedPred(ph)
+		if mask&(1<<i) == 0 {
+			lits[i] = fol.Not(lits[i])
+		}
+	}
+	return lits
+}
+
+// encoding is a question's encoded parts and the script compiled from
+// them.
+type encoding struct {
+	policy, negGoal *fol.Formula
+	placeholders    []string
+	script          string
+}
+
+// check encodes the question over edges (buildParts, then simplification
+// when the engine simplifies), compiles the goal checks goals lists into
+// one script with the policy-alone check last, and runs it on one ground
+// core through the engine's result cache: one result per check. The
+// context is checked before and after encoding, which does not poll it,
+// so a done context runs nothing and a cached verdict never outlives its
+// caller's deadline; once solving, RunScriptCachedCtx returns when the
+// context ends.
+func (e *Engine) check(ctx context.Context, q *resolved, edges []*graph.Edge, goals goalsFunc) (*encoding, []smt.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	stopCompile := e.phaseTimer("compile")
-	policy, goal, placeholders := e.buildParts(edges, actor, action, data, other)
+	policy, goal, placeholders := e.buildParts(edges, q.actor, q.action, q.data, q.other)
 	negGoal := fol.Not(goal)
-	formula := fol.And(policy, negGoal)
 	if e.SimplifyFOL {
 		policy, negGoal = fol.Simplify(policy), fol.Simplify(negGoal)
-		formula = conjoin(policy, negGoal)
 	}
-	res.Formula = formula.String()
-	res.FormulaSize = formula.Size()
-	res.Placeholders = placeholders
-
-	script, err := smtlib.CompileQuery(policy, negGoal, placeholders, smtlib.CompileOptions{
+	checks, err := goals(placeholders)
+	if err != nil {
+		return nil, nil, err
+	}
+	script, err := smtlib.CompileQuery(policy, negGoal, checks, smtlib.CompileOptions{
 		Comment: "privacy query verification",
 	})
 	if err != nil {
-		return nil, fmt.Errorf("query: compile: %w", err)
+		return nil, nil, fmt.Errorf("query: compile: %w", err)
 	}
-	res.Script = script.String()
+	enc := &encoding{policy, negGoal, placeholders, script.String()}
 	stopCompile()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 
 	stopSolve := e.phaseTimer("solve")
 	defer stopSolve()
-	// One script, one ground core: the main check decides the verdict; the
-	// check assuming every vague placeholder (when there are any) refines
-	// a sat goal, and the policy alone tells "follows from the policy"
-	// from "the policy contradicts itself" (ex falso) for an unsat one.
-	// Only the question's subgraph is encoded, so a contradiction outside
-	// it does not change this verdict.
-	results, err := smt.RunScriptCachedCtx(ctx, e.Cache, res.Script, e.Limits)
+	results, err := smt.RunScriptCachedCtx(ctx, e.Cache, enc.script, e.Limits)
 	if err != nil {
-		return nil, fmt.Errorf("query: solve: %w", err)
+		return nil, nil, fmt.Errorf("query: solve: %w", err)
 	}
-	if want := queryChecks(placeholders); len(results) != want {
-		return nil, fmt.Errorf("query: solve: script gave %d results, want %d", len(results), want)
+	if want := len(checks) + 1; len(results) != want {
+		return nil, nil, fmt.Errorf("query: solve: script gave %d results, want %d", len(results), want)
 	}
 	e.observeSolve(results)
-	res.SMT = results[0]
-	switch res.SMT.Status {
+	return enc, results, nil
+}
+
+// Decide is the one rule from a question's check results to its verdict.
+// results are a script's checks in order: a goal check, then for Ask on a
+// question with vague placeholders the goal check assuming all of them
+// hold, and last the policy alone. An unsat goal check is VALID, unless
+// the policy alone is unsat too: a policy that contradicts itself entails
+// anything (ex falso), so that is UNKNOWN with cause CauseContradiction. A
+// sat goal check is INVALID, unless the assuming check is unsat: VALID on
+// the condition that the placeholders hold. A goal check the solver could
+// not decide is UNKNOWN with the solver's reason.
+func Decide(results []smt.Result) (v Verdict, cause string, conditional bool) {
+	goal, alone := results[0], results[len(results)-1]
+	switch goal.Status {
 	case smt.Unsat:
-		res.Verdict = Valid
-		if results[len(results)-1].Status == smt.Unsat {
-			res.Verdict = Unknown
-			res.Contradiction = true
-			res.Cause = CauseContradiction
+		if alone.Status == smt.Unsat {
+			return Unknown, CauseContradiction, false
 		}
+		return Valid, "", false
 	case smt.Sat:
-		res.Verdict = Invalid
-		if len(placeholders) > 0 && results[1].Status == smt.Unsat {
-			res.Verdict = Valid
-			res.ConditionalOn = placeholders
+		if len(results) == 3 && results[1].Status == smt.Unsat {
+			return Valid, "", true
 		}
-	default:
-		res.Verdict = Unknown
-		res.Cause = res.SMT.Reason
+		return Invalid, "", false
 	}
-	e.Obs.Counter("quagmire_query_verdicts_total", "verdict", string(res.Verdict)).Inc()
-	return res, nil
+	return Unknown, goal.Reason, false
 }
 
 // conjoin returns policy ∧ negGoal for simplified parts, flattened as
@@ -312,15 +397,6 @@ func conjoin(policy, negGoal *fol.Formula) *fol.Formula {
 		return fol.And(append(append([]*fol.Formula(nil), policy.Sub...), negGoal)...)
 	}
 	return fol.And(policy, negGoal)
-}
-
-// queryChecks is the number of checks in the script CompileQuery builds
-// for a question with the given placeholders.
-func queryChecks(placeholders []string) int {
-	if len(placeholders) > 0 {
-		return 3
-	}
-	return 2
 }
 
 // parseQuery extracts semantic roles from the query text, reusing the
@@ -478,14 +554,6 @@ func sym(s string) string {
 // condSym builds the uninterpreted predicate name for a condition.
 func condSym(cond string) string { return "cond_" + sym(cond) }
 
-// buildFormula encodes the subgraph and query per §3 (see buildParts) as
-// one formula asserting policy ∧ ¬goal, so unsat ⇔ the query follows
-// from the policy.
-func (e *Engine) buildFormula(edges []*graph.Edge, actor, action, data, other string) (*fol.Formula, []string) {
-	policy, goal, placeholders := e.buildParts(edges, actor, action, data, other)
-	return fol.And(policy, fol.Not(goal)), placeholders
-}
-
 // buildParts encodes the subgraph and query per §3: policy statements
 // become implications/facts over a practice predicate, the hierarchy
 // contributes ground subtype facts plus reflexivity, conditions become
@@ -562,18 +630,27 @@ func dataTermList(edges []*graph.Edge, data string) []string {
 	return termList
 }
 
-// subtypeFacts emits ground subtype facts for hierarchy-related pairs of
-// the given term list (empty under NoHierarchy — ablation A1).
+// subtypeFacts emits a ground subtype(a, b) fact for every term a of the
+// sorted term list and each ancestor b of a in the list, in list order
+// (empty under NoHierarchy — ablation A1). The hierarchy is a tree, so a's
+// ancestors are exactly the terms that subsume it; walking them, instead
+// of testing every pair of the list, keeps a whole-policy encoding from
+// going quadratic in its data terms.
 func (e *Engine) subtypeFacts(termList []string) []*fol.Formula {
 	if e.NoHierarchy {
 		return nil
 	}
 	var facts []*fol.Formula
 	for _, a := range termList {
-		for _, b := range termList {
-			if a != b && e.KG.DataH.Subsumes(b, a) {
-				facts = append(facts, fol.Pred("subtype", fol.Const(sym(a)), fol.Const(sym(b))))
+		var above []string
+		for b, ok := e.KG.DataH.Parent(a); ok; b, ok = e.KG.DataH.Parent(b) {
+			if i := sort.SearchStrings(termList, b); i < len(termList) && termList[i] == b {
+				above = append(above, b)
 			}
+		}
+		sort.Strings(above)
+		for _, b := range above {
+			facts = append(facts, fol.Pred("subtype", fol.Const(sym(a)), fol.Const(sym(b))))
 		}
 	}
 	return facts

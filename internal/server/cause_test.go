@@ -46,7 +46,9 @@ func TestQueryReportsContradictionCause(t *testing.T) {
 // TestUnknownReportsBudgetCause: under a one-instantiation budget the
 // solver gives up on a question it would answer INVALID, and /query,
 // verify-batch and the corpus sweep row all name the budget that stopped
-// it, while a decided verdict carries no cause.
+// it, while a decided verdict carries no cause. /v1/solve solves with the
+// same limits, so replaying the /query script there returns the statuses
+// the verdict came from.
 func TestUnknownReportsBudgetCause(t *testing.T) {
 	const budget = "model found but quantifier instantiation incomplete"
 	const q = "Does Acme sell my personal information?"
@@ -63,11 +65,31 @@ func TestUnknownReportsBudgetCause(t *testing.T) {
 	id := createNamed(t, ts, "mini", corpus.Mini())
 
 	var one queryResponse
-	if resp := doJSON(t, "POST", ts.URL+"/v1/policies/"+id+"/query", map[string]string{"question": q}, &one); resp.StatusCode != http.StatusOK {
+	if resp := doJSON(t, "POST", ts.URL+"/v1/policies/"+id+"/query", map[string]any{"question": q, "include_script": true}, &one); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query = %d", resp.StatusCode)
 	}
 	if one.Verdict != query.Unknown || one.Cause != budget {
 		t.Errorf("/query: verdict %s, cause %q; want UNKNOWN, %q", one.Verdict, one.Cause, budget)
+	}
+
+	var replay []solveResponse
+	if resp := doJSON(t, "POST", ts.URL+"/v1/solve", map[string]string{"script": one.Script}, &replay); resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve = %d", resp.StatusCode)
+	}
+	results, err := smt.RunScript(one.Script, p.Limits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replay) != len(results) || len(replay) == 0 {
+		t.Fatalf("/v1/solve gave %d results, the script has %d checks", len(replay), len(results))
+	}
+	for i, r := range results {
+		if replay[i].Status != r.Status.String() || replay[i].Reason != r.Reason {
+			t.Errorf("/v1/solve check %d: %s (%q), the pipeline's limits give %s (%q)", i, replay[i].Status, replay[i].Reason, r.Status, r.Reason)
+		}
+	}
+	if replay[0].Status != smt.Unknown.String() || replay[0].Reason != budget {
+		t.Errorf("/v1/solve main check: %s (%q); /query answered UNKNOWN because of %q", replay[0].Status, replay[0].Reason, budget)
 	}
 
 	var batch verifyBatchResponse

@@ -205,7 +205,7 @@ func (s *Server) readClass(next http.HandlerFunc) http.HandlerFunc {
 // analyzeClass wraps the extraction-heavy create/update handlers with the
 // solver deadline (analysis runs the LLM + graph build, not the solver,
 // but shares its cost profile). These endpoints are not admission
-// controlled; the global limiter and body-size cap bound them.
+// controlled; the deadline and body-size cap bound them.
 func (s *Server) analyzeClass(next http.HandlerFunc) http.HandlerFunc {
 	return timed(s.timeouts.Solve, next)
 }

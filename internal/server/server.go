@@ -24,7 +24,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,7 +44,6 @@ const MaxBodyBytes = 4 << 20
 // Server is the HTTP API server. Create with New.
 type Server struct {
 	pipeline *core.Pipeline
-	limits   smt.Limits
 	logger   *log.Logger
 	store    store.PolicyStore
 	timeouts Timeouts
@@ -56,10 +54,7 @@ type Server struct {
 	// replication status section (replicate.go).
 	replica *ReplicaOptions
 
-	// sem limits in-flight requests across all routes when non-nil
-	// (excess gets 503); adm admission-controls solver-backed endpoints
-	// specifically (queue, then 429).
-	sem chan struct{}
+	// adm admission-controls solver-backed endpoints (queue, then 429).
 	adm *admission
 
 	// testHookSolverAdmitted, when non-nil, runs inside the admitted
@@ -92,15 +87,8 @@ type Options struct {
 	// Store persists policies and version history; nil selects a fresh
 	// in-memory store (state dies with the process).
 	Store store.PolicyStore
-	// SolverLimits bounds the /v1/solve endpoint.
-	SolverLimits smt.Limits
 	// Logger receives request logs; nil disables logging.
 	Logger *log.Logger
-	// MaxConcurrent caps in-flight requests across all routes; excess
-	// requests receive 503. 0 disables the limiter. The health, metrics
-	// and debug endpoints are exempt so operators can still observe a
-	// saturated server.
-	MaxConcurrent int
 	// Timeouts sets the per-endpoint-class request deadlines; zero fields
 	// select defaults (reads 2s, solver/analysis 30s), negative disables.
 	Timeouts Timeouts
@@ -135,7 +123,6 @@ func New(opts Options) (*Server, error) {
 	}
 	srv := &Server{
 		pipeline: opts.Pipeline,
-		limits:   opts.SolverLimits,
 		logger:   opts.Logger,
 		store:    st,
 		timeouts: opts.Timeouts.withDefaults(),
@@ -144,9 +131,6 @@ func New(opts Options) (*Server, error) {
 		adm:      newAdmission(opts.Admission, opts.Pipeline.Obs()),
 		live:     map[string]*engineCell{},
 		versions: newVersionEngines(versionEngineCacheSize),
-	}
-	if opts.MaxConcurrent > 0 {
-		srv.sem = make(chan struct{}, opts.MaxConcurrent)
 	}
 	if err := srv.recoverLive(opts.Recovery); err != nil {
 		return nil, err
@@ -234,7 +218,7 @@ func (s *Server) Handler() http.Handler {
 	// stay bare like the observability routes: the WAL tail is a long-lived
 	// stream a read deadline would sever, and a follower must be able to
 	// catch up from a primary saturated with the very load it is there to
-	// absorb (limiterExempt covers the prefix).
+	// absorb.
 	if rep, ok := s.store.(store.Replicator); ok {
 		mux.HandleFunc("GET /v1/replicate/snapshot", s.handleReplicateSnapshot(rep))
 		mux.HandleFunc("GET /v1/replicate/wal", s.handleReplicateWAL(rep))
@@ -260,27 +244,9 @@ func (s *Server) Handler() http.Handler {
 	return s.withMiddleware(mux)
 }
 
-// limiterExempt reports whether the global concurrency limiter skips this
-// path: health checks and observability scrapes must keep working on a
-// saturated server, or the overload would blind the operator and make the
-// load balancer drain instances for the wrong reason.
-func limiterExempt(path string) bool {
-	return path == "/healthz" || path == "/metrics" ||
-		strings.HasPrefix(path, "/debug/") || strings.HasPrefix(path, "/v1/replicate/")
-}
-
 func (s *Server) withMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		if s.sem != nil && !limiterExempt(r.URL.Path) {
-			select {
-			case s.sem <- struct{}{}:
-				defer func() { <-s.sem }()
-			default:
-				writeError(w, http.StatusServiceUnavailable, "server at capacity")
-				return
-			}
-		}
 		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		func() {
@@ -1024,7 +990,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "script is required")
 		return
 	}
-	results, err := smt.RunScriptCtx(r.Context(), req.Script, s.limits)
+	results, err := smt.RunScriptCtx(r.Context(), req.Script, s.pipeline.Limits())
 	if err != nil {
 		s.writeComputeError(w, r, "solve failed", err)
 		return

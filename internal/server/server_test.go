@@ -556,51 +556,6 @@ func TestReportAndDotEndpoints(t *testing.T) {
 	}
 }
 
-func TestConcurrencyLimiter(t *testing.T) {
-	p, err := core.New(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Options{Pipeline: p, MaxConcurrent: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Occupy the single slot.
-	s.sem <- struct{}{}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/policies")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("saturated server = %d, want 503", resp.StatusCode)
-	}
-	// Health and metrics are exempt: a saturated server must stay
-	// observable.
-	for _, path := range []string{"/healthz", "/metrics"} {
-		resp, err = http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("saturated server %s = %d, want 200 (limiter exemption)", path, resp.StatusCode)
-		}
-	}
-	// Release and retry.
-	<-s.sem
-	resp, err = http.Get(ts.URL + "/v1/policies")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("freed server = %d", resp.StatusCode)
-	}
-}
-
 // TestMetricsEndpoint drives a full analyze + verify-batch cycle, then
 // asserts the Prometheus exposition reflects it: nonzero solve-time
 // histogram buckets, verdict counters, cache counters and HTTP counters.

@@ -227,13 +227,28 @@ func (c *ResultCache) waitersOf(key string) int {
 // RunScriptCachedCtx is RunScriptCtx memoized by script + limits. A nil
 // cache degrades to a plain run. A cancelled run is returned as an error
 // (never cached), so a later lookup with a live context re-solves.
+// Decoding and clausifying a large script do not poll the context, so a
+// fresh solve runs on its own goroutine and the caller returns as soon as
+// ctx ends, no longer reading res or err; the abandoned solve stops at its
+// next poll.
 func RunScriptCachedCtx(ctx context.Context, c *ResultCache, src string, limits Limits) ([]Result, error) {
 	return c.MemoCtx(ctx, CacheKey(src, limits), func() ([]Result, error) {
-		res, err := RunScriptCtx(ctx, src, limits)
-		if err != nil {
-			return nil, err
+		var res []Result
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, err = RunScriptCtx(ctx, src, limits)
+		}()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		if err := ctx.Err(); err != nil {
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
 			return nil, err
 		}
 		return res, nil

@@ -5,11 +5,10 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/sat"
 )
 
-// ccInt is a congruence closure over arena-interned terms: union-find with
-// congruence propagation, keyed entirely by dense integer node IDs. It is
-// the theory-check counterpart of the exported CC (euf.go), which interns
-// by rendered strings; the DPLL(T) hot loop uses this one so a theory
-// check allocates no strings at all.
+// ccInt is the solver's congruence closure over arena-interned terms:
+// union-find with congruence propagation, keyed entirely by dense integer
+// node IDs, so a theory check in the DPLL(T) hot loop allocates no
+// strings at all.
 type ccInt struct {
 	arena    *fol.Arena
 	parent   []int

@@ -9,69 +9,64 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/smtlib"
 )
 
+// ccNodes interns ground terms into a fresh arena and the solver's
+// congruence closure, returning one node per term.
+func ccNodes(terms ...fol.Term) (*ccInt, []int) {
+	arena := fol.NewArena()
+	cc := newCCInt(arena)
+	nodes := make([]int, len(terms))
+	for i, t := range terms {
+		nodes[i] = cc.nodeOfTerm(arena.InternTerm(t))
+	}
+	return cc, nodes
+}
+
 func TestCCBasics(t *testing.T) {
-	cc := NewCC()
-	a := cc.AddConst("a")
-	b := cc.AddConst("b")
-	c := cc.AddConst("c")
-	if cc.Equal(a, b) {
+	cc, n := ccNodes(fol.Const("a"), fol.Const("b"), fol.Const("c"))
+	a, b, c := n[0], n[1], n[2]
+	if cc.equal(a, b) {
 		t.Error("fresh constants equal")
 	}
-	cc.Merge(a, b)
-	cc.Merge(b, c)
-	if !cc.Equal(a, c) {
+	cc.merge(a, b)
+	cc.merge(b, c)
+	if !cc.equal(a, c) {
 		t.Error("transitivity failed")
 	}
 }
 
 func TestCCCongruence(t *testing.T) {
-	cc := NewCC()
-	a := cc.AddConst("a")
-	b := cc.AddConst("b")
-	fa := cc.AddApp("f", []int{a})
-	fb := cc.AddApp("f", []int{b})
-	if cc.Equal(fa, fb) {
+	a, b := fol.Const("a"), fol.Const("b")
+	cc, n := ccNodes(a, b, fol.App("f", a), fol.App("f", b))
+	if cc.equal(n[2], n[3]) {
 		t.Error("f(a)=f(b) before a=b")
 	}
-	cc.Merge(a, b)
-	if !cc.Equal(fa, fb) {
+	cc.merge(n[0], n[1])
+	if !cc.equal(n[2], n[3]) {
 		t.Error("congruence f(a)=f(b) not propagated")
 	}
 }
 
 func TestCCNestedCongruence(t *testing.T) {
-	cc := NewCC()
-	a := cc.AddConst("a")
-	b := cc.AddConst("b")
-	fa := cc.AddApp("f", []int{a})
-	fb := cc.AddApp("f", []int{b})
-	gfa := cc.AddApp("g", []int{fa})
-	gfb := cc.AddApp("g", []int{fb})
-	cc.Merge(a, b)
-	if !cc.Equal(gfa, gfb) {
+	a, b := fol.Const("a"), fol.Const("b")
+	cc, n := ccNodes(a, b, fol.App("g", fol.App("f", a)), fol.App("g", fol.App("f", b)))
+	cc.merge(n[0], n[1])
+	if !cc.equal(n[2], n[3]) {
 		t.Error("nested congruence g(f(a))=g(f(b)) not propagated")
 	}
 }
 
+// TestCCInternSharing: identical terms are one class from the start, and
+// a predicate application never shares a class with the function
+// application of the same symbol and arguments.
 func TestCCInternSharing(t *testing.T) {
-	cc := NewCC()
-	x1, err := cc.AddTerm(fol.App("f", fol.Const("a"), fol.Const("b")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, err := cc.AddTerm(fol.App("f", fol.Const("a"), fol.Const("b")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cc.Equal(x1, x2) {
+	fab := fol.App("f", fol.Const("a"), fol.Const("b"))
+	cc, n := ccNodes(fab, fab, fol.Const("a"), fol.Const("b"))
+	if !cc.equal(n[0], n[1]) {
 		t.Error("identical terms interned apart")
 	}
-}
-
-func TestCCRejectsVariables(t *testing.T) {
-	cc := NewCC()
-	if _, err := cc.AddTerm(fol.Var("x")); err == nil {
-		t.Error("expected error for variable term")
+	pred := cc.app(ccKindPred, cc.arena.Sym("f"), []int{n[2], n[3]})
+	if cc.equal(pred, n[0]) {
+		t.Error("predicate f(a,b) shares a class with function f(a,b)")
 	}
 }
 
@@ -107,6 +102,9 @@ func TestFunctionCongruence(t *testing.T) {
 	check(t, fol.And(fol.Eq(a, b), fol.Not(fol.Eq(fa, fb))), Unsat)
 	// f(a)=f(b) ∧ a≠b sat (f may not be injective).
 	check(t, fol.And(fol.Eq(fa, fb), fol.Not(fol.Eq(a, b))), Sat)
+	// a=b ∧ g(f(a))≠g(f(b)) unsat: congruence propagates through nesting.
+	check(t, fol.And(fol.Eq(a, b), fol.Not(fol.Eq(fol.App("g", fa), fol.App("g", fb)))), Unsat)
+	check(t, fol.Not(fol.Eq(fol.App("g", fa), fol.App("g", fb))), Sat)
 }
 
 func TestPredicateCongruence(t *testing.T) {
@@ -255,7 +253,7 @@ func TestRunScriptEndToEnd(t *testing.T) {
 		fol.Pred("user", fol.Const("alice")),
 	)
 	negGoal := fol.Not(fol.Pred("share", fol.Const("tiktok"), fol.Const("alice")))
-	script, err := smtlib.CompileQuery(policy, negGoal, nil, smtlib.CompileOptions{})
+	script, err := smtlib.CompileQuery(policy, negGoal, [][]*fol.Formula{nil}, smtlib.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,30 +479,6 @@ func TestTriggerFarFewerInstantiations(t *testing.T) {
 	if trigRes.Stats.Instantiations >= fullRes.Stats.Instantiations {
 		t.Errorf("trigger (%d) should instantiate less than full (%d)",
 			trigRes.Stats.Instantiations, fullRes.Stats.Instantiations)
-	}
-}
-
-func TestMatchAtom(t *testing.T) {
-	pattern := fol.Pred("p", fol.Var("x"), fol.Const("k"), fol.Var("x"))
-	ok1 := fol.Pred("p", fol.Const("a"), fol.Const("k"), fol.Const("a"))
-	if sub, ok := matchAtom(pattern, ok1); !ok || sub["x"].Name != "a" {
-		t.Errorf("match failed: %v %v", sub, ok)
-	}
-	// Conflicting repeated variable.
-	bad := fol.Pred("p", fol.Const("a"), fol.Const("k"), fol.Const("b"))
-	if _, ok := matchAtom(pattern, bad); ok {
-		t.Error("conflicting binding matched")
-	}
-	// Constant mismatch.
-	bad2 := fol.Pred("p", fol.Const("a"), fol.Const("z"), fol.Const("a"))
-	if _, ok := matchAtom(pattern, bad2); ok {
-		t.Error("constant mismatch matched")
-	}
-	// Function patterns.
-	fpat := fol.Pred("q", fol.App("f", fol.Var("y")))
-	fok := fol.Pred("q", fol.App("f", fol.Const("c")))
-	if sub, ok := matchAtom(fpat, fok); !ok || sub["y"].Name != "c" {
-		t.Errorf("function match failed: %v %v", sub, ok)
 	}
 }
 

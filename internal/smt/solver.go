@@ -1,3 +1,10 @@
+// Package smt implements a from-scratch SMT solver for quantified formulas
+// over uninterpreted functions (UF): a DPLL(T) loop combining the CDCL SAT
+// core from internal/sat with a congruence-closure theory solver, plus
+// budgeted ground quantifier instantiation, push/pop incremental scopes and
+// check-sat-assuming — the feature set of CVC5 that the paper's pipeline
+// relies on, with deterministic resource limits so the paper's timeout
+// behaviour is reproducible.
 package smt
 
 import (

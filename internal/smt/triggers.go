@@ -1,9 +1,5 @@
 package smt
 
-import (
-	"github.com/privacy-quagmire/quagmire/internal/fol"
-)
-
 // InstStrategy selects how universally quantified clauses are grounded.
 type InstStrategy int
 
@@ -30,47 +26,5 @@ func (s InstStrategy) String() string {
 }
 
 // The instantiation machinery itself lives in ground.go, operating on
-// arena-interned clauses (see groundCore.instantiate). The AST-level
-// matcher below remains as the reference implementation of E-matching
-// semantics; the interned fast path (fol.Arena.MatchAtom) must agree
-// with it.
-
-// matchAtom unifies a pattern atom (with variables) against a ground atom,
-// returning the substitution.
-func matchAtom(pattern, ground *fol.Formula) (map[string]fol.Term, bool) {
-	if pattern.Pred != ground.Pred || len(pattern.Terms) != len(ground.Terms) {
-		return nil, false
-	}
-	sub := map[string]fol.Term{}
-	for i := range pattern.Terms {
-		if !matchTerm(pattern.Terms[i], ground.Terms[i], sub) {
-			return nil, false
-		}
-	}
-	return sub, true
-}
-
-func matchTerm(pattern, ground fol.Term, sub map[string]fol.Term) bool {
-	switch pattern.Kind {
-	case fol.TermVar:
-		if bound, ok := sub[pattern.Name]; ok {
-			return bound.Equal(ground)
-		}
-		sub[pattern.Name] = ground
-		return true
-	case fol.TermConst:
-		return ground.Kind == fol.TermConst && ground.Name == pattern.Name
-	case fol.TermApp:
-		if ground.Kind != fol.TermApp || ground.Name != pattern.Name || len(ground.Args) != len(pattern.Args) {
-			return false
-		}
-		for i := range pattern.Args {
-			if !matchTerm(pattern.Args[i], ground.Args[i], sub) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
+// arena-interned clauses (see groundCore.instantiate); triggers match
+// through fol.Arena.MatchAtom.

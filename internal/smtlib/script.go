@@ -151,38 +151,36 @@ type CompileOptions struct {
 	Comment string
 }
 
-// CompileQuery compiles the three checks of one validity question into a
-// single script that a solver answers on one ground core:
+// CompileQuery compiles the checks of one validity question into a single
+// script that a solver answers on one ground core:
 //
 //	(assert policy)
 //	(push 1)
 //	(assert negGoal)
-//	(check-sat)                       ; main: unsat means the goal follows
-//	(check-sat-assuming (assume...))  ; only with assume: does it follow
-//	                                  ; once the vague conditions hold?
+//	(check-sat)                     ; one per goal check: an empty set
+//	(check-sat-assuming (lits...))  ; is a plain check-sat, unsat means
+//	                                ; the goal follows under the literals
 //	(pop 1)
-//	(check-sat)                       ; policy alone: unsat means the
-//	                                  ; policy contradicts itself
+//	(check-sat)                     ; policy alone: unsat means the
+//	                                ; policy contradicts itself
 //
-// Sort and symbol declarations are inferred from the formulas' signature,
-// and the assumed names are declared as uninterpreted placeholders even
-// when simplification removed them from the policy. Free variables are
-// rejected — callers must quantify or ground them first.
-func CompileQuery(policy, negGoal *fol.Formula, assume []string, opts CompileOptions) (*Script, error) {
-	f := fol.And(policy, negGoal)
+// Each goal check is a set of assumed literals: nullary predicates,
+// possibly negated. Sort and symbol declarations are inferred from the
+// signature of the formulas and the literals, so an assumed placeholder is
+// declared even when simplification removed it from the policy. Free
+// variables are rejected — callers must quantify or ground them first.
+func CompileQuery(policy, negGoal *fol.Formula, goals [][]*fol.Formula, opts CompileOptions) (*Script, error) {
+	all := []*fol.Formula{policy, negGoal}
+	for _, lits := range goals {
+		all = append(all, lits...)
+	}
+	f := fol.And(all...)
 	if fv := fol.FreeVars(f); len(fv) > 0 {
 		return nil, fmt.Errorf("smtlib: formula has free variables %v", fv)
 	}
 	sig, err := fol.SignatureOf(f)
 	if err != nil {
 		return nil, err
-	}
-	for _, p := range assume {
-		if arity, ok := sig.Preds[p]; ok && arity != 0 {
-			return nil, fmt.Errorf("smtlib: placeholder %q has arity %d", p, arity)
-		}
-		sig.Preds[p] = 0
-		sig.Uninterpreted[p] = true
 	}
 	logic := opts.Logic
 	if logic == "" {
@@ -210,13 +208,16 @@ func CompileQuery(policy, negGoal *fol.Formula, assume []string, opts CompileOpt
 	s.Assert(FormulaToSExpr(policy))
 	s.Push()
 	s.Assert(FormulaToSExpr(negGoal))
-	s.CheckSat()
-	if len(assume) > 0 {
-		lits := make([]*SExpr, len(assume))
-		for i, name := range assume {
-			lits[i] = A(name)
+	for _, lits := range goals {
+		if len(lits) == 0 {
+			s.CheckSat()
+			continue
 		}
-		s.CheckSatAssuming(lits...)
+		exprs := make([]*SExpr, len(lits))
+		for i, lit := range lits {
+			exprs[i] = FormulaToSExpr(lit)
+		}
+		s.CheckSatAssuming(exprs...)
 	}
 	s.Pop()
 	s.CheckSat()

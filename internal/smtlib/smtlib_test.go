@@ -90,7 +90,7 @@ func TestCompileDeclarations(t *testing.T) {
 		fol.Pred("share", fol.Const("tiktok"), fol.App("dataOf", fol.Var("x"))),
 		fol.UninterpretedPred("legitimate_business_purpose"),
 	))
-	s, err := CompileQuery(fol.True(), fol.Not(f), nil, CompileOptions{Comment: "test query"})
+	s, err := CompileQuery(fol.True(), fol.Not(f), [][]*fol.Formula{nil}, CompileOptions{Comment: "test query"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDecodeScriptRoundTrip(t *testing.T) {
 			fol.UninterpretedPred("required_by_law"),
 		),
 	))
-	s, err := CompileQuery(f, fol.Not(fol.Pred("user", fol.Const("alice"))), nil, CompileOptions{})
+	s, err := CompileQuery(f, fol.Not(fol.Pred("user", fol.Const("alice"))), [][]*fol.Formula{nil}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,8 @@ func TestDecodeScriptRoundTrip(t *testing.T) {
 func TestCompileQueryRoundTrip(t *testing.T) {
 	policy := fol.Implies(fol.UninterpretedPred("cond_a"), fol.Pred("share", fol.Const("acme")))
 	negGoal := fol.Not(fol.Pred("share", fol.Const("acme")))
-	s, err := CompileQuery(policy, negGoal, []string{"cond_a", "cond_gone"}, CompileOptions{})
+	goals := [][]*fol.Formula{nil, {fol.UninterpretedPred("cond_a"), fol.UninterpretedPred("cond_gone")}}
+	s, err := CompileQuery(policy, negGoal, goals, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +188,45 @@ func TestCompileQueryRoundTrip(t *testing.T) {
 		t.Error("plain check-sat carries assumptions")
 	}
 	// Without placeholders there is no conditional check.
-	s, err = CompileQuery(policy, negGoal, nil, CompileOptions{})
+	s, err = CompileQuery(policy, negGoal, [][]*fol.Formula{nil}, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(s.String(), "check-sat-assuming") {
 		t.Errorf("unconditional question got a conditional check:\n%s", s)
+	}
+}
+
+// TestCompileQueryScenarioChecks: one goal check per assumption set, a
+// negated literal assumes its placeholder false, and the policy-alone
+// check still comes last.
+func TestCompileQueryScenarioChecks(t *testing.T) {
+	policy := fol.Implies(fol.UninterpretedPred("cond_a"), fol.Pred("share", fol.Const("acme")))
+	negGoal := fol.Not(fol.Pred("share", fol.Const("acme")))
+	a := fol.UninterpretedPred("cond_a")
+	s, err := CompileQuery(policy, negGoal, [][]*fol.Formula{{fol.Not(a)}, {a}}, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := DecodeScript(s.String())
+	if err != nil {
+		t.Fatalf("decode: %v\nscript:\n%s", err, s)
+	}
+	want := []CommandKind{CmdAssert, CmdPush, CmdAssert, CmdCheckSat, CmdCheckSat, CmdPop, CmdCheckSat}
+	if len(p.Commands) != len(want) {
+		t.Fatalf("commands = %+v", p.Commands)
+	}
+	if got := p.Commands[3].Assume; len(got) != 1 || !got[0].Equal(fol.Not(a)) {
+		t.Errorf("first scenario assumes %v, want [¬cond_a]", got)
+	}
+	if got := p.Commands[4].Assume; len(got) != 1 || !got[0].Equal(a) {
+		t.Errorf("second scenario assumes %v, want [cond_a]", got)
+	}
+	if len(p.Commands[6].Assume) != 0 {
+		t.Error("policy-alone check carries assumptions")
+	}
+	if _, err := CompileQuery(policy, negGoal, [][]*fol.Formula{{fol.UninterpretedPred("share")}}, CompileOptions{}); err == nil {
+		t.Error("assuming a placeholder named like a unary predicate compiled")
 	}
 }
 
