@@ -103,6 +103,22 @@ func TestSolveSubcommand(t *testing.T) {
 	}
 }
 
+// TestSolveRefusesTwoSorts checks that `quagmire solve` fails, rather than
+// answering unsat, on a satisfiable script with two sorts.
+func TestSolveRefusesTwoSorts(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "two.smt2")
+	script := "(declare-sort A 0) (declare-sort B 0)\n" +
+		"(declare-const a A) (declare-const b1 B) (declare-const b2 B)\n" +
+		"(assert (forall ((x A) (y A)) (= x y)))\n(assert (not (= b1 b2)))\n(check-sat)\n"
+	if err := os.WriteFile(f, []byte(script), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture(t, func() error { return run([]string{"solve", f}) })
+	if err == nil || !strings.Contains(err.Error(), "declare-sort B") {
+		t.Fatalf("solve = %v, output %q; want an error naming the second declare-sort", err, out)
+	}
+}
+
 func TestVagueSubcommand(t *testing.T) {
 	p := writePolicy(t, corpus.Mini())
 	out, err := capture(t, func() error { return run([]string{"vague", p}) })

@@ -10,7 +10,6 @@ package embed
 import (
 	"hash/fnv"
 	"math"
-	"sort"
 	"strings"
 
 	"github.com/privacy-quagmire/quagmire/internal/nlp"
@@ -113,12 +112,16 @@ func stem(w string) string {
 
 // Cosine returns the cosine similarity of two vectors in [-1, 1]; for
 // normalized vectors this is their dot product.
-func Cosine(a, b Vector) float64 {
-	var dot float64
+func Cosine(a, b Vector) float64 { return dot(&a, &b) }
+
+// dot is Cosine over pointers, so a search scores each indexed vector
+// without copying it.
+func dot(a, b *Vector) float64 {
+	var sum float64
 	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
+		sum += float64(a[i]) * float64(b[i])
 	}
-	return dot
+	return sum
 }
 
 // Similarity is a convenience: cosine similarity of the embeddings of two
@@ -165,32 +168,38 @@ func (ix *Index) Add(key, text string) {
 func (ix *Index) Len() int { return len(ix.keys) }
 
 // Search returns the top-k most similar indexed items to the query text,
-// sorted by descending score (ties broken by key for determinism).
+// sorted by descending score (ties broken by key for determinism). It keeps
+// a k-entry buffer in that order rather than sorting every match.
 func (ix *Index) Search(query string, k int) []Match {
 	if k <= 0 || len(ix.keys) == 0 {
 		return nil
 	}
+	if k > len(ix.keys) {
+		k = len(ix.keys)
+	}
 	qv := ix.model.Embed(query)
-	matches := make([]Match, len(ix.keys))
-	for i, v := range ix.vecs {
-		matches[i] = Match{Key: ix.keys[i], Score: Cosine(qv, v)}
-	}
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Score != matches[j].Score {
-			return matches[i].Score > matches[j].Score
+	top := make([]Match, 0, k)
+	for i := range ix.vecs {
+		m := Match{Key: ix.keys[i], Score: dot(&qv, &ix.vecs[i])}
+		if len(top) == k && !ranksBefore(m, top[k-1]) {
+			continue
 		}
-		return matches[i].Key < matches[j].Key
-	})
-	if k > len(matches) {
-		k = len(matches)
+		if len(top) < k {
+			top = append(top, Match{})
+		}
+		pos := len(top) - 1
+		for ; pos > 0 && ranksBefore(m, top[pos-1]); pos-- {
+			top[pos] = top[pos-1]
+		}
+		top[pos] = m
 	}
-	return matches[:k]
+	return top
 }
 
-// SearchAbove returns all matches with score >= threshold, sorted by
-// descending score.
-func (ix *Index) SearchAbove(query string, threshold float64) []Match {
-	all := ix.Search(query, ix.Len())
-	cut := sort.Search(len(all), func(i int) bool { return all[i].Score < threshold })
-	return all[:cut]
+// ranksBefore is Search's order: higher score first, then lower key.
+func ranksBefore(a, b Match) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Key < b.Key
 }

@@ -1,7 +1,10 @@
 package embed
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -119,23 +122,6 @@ func TestIndexEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSearchAbove(t *testing.T) {
-	m := NewModel("text-embedding-sim")
-	ix := NewIndex(m)
-	for _, term := range []string{"email address", "email", "advertising partner"} {
-		ix.Add(term, term)
-	}
-	got := ix.SearchAbove("email address", 0.5)
-	for _, g := range got {
-		if g.Score < 0.5 {
-			t.Errorf("SearchAbove returned %v below threshold", g)
-		}
-	}
-	if len(got) == 0 || got[0].Key != "email address" {
-		t.Errorf("SearchAbove top = %v", got)
-	}
-}
-
 func TestSearchDeterministicTies(t *testing.T) {
 	m := NewModel("text-embedding-sim")
 	ix := NewIndex(m)
@@ -144,6 +130,47 @@ func TestSearchDeterministicTies(t *testing.T) {
 	got := ix.Search("zzz", 2)
 	if got[0].Key != "a" || got[1].Key != "b" {
 		t.Errorf("tie break not by key: %v", got)
+	}
+}
+
+// TestSearchMatchesFullSort checks the top-k buffer against a full sort of
+// every match on random indexes whose texts repeat, so scores tie and the
+// key order decides, for every k from 0 to N+1.
+func TestSearchMatchesFullSort(t *testing.T) {
+	m := NewModel("text-embedding-sim")
+	words := []string{"email", "address", "location", "advertising", "partner", "device", "id"}
+	r := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 40; iter++ {
+		ix := NewIndex(m)
+		var all []Match
+		query := words[r.Intn(len(words))] + " " + words[r.Intn(len(words))]
+		for i, n := 0, r.Intn(30); i < n; i++ {
+			key := fmt.Sprintf("k%02d", r.Intn(100))
+			if _, dup := ix.byKey[key]; dup {
+				continue
+			}
+			text := words[r.Intn(3)] + " " + words[r.Intn(len(words))]
+			ix.Add(key, text)
+			all = append(all, Match{Key: key, Score: Cosine(m.Embed(query), m.Embed(text))})
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].Score != all[j].Score {
+				return all[i].Score > all[j].Score
+			}
+			return all[i].Key < all[j].Key
+		})
+		for k := 0; k <= len(all)+1; k++ {
+			want := all[:min(k, len(all))]
+			got := ix.Search(query, k)
+			if len(got) != len(want) {
+				t.Fatalf("iter %d k=%d: %d matches, want %d", iter, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("iter %d k=%d: match %d = %v, want %v", iter, k, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

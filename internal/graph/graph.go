@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Node is a graph vertex.
@@ -92,6 +93,19 @@ func (g *Graph) AddNode(id, kind string) *Node {
 
 // Node returns the node with the given ID, or nil.
 func (g *Graph) Node(id string) *Node { return g.nodes[id] }
+
+// NodeFold returns the node whose ID equals id under Unicode case folding,
+// the smallest such ID when several do, or nil when none does. It is the
+// first match a scan of Nodes() would find, without sorting them.
+func (g *Graph) NodeFold(id string) *Node {
+	var best *Node
+	for nid, n := range g.nodes {
+		if strings.EqualFold(nid, id) && (best == nil || nid < best.ID) {
+			best = n
+		}
+	}
+	return best
+}
 
 // HasNode reports whether the node exists.
 func (g *Graph) HasNode(id string) bool { return g.nodes[id] != nil }

@@ -20,6 +20,21 @@ func TestAddNodeIdempotent(t *testing.T) {
 	}
 }
 
+// TestNodeFold checks the case-insensitive lookup returns the smallest
+// folded match, the node a sorted scan of Nodes() finds first.
+func TestNodeFold(t *testing.T) {
+	g := New()
+	for _, id := range []string{"acme corp", "Acme", "ACME"} {
+		g.AddNode(id, "entity")
+	}
+	if n := g.NodeFold("acme"); n == nil || n.ID != "ACME" {
+		t.Fatalf("NodeFold(acme) = %v, want ACME", n)
+	}
+	if n := g.NodeFold("globex"); n != nil {
+		t.Fatalf("NodeFold(globex) = %v, want no match", n)
+	}
+}
+
 func TestAddEdgeCreatesNodes(t *testing.T) {
 	g := New()
 	g.AddEdge(Edge{From: "user", To: "email", Label: "provide"})

@@ -433,11 +433,9 @@ func (e *Engine) translate(ctx context.Context, term string, record map[string]s
 		return term, nil
 	}
 	// Proper-cased nodes (company name) match case-insensitively.
-	for _, n := range e.KG.ED.Nodes() {
-		if strings.EqualFold(n.ID, term) {
-			record[term] = n.ID
-			return n.ID, nil
-		}
+	if n := e.KG.ED.NodeFold(term); n != nil {
+		record[term] = n.ID
+		return n.ID, nil
 	}
 	k := e.TopK
 	if k <= 0 {

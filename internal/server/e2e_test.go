@@ -306,6 +306,10 @@ func TestE2EErrorContract(t *testing.T) {
 		// Scope numerals past what the script may have open.
 		{"POST", "/v1/solve", map[string]string{"script": "(push 9223372036854775807)"}, http.StatusUnprocessableEntity},
 		{"POST", "/v1/solve", map[string]string{"script": "(pop 9223372036854775807)"}, http.StatusUnprocessableEntity},
+		// A second sort: solved over one domain it would read unsat.
+		{"POST", "/v1/solve", map[string]string{"script": "(declare-sort A 0) (declare-sort B 0)\n" +
+			"(declare-const a A) (declare-const b1 B) (declare-const b2 B)\n" +
+			"(assert (forall ((x A) (y A)) (= x y)))\n(assert (not (= b1 b2)))\n(check-sat)"}, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		var out map[string]any

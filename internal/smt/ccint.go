@@ -165,9 +165,25 @@ func (cc *ccInt) equal(a, b int) bool { return cc.find(a) == cc.find(b) }
 
 // theoryConflict checks the current SAT model for EUF consistency over the
 // interned atoms. It returns a blocking clause on conflict, nil when the
-// model is theory-consistent. The explanation is naive — the entire
-// theory-relevant assignment — matching the exported solver's behavior.
+// model is theory-consistent.
+//
+// Without an equality atom the closure never merges two terms, so two
+// predicate applications are congruent only when they are the same
+// hash-consed atom, which has one SAT variable and so one value: no model
+// can conflict, and the check returns at once. The count is read on every
+// call, because a later assertion or assumption may bring the first
+// equality.
 func (g *groundCore) theoryConflict() []sat.Lit {
+	if g.eqVars == 0 {
+		return nil
+	}
+	return g.closureConflict()
+}
+
+// closureConflict builds the congruence closure of the model's atoms and
+// reports a conflict as a blocking clause. The explanation is naive: the
+// entire theory-relevant assignment.
+func (g *groundCore) closureConflict() []sat.Lit {
 	cc := newCCInt(g.arena)
 	trueN := cc.newLeaf()
 	falseN := cc.newLeaf()

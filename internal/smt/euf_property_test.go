@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/privacy-quagmire/quagmire/internal/fol"
+	"github.com/privacy-quagmire/quagmire/internal/sat"
 )
 
 // The EUF brute-force oracle: a ground conjunction over the fixed term set
@@ -198,4 +199,88 @@ func TestEUFDisjunctionsAgainstBruteForce(t *testing.T) {
 			t.Fatalf("iter %d: solver=%v oracle=%v for %s", iter, res.Status, want, fol.And(f...))
 		}
 	}
+}
+
+// randomGroundClauses builds a random ground clause set over the
+// predicates p/1 and r/2 and the terms a, b, c and, when withFuncs is set,
+// f(a), f(b) and f(f(a)). It contains no equality.
+func randomGroundClauses(r *rand.Rand, withFuncs bool) []*fol.Formula {
+	terms := []fol.Term{fol.Const("a"), fol.Const("b"), fol.Const("c")}
+	if withFuncs {
+		fa := fol.App("f", fol.Const("a"))
+		terms = append(terms, fa, fol.App("f", fol.Const("b")), fol.App("f", fa))
+	}
+	term := func() fol.Term { return terms[r.Intn(len(terms))] }
+	var out []*fol.Formula
+	for i := 1 + r.Intn(8); i > 0; i-- {
+		var disj []*fol.Formula
+		for k := 1 + r.Intn(3); k > 0; k-- {
+			var atom *fol.Formula
+			if r.Intn(2) == 0 {
+				atom = fol.Pred("p", term())
+			} else {
+				atom = fol.Pred("r", term(), term())
+			}
+			if r.Intn(2) == 0 {
+				atom = fol.Not(atom)
+			}
+			disj = append(disj, atom)
+		}
+		out = append(out, fol.Or(disj...))
+	}
+	return out
+}
+
+// closureConflicts feeds the clauses to a fresh ground core, solves it
+// under random assumptions over its atoms and counts the SAT models on
+// which the full congruence closure finds a conflict.
+func closureConflicts(t *testing.T, r *rand.Rand, clauses []*fol.Formula) int {
+	t.Helper()
+	g := newGroundCore(FullGrounding)
+	for _, c := range clauses {
+		if err := g.addFormula(c, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conflicts := 0
+	for round := 0; round < 8; round++ {
+		var assume []sat.Lit
+		for v := 1; v <= g.nextVar; v++ {
+			switch r.Intn(3) {
+			case 0:
+				assume = append(assume, sat.Lit(v))
+			case 1:
+				assume = append(assume, sat.Lit(v).Neg())
+			}
+		}
+		if g.core.Solve(assume...) != sat.Sat {
+			continue
+		}
+		if g.closureConflict() != nil {
+			conflicts++
+		}
+	}
+	return conflicts
+}
+
+// TestEqualityFreeModelsNeverConflict is the property behind
+// theoryConflict's early return: on ground problems without an equality,
+// with or without function terms, the full congruence closure finds no
+// conflict in any model the SAT core returns. The control run adds one
+// equality atom and must find conflicts, so the property is not vacuous.
+func TestEqualityFreeModelsNeverConflict(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	control := 0
+	for iter := 0; iter < 300; iter++ {
+		clauses := randomGroundClauses(r, iter%2 == 1)
+		if n := closureConflicts(t, r, clauses); n != 0 {
+			t.Fatalf("iter %d: %d equality-free models conflict: %v", iter, n, clauses)
+		}
+		eq := fol.Eq(fol.Const("a"), fol.Const("b"))
+		control += closureConflicts(t, r, append(clauses, eq))
+	}
+	if control == 0 {
+		t.Fatal("control: no model conflicted once a = b was asserted")
+	}
+	t.Logf("control: %d models conflicted once a = b was asserted", control)
 }

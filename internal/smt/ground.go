@@ -63,6 +63,9 @@ type groundCore struct {
 	nextVar int
 	atomVar []int        // AtomID -> sat var (0 = unmapped)
 	varAtom []fol.AtomID // sat var -> AtomID (-1 for selector vars)
+	// eqVars counts the SAT variables mapped to equality atoms; while it
+	// is 0 no model can be theory-inconsistent (see theoryConflict).
+	eqVars int
 
 	quant      []qClause
 	universe   []fol.TermID
@@ -132,6 +135,9 @@ func (g *groundCore) satVarOf(a fol.AtomID) sat.Lit {
 		g.varAtom = append(g.varAtom, -1)
 	}
 	g.varAtom[g.nextVar] = a
+	if g.arena.AtomEq(a) {
+		g.eqVars++
+	}
 	return sat.Lit(g.nextVar)
 }
 

@@ -195,3 +195,36 @@ func TestSatStepBudgetIsPerSolve(t *testing.T) {
 		}
 	}
 }
+
+// TestTheoryCheckFollowsLaterEqualities pins that the congruence closure's
+// skip on equality-free cores is decided per check, not once per core: an
+// equality asserted in a later scope, or assumed by a later check, must
+// still be checked against p(a) ∧ ¬p(b).
+func TestTheoryCheckFollowsLaterEqualities(t *testing.T) {
+	a, b := fol.Const("a"), fol.Const("b")
+	base := func() *Solver {
+		s := NewSolver()
+		s.Assert(fol.Pred("p", a))
+		s.Assert(fol.Not(fol.Pred("p", b)))
+		if res := s.CheckSat(); res.Status != Sat {
+			t.Fatalf("base: want Sat, got %v (%s)", res.Status, res.Reason)
+		}
+		return s
+	}
+
+	s := base()
+	s.Push()
+	s.Assert(fol.Eq(a, b))
+	if res := s.CheckSat(); res.Status != Unsat {
+		t.Errorf("after (push 1)(assert (= a b)): want Unsat, got %v (%s)", res.Status, res.Reason)
+	}
+	s.Pop()
+	if res := s.CheckSat(); res.Status != Sat {
+		t.Errorf("after (pop 1): want Sat, got %v (%s)", res.Status, res.Reason)
+	}
+
+	s = base()
+	if res := s.CheckSatAssuming(fol.Eq(a, b)); res.Status != Unsat {
+		t.Errorf("assuming a = b: want Unsat, got %v (%s)", res.Status, res.Reason)
+	}
+}

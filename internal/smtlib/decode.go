@@ -12,7 +12,8 @@ import (
 type Problem struct {
 	// Logic is the declared logic, if any.
 	Logic string
-	// Sorts lists declared sort names.
+	// Sorts lists the declared sort names; DecodeScript accepts at most
+	// one.
 	Sorts []string
 	// Consts lists declared constants (arity-0 U-valued functions).
 	Consts []string
@@ -58,7 +59,9 @@ type Command struct {
 // DecodeScript parses an SMT-LIB script and reconstructs the corresponding
 // Problem. Only the command subset CompileQuery emits is understood; other
 // commands are ignored. As in the standard, popping more scopes than are
-// open is an error, and so is opening more than MaxScopeDepth.
+// open is an error, and so is opening more than MaxScopeDepth. A script
+// may use one declared sort, plus Bool as the result sort of a
+// declaration; any other sort is an error.
 func DecodeScript(src string) (*Problem, error) {
 	cmds, err := Parse(src)
 	if err != nil {
@@ -104,24 +107,35 @@ func DecodeScript(src string) (*Problem, error) {
 			if len(cmd.List) < 2 {
 				return nil, fmt.Errorf("smtlib: malformed declare-sort")
 			}
-			p.Sorts = append(p.Sorts, cmd.List[1].Atom)
-		case "declare-const":
-			if len(cmd.List) != 3 {
-				return nil, fmt.Errorf("smtlib: malformed declare-const")
+			if len(p.Sorts) > 0 {
+				return nil, fmt.Errorf("smtlib: declare-sort %s: %s is already declared and only one uninterpreted sort is supported", cmd.List[1], p.Sorts[0])
 			}
-			p.Consts = append(p.Consts, cmd.List[1].Atom)
-		case "declare-fun":
-			if len(cmd.List) != 4 || cmd.List[2].IsAtom() {
-				return nil, fmt.Errorf("smtlib: malformed declare-fun")
+			p.Sorts = append(p.Sorts, cmd.List[1].Atom)
+		case "declare-const", "declare-fun":
+			// (declare-const c S) is (declare-fun c () S).
+			var domain []*SExpr
+			switch {
+			case cmd.Head() == "declare-const" && len(cmd.List) == 3:
+			case cmd.Head() == "declare-fun" && len(cmd.List) == 4 && !cmd.List[2].IsAtom():
+				domain = cmd.List[2].List
+			default:
+				return nil, fmt.Errorf("smtlib: malformed %s", cmd.Head())
 			}
 			name := cmd.List[1].Atom
-			arity := len(cmd.List[2].List)
-			if cmd.List[3].Atom == "Bool" {
-				p.Preds[name] = arity
-			} else if arity == 0 {
+			result := cmd.List[len(cmd.List)-1]
+			err := p.checkSort(result, true)
+			for i := 0; err == nil && i < len(domain); i++ {
+				err = p.checkSort(domain[i], false)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("smtlib: %s %s: %v", cmd.Head(), cmd.List[1], err)
+			}
+			if result.Atom == "Bool" {
+				p.Preds[name] = len(domain)
+			} else if len(domain) == 0 {
 				p.Consts = append(p.Consts, name)
 			} else {
-				p.Funcs[name] = arity
+				p.Funcs[name] = len(domain)
 			}
 		case "assert":
 			if len(cmd.List) != 2 {
@@ -166,6 +180,24 @@ func scopeLevels(cmd *SExpr) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("smtlib: malformed %s", cmd.Head())
+}
+
+// checkSort accepts the script's one declared sort, and Bool as the result
+// sort of a declaration (result set). The solver has one domain, so a
+// script with any other sort, theory sorts such as Int included, would be
+// answered as if it had one; it is refused instead. Callers prefix the
+// error with the declaration or binder.
+func (p *Problem) checkSort(s *SExpr, result bool) error {
+	switch {
+	case s.IsAtom() && s.Atom == "Bool":
+		if result {
+			return nil
+		}
+		return fmt.Errorf("sort Bool is supported only as a result sort")
+	case s.IsAtom() && len(p.Sorts) > 0 && s.Atom == p.Sorts[0]:
+		return nil
+	}
+	return fmt.Errorf("sort %s is not declared", s)
 }
 
 // assumptions decodes the literal list of (check-sat-assuming (l...)):
@@ -298,6 +330,9 @@ func (p *Problem) toFormula(e *SExpr, vars map[string]bool) (*fol.Formula, error
 		for i, b := range binders {
 			if b.IsAtom() || len(b.List) != 2 {
 				return nil, fmt.Errorf("smtlib: malformed binder")
+			}
+			if err := p.checkSort(b.List[1], false); err != nil {
+				return nil, fmt.Errorf("smtlib: %s binder %s: %v", head, b.List[0], err)
 			}
 			names[i] = b.List[0].Atom
 			vars[names[i]] = true

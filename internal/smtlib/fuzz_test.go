@@ -40,12 +40,27 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzDecodeScript checks the script decoder never panics on arbitrary
-// input.
+// input and accepts no script that declares more than one sort.
 func FuzzDecodeScript(f *testing.F) {
 	f.Add("(declare-fun p () Bool)(assert p)(check-sat)")
 	f.Add("(declare-sort U 0)(declare-const a U)(assert (= a a))")
 	f.Add("(assert (forall ((x U)) x))")
+	f.Add(twoSortScript)
+	f.Add("(declare-sort A 0)(declare-sort B 0)(declare-fun p (A) Bool)(declare-const b B)(assert (p b))(check-sat)")
+	f.Add("(declare-sort A 0)(declare-const a A)(declare-sort A 0)(check-sat)")
 	f.Fuzz(func(t *testing.T, src string) {
-		_, _ = DecodeScript(src)
+		if _, err := DecodeScript(src); err != nil {
+			return
+		}
+		cmds, _ := Parse(src)
+		sorts := 0
+		for _, c := range cmds {
+			if !c.IsAtom() && len(c.List) > 0 && c.Head() == "declare-sort" {
+				sorts++
+			}
+		}
+		if sorts > 1 {
+			t.Fatalf("accepted a script declaring %d sorts: %q", sorts, src)
+		}
 	})
 }

@@ -291,12 +291,50 @@ func TestDecodeBooleanEquality(t *testing.T) {
 func TestDecodeErrors(t *testing.T) {
 	for _, src := range []string{
 		`(assert undeclared)`,
-		`(declare-fun p (U) Bool)(assert (p a))`, // undeclared constant a
-		`(declare-fun p () Bool)(assert (p x))`,  // arity mismatch
+		`(declare-sort U 0)(declare-fun p (U) Bool)(assert (p a))`, // undeclared constant a
+		`(declare-fun p () Bool)(assert (p x))`,                    // arity mismatch
 	} {
 		if _, err := DecodeScript(src); err == nil {
 			t.Errorf("DecodeScript(%q) should fail", src)
 		}
+	}
+}
+
+// twoSortScript is satisfiable (A has one element, B two), but solved over
+// one domain it reads unsat; the decoder must refuse it.
+const twoSortScript = `(declare-sort A 0) (declare-sort B 0)
+(declare-const a A) (declare-const b1 B) (declare-const b2 B)
+(assert (forall ((x A) (y A)) (= x y)))
+(assert (not (= b1 b2)))
+(check-sat)`
+
+// TestDecodeRefusesSorts checks that a script may use one declared sort
+// plus Bool, and that each refusal names its construct.
+func TestDecodeRefusesSorts(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{twoSortScript, "declare-sort B"},
+		{`(declare-const a U)`, "declare-const a: sort U is not declared"},
+		{`(declare-const n Int)`, "declare-const n: sort Int is not declared"},
+		{`(declare-sort U 0)(declare-fun f (U) Real)`, "declare-fun f: sort Real is not declared"},
+		{`(declare-sort U 0)(declare-fun p ((_ BitVec 8)) Bool)`, "declare-fun p: sort (_ BitVec 8) is not declared"},
+		{`(declare-sort U 0)(declare-fun p (Bool) Bool)`, "declare-fun p: sort Bool is supported only as a result sort"},
+		{`(declare-sort U 0)(declare-fun p (U) Bool)(assert (forall ((x U) (y V)) (p x)))`, "forall binder y: sort V is not declared"},
+		{`(declare-sort U 0)(assert (exists ((x Bool)) true))`, "exists binder x: sort Bool"},
+	} {
+		_, err := DecodeScript(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("DecodeScript(%q) = %v, want an error naming %q", c.src, err, c.want)
+		}
+	}
+
+	p, err := DecodeScript(`(declare-sort U 0)(declare-const a U)(declare-const p Bool)
+(declare-fun f (U) U)(declare-fun r (U U) Bool)
+(assert (and p (forall ((x U)) (r x (f a)))))(check-sat)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Preds["p"] != 0 || p.Preds["r"] != 2 || p.Funcs["f"] != 1 || len(p.Consts) != 1 {
+		t.Errorf("declarations decoded to preds %v, funcs %v, consts %v", p.Preds, p.Funcs, p.Consts)
 	}
 }
 
@@ -371,7 +409,8 @@ func TestDecodeDistinct(t *testing.T) {
 			t.Errorf("distinct clause = %s", s)
 		}
 	}
-	if _, err := DecodeScript(`(declare-const a U)(assert (distinct a))`); err == nil {
-		t.Error("unary distinct should fail")
+	_, err = DecodeScript(`(declare-sort U 0)(declare-const a U)(assert (distinct a))`)
+	if err == nil || !strings.Contains(err.Error(), "distinct") {
+		t.Errorf("unary distinct should fail on distinct, got %v", err)
 	}
 }
