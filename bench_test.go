@@ -295,11 +295,11 @@ func BenchmarkWholePolicyEncoding(b *testing.B) {
 	}
 }
 
-// A4 — ablation: full grounding vs trigger-based (E-matching) quantifier
-// instantiation on the pipeline encoding shape.
+// A4 — ablation: full grounding vs trigger-based (E-matching) vs the
+// served relevant grounding on the pipeline encoding shape.
 func BenchmarkAblationInstStrategy(b *testing.B) {
 	limits := smt.Limits{MaxInstantiations: 20000, MaxSatSteps: 2_000_000, MaxRounds: 2}
-	for _, strategy := range []smt.InstStrategy{smt.FullGrounding, smt.TriggerBased} {
+	for _, strategy := range []smt.InstStrategy{smt.FullGrounding, smt.TriggerBased, smt.RelevantGrounding} {
 		b.Run(strategy.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rows := experiments.SMTSweepStrategy([]int{50}, limits, strategy)

@@ -278,8 +278,9 @@ func TestSMTLIBValidityBothPolicies(t *testing.T) {
 // TestEncodingComparison pins E21's §4.4 reproduction rows: with the
 // paper's transitivity axiom under full grounding, TikTak's whole-policy
 // question and MetaBook's subgraph question stop at the instantiation
-// budget; the served closure-facts encoding decides both, and triggers
-// (ablation A4) never claim sat on quantified input.
+// budget; so does MetaBook's whole-policy question with closure facts
+// under full grounding. The served encoding and strategy decide all of
+// them, and triggers (ablation A4) never claim sat on quantified input.
 func TestEncodingComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus-scale experiment")
@@ -314,12 +315,15 @@ func TestEncodingComparison(t *testing.T) {
 	if paper := find(whole, "TikTak", "paper axioms, full grounding"); served.Instantiations >= paper.Instantiations {
 		t.Errorf("TikTak whole-policy: closure facts ground %d instances, paper axioms %d", served.Instantiations, paper.Instantiations)
 	}
+	check(find(whole, "MetaBook", "closure facts, full grounding"), query.Unknown, budget)
+	check(find(whole, "MetaBook", "closure facts (served)"), query.Valid, "")
 
 	sub, err := EncodingComparison(ctx, false, smt.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(find(sub, "MetaBook", "paper axioms, full grounding"), query.Unknown, budget)
+	check(find(sub, "MetaBook", "closure facts, full grounding"), query.Valid, "")
 	check(find(sub, "MetaBook", "closure facts (served)"), query.Valid, "")
 	check(find(sub, "TikTak", "closure facts (served)"), query.Invalid, "")
 	if RenderEncodings(sub) == "" {

@@ -44,7 +44,8 @@ func SMTSweep(edgeCounts []int, limits smt.Limits) []SMTRow {
 }
 
 // SMTSweepStrategy is SMTSweep with an explicit instantiation strategy
-// (ablation A4: full grounding vs trigger-based E-matching).
+// (ablation A4: full grounding vs trigger-based E-matching vs the served
+// relevant grounding).
 func SMTSweepStrategy(edgeCounts []int, limits smt.Limits, strategy smt.InstStrategy) []SMTRow {
 	var rows []SMTRow
 	for _, n := range edgeCounts {

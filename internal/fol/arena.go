@@ -240,8 +240,8 @@ func (a *Arena) atomHash(pred Sym, eq bool, args []TermID) uint64 {
 	return h
 }
 
-func (a *Arena) internAtomNode(pred Sym, eq, uninterpreted bool, args []TermID) AtomID {
-	h := a.atomHash(pred, eq, args)
+// findAtom returns the interned atom with the given hash and structure.
+func (a *Arena) findAtom(h uint64, pred Sym, eq bool, args []TermID) (AtomID, bool) {
 	for _, cand := range a.atomTable[h] {
 		n := &a.atoms[cand]
 		if n.pred != pred || n.eq != eq || len(n.args) != len(args) {
@@ -255,8 +255,16 @@ func (a *Arena) internAtomNode(pred Sym, eq, uninterpreted bool, args []TermID) 
 			}
 		}
 		if same {
-			return cand
+			return cand, true
 		}
+	}
+	return 0, false
+}
+
+func (a *Arena) internAtomNode(pred Sym, eq, uninterpreted bool, args []TermID) AtomID {
+	h := a.atomHash(pred, eq, args)
+	if id, ok := a.findAtom(h, pred, eq, args); ok {
+		return id
 	}
 	ground := true
 	var owned []TermID
@@ -278,6 +286,13 @@ func (a *Arena) internAtomNode(pred Sym, eq, uninterpreted bool, args []TermID) 
 // InternPred interns a predicate atom by symbol and argument IDs.
 func (a *Arena) InternPred(pred Sym, uninterpreted bool, args []TermID) AtomID {
 	return a.internAtomNode(pred, false, uninterpreted, args)
+}
+
+// LookupPred returns the predicate atom with the given symbol and argument
+// IDs when it is already interned. Unlike InternPred it never adds one, so
+// a caller can ask about an atom it may not keep.
+func (a *Arena) LookupPred(pred Sym, args []TermID) (AtomID, bool) {
+	return a.findAtom(a.atomHash(pred, false, args), pred, false, args)
 }
 
 // InternEq interns an equality atom between two term IDs.

@@ -155,3 +155,99 @@ func TestClosureFactsMatchPaperEncoding(t *testing.T) {
 		t.Errorf("closure facts ground %d instances, paper encoding %d: the axiom did not go", servedInst, paperInst)
 	}
 }
+
+// replay solves a decoded script's commands on one solver under the
+// strategy, as smt.RunScript solves them under the default.
+func replay(prob *smtlib.Problem, strategy smt.InstStrategy, lim smt.Limits) []smt.Result {
+	s := smt.NewSolver()
+	s.Limits = lim
+	s.Strategy = strategy
+	var out []smt.Result
+	for _, cmd := range prob.Commands {
+		switch cmd.Kind {
+		case smtlib.CmdAssert:
+			s.Assert(cmd.Formula)
+		case smtlib.CmdPush:
+			for i := 0; i < cmd.Levels; i++ {
+				s.Push()
+			}
+		case smtlib.CmdPop:
+			for i := 0; i < cmd.Levels; i++ {
+				s.Pop()
+			}
+		case smtlib.CmdCheckSat:
+			out = append(out, s.CheckSatAssuming(cmd.Assume...))
+		}
+	}
+	return out
+}
+
+// TestRelevantGroundingMatchesFullOnGrid is the differential test for the
+// default strategy's skip rule on the pipeline's own scripts. Over the
+// question grid of 50 corpus policies plus the contradiction fixture, the
+// commands decoded from each compiled script equal those parsed from its
+// text, and every check (main, assuming the placeholders, policy alone)
+// answers with the same status, reason and model under the default
+// strategy as under FullGrounding; only the instances differ.
+func TestRelevantGroundingMatchesFullOnGrid(t *testing.T) {
+	ctx := context.Background()
+	engines := append(corpusEngines(t, 50, 13), engineFor(t, contradictionPolicy))
+	asked, fullInst, relevantInst := 0, 0, 0
+	for i, e := range engines {
+		questions := fixtureQuestions
+		if i < len(engines)-1 {
+			questions = questionGrid(engines[:len(engines)-1], i, 3)
+		}
+		for _, text := range questions {
+			p, err := e.parseQuery(ctx, text)
+			if err != nil {
+				continue // the extractor found no flow
+			}
+			res, err := e.AskParams(ctx, p)
+			if err != nil {
+				t.Fatalf("%q: %v", text, err)
+			}
+			q, err := e.resolve(ctx, p, map[string]string{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := e.encode(q, q.edges, askGoals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if enc.script != res.Script {
+				t.Fatalf("%q: re-encoded script differs from the served one", text)
+			}
+			compiled, err := smtlib.Decode(enc.compiled.Commands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed, err := smtlib.DecodeScript(enc.script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(compiled, parsed) {
+				t.Fatalf("%q: the compiled script's commands decode unlike its text", text)
+			}
+			full := replay(parsed, smt.FullGrounding, e.Limits)
+			relevant := replay(compiled, smt.RelevantGrounding, e.Limits)
+			for c := range full {
+				f, r := full[c], relevant[c]
+				if f.Status != r.Status || f.Reason != r.Reason || !reflect.DeepEqual(f.Model, r.Model) {
+					t.Errorf("policy %d %q check %d: relevant %v %q %v, full %v %q %v",
+						i, text, c, r.Status, r.Reason, r.Model, f.Status, f.Reason, f.Model)
+				}
+			}
+			if relevant[0].Status != res.SMT.Status {
+				t.Errorf("%q: replayed main check %v, served %v", text, relevant[0].Status, res.SMT.Status)
+			}
+			asked++
+			fullInst += full[0].Stats.Instantiations
+			relevantInst += relevant[0].Stats.Instantiations
+		}
+	}
+	t.Logf("%d questions: main-check instances full %d, relevant %d", asked, fullInst, relevantInst)
+	if asked < 5*len(engines) {
+		t.Errorf("only %d questions asked", asked)
+	}
+}

@@ -302,42 +302,30 @@ func scenario(placeholders []string, mask int) []*fol.Formula {
 }
 
 // encoding is a question's encoded parts and the script compiled from
-// them.
+// them, with its text.
 type encoding struct {
 	policy, negGoal *fol.Formula
 	placeholders    []string
+	compiled        *smtlib.Script
 	script          string
+	checks          int // the script's check commands
 }
 
-// check encodes the question over edges (buildParts, then simplification
-// when the engine simplifies), compiles the goal checks goals lists into
-// one script with the policy-alone check last, and runs it on one ground
-// core through the engine's result cache: one result per check. The
-// context is checked before and after encoding, which does not poll it,
-// so a done context runs nothing and a cached verdict never outlives its
-// caller's deadline; once solving, RunScriptCachedCtx returns when the
-// context ends.
+// check encodes the question (see encode) and runs the compiled script on
+// one ground core through the engine's result cache: one result per
+// check. The context is checked before and after encoding, which does not
+// poll it, so a done context runs nothing and a cached verdict never
+// outlives its caller's deadline; once solving, RunScriptCachedCtx returns
+// when the context ends.
 func (e *Engine) check(ctx context.Context, q *resolved, edges []*graph.Edge, goals goalsFunc) (*encoding, []smt.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	stopCompile := e.phaseTimer("compile")
-	policy, goal, placeholders := e.buildParts(edges, q.actor, q.action, q.data, q.other)
-	negGoal := fol.Not(goal)
-	if e.SimplifyFOL {
-		policy, negGoal = fol.Simplify(policy), fol.Simplify(negGoal)
-	}
-	checks, err := goals(placeholders)
+	enc, err := e.encode(q, edges, goals)
 	if err != nil {
 		return nil, nil, err
 	}
-	script, err := smtlib.CompileQuery(policy, negGoal, checks, smtlib.CompileOptions{
-		Comment: "privacy query verification",
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("query: compile: %w", err)
-	}
-	enc := &encoding{policy, negGoal, placeholders, script.String()}
 	stopCompile()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -345,15 +333,40 @@ func (e *Engine) check(ctx context.Context, q *resolved, edges []*graph.Edge, go
 
 	stopSolve := e.phaseTimer("solve")
 	defer stopSolve()
-	results, err := smt.RunScriptCachedCtx(ctx, e.Cache, enc.script, e.Limits)
+	results, err := smt.RunScriptCachedCtx(ctx, e.Cache, enc.compiled, enc.script, e.Limits)
 	if err != nil {
 		return nil, nil, fmt.Errorf("query: solve: %w", err)
 	}
-	if want := len(checks) + 1; len(results) != want {
-		return nil, nil, fmt.Errorf("query: solve: script gave %d results, want %d", len(results), want)
+	if len(results) != enc.checks {
+		return nil, nil, fmt.Errorf("query: solve: script gave %d results, want %d", len(results), enc.checks)
 	}
 	e.observeSolve(results)
 	return enc, results, nil
+}
+
+// encode encodes the question over edges (buildParts, then simplification
+// when the engine simplifies) and compiles the goal checks goals lists
+// into one script with the policy-alone check last.
+func (e *Engine) encode(q *resolved, edges []*graph.Edge, goals goalsFunc) (*encoding, error) {
+	policy, goal, placeholders := e.buildParts(edges, q.actor, q.action, q.data, q.other)
+	negGoal := fol.Not(goal)
+	if e.SimplifyFOL {
+		policy, negGoal = fol.Simplify(policy), fol.Simplify(negGoal)
+	}
+	checks, err := goals(placeholders)
+	if err != nil {
+		return nil, err
+	}
+	script, err := smtlib.CompileQuery(policy, negGoal, checks, smtlib.CompileOptions{
+		Comment: "privacy query verification",
+	})
+	if err != nil {
+		return nil, fmt.Errorf("query: compile: %w", err)
+	}
+	return &encoding{
+		policy: policy, negGoal: negGoal, placeholders: placeholders,
+		compiled: script, script: script.String(), checks: len(checks) + 1,
+	}, nil
 }
 
 // Decide is the one rule from a question's check results to its verdict.

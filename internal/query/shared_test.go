@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,41 +14,55 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/smt"
 )
 
-// deadlineProbe runs one path on a warmed engine under a 100 ms deadline
-// and requires it to stop there: an error wrapping
-// context.DeadlineExceeded within 1.5× the deadline. A machine fast
-// enough to finish before the deadline, with an answer or a refusal,
-// passes trivially.
+// deadlineProbe checks that one path on a warmed engine stops at its
+// deadline on any host. It first times the path without one: after a
+// warm-up run, the fastest of three runs, each stopped at a 400 ms
+// ceiling. A path that finishes in under 20 ms is too short to probe, and
+// the test fails: give it a larger input. Then it runs the
+// path under two thirds of that time and requires an error wrapping
+// context.DeadlineExceeded within 1.5× the deadline, so no later than the
+// fastest untimed run finished.
 func deadlineProbe(t *testing.T, e *Engine, question string, path func(context.Context, llm.ParamSet) error) {
 	t.Helper()
-	const deadline = 100 * time.Millisecond
+	const ceiling, shortest = 400 * time.Millisecond, 20 * time.Millisecond
 	e.Warm()
 	p, err := e.parseQuery(context.Background(), question)
 	if err != nil {
 		t.Fatal(err)
 	}
+	untimed := ceiling
+	for i := 0; i < 4; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), ceiling)
+		start := time.Now()
+		_ = path(ctx, p) // an answer, a refusal or the ceiling: only the time counts
+		elapsed := time.Since(start)
+		cancel()
+		if i > 0 { // the first run warms the path up
+			untimed = min(untimed, elapsed)
+		}
+	}
+	if untimed < shortest {
+		t.Fatalf("the path finishes in %v without a deadline, too fast to probe one", untimed)
+	}
+	deadline := untimed * 2 / 3
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
 	err = path(ctx, p)
 	elapsed := time.Since(start)
-	if elapsed < deadline && !errors.Is(err, context.DeadlineExceeded) {
-		t.Logf("finished in %v, before the deadline (err = %v)", elapsed, err)
-		return
-	}
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("after %v: err = %v, want context.DeadlineExceeded", elapsed, err)
+		t.Fatalf("after %v under a %v deadline: err = %v, want context.DeadlineExceeded", elapsed, deadline, err)
 	}
 	if elapsed > deadline*3/2 {
-		t.Errorf("stopped after %v, want within %v of a %v deadline", elapsed, deadline*3/2, deadline)
+		t.Errorf("stopped after %v, want within %v of a %v deadline (untimed %v)", elapsed, deadline*3/2, deadline, untimed)
 	}
-	t.Logf("stopped after %v", elapsed)
+	t.Logf("untimed %v; stopped after %v under a %v deadline", untimed, elapsed, deadline)
 }
 
-// TestExplainStopsAtDeadline: MetaBook's whole-policy question runs into
-// the instantiation budget after several hundred milliseconds; under a
-// 100 ms deadline Explain stops at the deadline and says so, instead of
-// solving on and blaming the budget.
+// TestExplainStopsAtDeadline: MetaBook's whole-policy question is VALID,
+// and Explain shrinks its evidence by deletion, one whole-policy solve per
+// edge, for far longer than the probe's ceiling; under a deadline Explain
+// stops there and says so, instead of solving on.
 func TestExplainStopsAtDeadline(t *testing.T) {
 	e := engineFor(t, corpus.MetaBook())
 	e.WholePolicy = true
@@ -60,28 +72,39 @@ func TestExplainStopsAtDeadline(t *testing.T) {
 	})
 }
 
-// TestExploreStopsAtDeadline: a generated policy whose whole-policy
-// question has six vague conditions, the exploration cap, and grounds for
-// a few hundred milliseconds; under a 100 ms deadline Explore stops at
-// the deadline.
+// TestExploreStopsAtDeadline: MetaBook's whole-policy question, with every
+// condition but six cleared from the graph's edges, so that it has six
+// vague conditions, the exploration cap. One exploration of its 3,700
+// edges takes tens of milliseconds, a span this host's scheduling noise
+// can double; the path explores it six times over, so the probe's margin
+// of a third of the untimed time is far wider than that noise. Each
+// exploration checks its context before and after encoding and returns
+// as soon as it ends while solving.
 func TestExploreStopsAtDeadline(t *testing.T) {
-	dir := t.TempDir()
-	names, err := corpus.WriteCorpus(dir, 15, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := os.ReadFile(filepath.Join(dir, names[14]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engineFor(t, string(text))
+	e := engineFor(t, corpus.MetaBook())
 	e.WholePolicy = true
-	deadlineProbe(t, e, "Does FableWorks14 obtain my verified tax identification number?", func(ctx context.Context, p llm.ParamSet) error {
-		exp, err := e.ExploreConditions(ctx, p)
-		if err == nil && len(exp.Placeholders) != MaxExplorePlaceholders {
-			t.Errorf("explored %d placeholders, want %d", len(exp.Placeholders), MaxExplorePlaceholders)
+	kept := map[string]bool{}
+	for _, ed := range e.KG.ED.Edges() {
+		if ed.Condition == "" || kept[ed.Condition] {
+			continue
 		}
-		return err
+		if len(kept) < MaxExplorePlaceholders {
+			kept[ed.Condition] = true
+		} else {
+			ed.Condition = ""
+		}
+	}
+	deadlineProbe(t, e, "Does MetaBook collect my payment information?", func(ctx context.Context, p llm.ParamSet) error {
+		for i := 0; i < 6; i++ {
+			exp, err := e.ExploreConditions(ctx, p)
+			if err != nil {
+				return err
+			}
+			if len(exp.Placeholders) != MaxExplorePlaceholders {
+				t.Errorf("explored %d placeholders, want %d", len(exp.Placeholders), MaxExplorePlaceholders)
+			}
+		}
+		return nil
 	})
 }
 

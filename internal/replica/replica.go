@@ -344,22 +344,23 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 }
 
 // rebootstrap replaces the local store wholesale after the primary
-// refused our watermark with 410: close the current store, install a fresh
+// refused our watermark with 410: close the current store without
+// snapshotting it (the new snapshot replaces it anyway), install a fresh
 // snapshot, reopen, and tell the serving layer to rebuild. Reads hitting
 // the brief closed window fail with ErrClosed and retry; durability is
-// never at risk (the old snapshot stays in place until the validated new
-// one renames over it).
+// never at risk (the old snapshot and WAL stay in place until the
+// validated new snapshot renames over them).
 func (f *Follower) rebootstrap(ctx context.Context) error {
 	f.logf("replica: primary answered 410 Gone for watermark %d; re-bootstrapping", f.Seq())
 	f.mu.RLock()
 	d := f.disk
 	f.mu.RUnlock()
-	if err := d.Close(); err != nil && !errors.Is(err, store.ErrClosed) {
+	if err := d.CloseWithoutSnapshot(); err != nil && !errors.Is(err, store.ErrClosed) {
 		return fmt.Errorf("replica: close before re-bootstrap: %w", err)
 	}
 	if err := f.bootstrap(ctx); err != nil {
-		// The old store is closed and the old snapshot still on disk; reopen
-		// it so reads keep serving the stale-but-consistent state.
+		// The old store is closed, its snapshot and WAL still on disk;
+		// reopen it so reads keep serving the stale-but-consistent state.
 		if reopened, rerr := store.OpenDisk(f.opts.Dir, f.opts.Store); rerr == nil {
 			f.swap(reopened)
 		}

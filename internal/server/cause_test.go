@@ -44,14 +44,14 @@ func TestQueryReportsContradictionCause(t *testing.T) {
 }
 
 // TestUnknownReportsBudgetCause: under a one-instantiation budget the
-// solver gives up on a question it would answer INVALID, and /query,
-// verify-batch and the corpus sweep row all name the budget that stopped
-// it, while a decided verdict carries no cause. /v1/solve solves with the
-// same limits, so replaying the /query script there returns the statuses
-// the verdict came from.
+// solver gives up on a question it would answer VALID, whose refutation
+// needs two instances, and /query, verify-batch and the corpus sweep row
+// all name the budget that stopped it, while a decided verdict carries no
+// cause. /v1/solve solves with the same limits, so replaying the /query
+// script there returns the statuses the verdict came from.
 func TestUnknownReportsBudgetCause(t *testing.T) {
 	const budget = "model found but quantifier instantiation incomplete"
-	const q = "Does Acme sell my personal information?"
+	const q = "Does Acme share my email address with advertising partners?"
 	p, err := core.New(core.Options{Limits: smt.Limits{MaxInstantiations: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestUnknownReportsBudgetCause(t *testing.T) {
 	id2 := createNamed(t, ts2, "mini", corpus.Mini())
 	var decided queryResponse
 	doJSON(t, "POST", ts2.URL+"/v1/policies/"+id2+"/query", map[string]string{"question": q}, &decided)
-	if decided.Verdict != query.Invalid || decided.Cause != "" {
-		t.Errorf("default budget: verdict %s, cause %q; want INVALID with no cause", decided.Verdict, decided.Cause)
+	if decided.Verdict != query.Valid || decided.Cause != "" {
+		t.Errorf("default budget: verdict %s, cause %q; want VALID with no cause", decided.Verdict, decided.Cause)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"github.com/privacy-quagmire/quagmire/internal/smtlib"
 )
 
 // ResultCache memoizes RunScript outcomes — one Result per check of the
@@ -224,21 +226,26 @@ func (c *ResultCache) waitersOf(key string) int {
 	return 0
 }
 
-// RunScriptCachedCtx is RunScriptCtx memoized by script + limits. A nil
+// RunScriptCachedCtx runs a compiled script as RunScriptCtx runs its text,
+// memoized by that text (src, which must be script.String()) + limits. A
+// fresh solve decodes the script's commands and never parses src. A nil
 // cache degrades to a plain run. A cancelled run is returned as an error
 // (never cached), so a later lookup with a live context re-solves.
 // Decoding and clausifying a large script do not poll the context, so a
 // fresh solve runs on its own goroutine and the caller returns as soon as
 // ctx ends, no longer reading res or err; the abandoned solve stops at its
 // next poll.
-func RunScriptCachedCtx(ctx context.Context, c *ResultCache, src string, limits Limits) ([]Result, error) {
+func RunScriptCachedCtx(ctx context.Context, c *ResultCache, script *smtlib.Script, src string, limits Limits) ([]Result, error) {
 	return c.MemoCtx(ctx, CacheKey(src, limits), func() ([]Result, error) {
 		var res []Result
 		var err error
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			res, err = RunScriptCtx(ctx, src, limits)
+			var prob *smtlib.Problem
+			if prob, err = smtlib.Decode(script.Commands); err == nil {
+				res = runProblem(ctx, prob, limits)
+			}
 		}()
 		select {
 		case <-done:

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/privacy-quagmire/quagmire/internal/smtlib"
 )
 
 const satScript = `(declare-fun p () Bool)
@@ -19,10 +21,20 @@ const unsatScript = `(declare-fun p () Bool)
 (assert (not p))
 (check-sat)`
 
+// runCached parses src into a Script and runs it through the cache, as a
+// query runs the script it compiled.
+func runCached(ctx context.Context, c *ResultCache, src string, limits Limits) ([]Result, error) {
+	cmds, err := smtlib.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return RunScriptCachedCtx(ctx, c, &smtlib.Script{Commands: cmds}, src, limits)
+}
+
 // solveCached runs a one-check script through the cache and returns its
 // only result.
 func solveCached(c *ResultCache, src string, limits Limits) (Result, error) {
-	res, err := RunScriptCachedCtx(context.Background(), c, src, limits)
+	res, err := runCached(context.Background(), c, src, limits)
 	if err != nil {
 		return Result{}, err
 	}

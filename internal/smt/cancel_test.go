@@ -128,14 +128,14 @@ func TestRunScriptCachedCtxDoesNotCacheCanceledSolves(t *testing.T) {
 	c := NewResultCache(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunScriptCachedCtx(ctx, c, satScript, Limits{}); err == nil {
+	if _, err := runCached(ctx, c, satScript, Limits{}); err == nil {
 		t.Fatal("cancelled cached solve should surface ctx error")
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("cancelled result was cached: %+v", st)
 	}
 	// A later call with a live context must get a real answer.
-	res, err := RunScriptCachedCtx(context.Background(), c, satScript, Limits{})
+	res, err := runCached(context.Background(), c, satScript, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"time"
 
@@ -25,9 +26,13 @@ type qClause struct {
 	// previous round, never to the whole index.
 	candPos int
 	// uniDone is the universe size this clause has been fully
-	// instantiated against (FullGrounding): a later round enumerates only
-	// tuples containing at least one newer term.
+	// instantiated against (FullGrounding, RelevantGrounding): a later
+	// round enumerates only tuples containing at least one newer term.
 	uniDone int
+	// occGen is the occurrence generation (groundCore.occGen) under which
+	// RelevantGrounding examined the tuples below uniDone, or allGrounded
+	// when every one of them was instantiated.
+	occGen int
 	// dead marks clauses of retired goal scopes: their ground instances
 	// remain (disabled by the selector) but no further instantiation.
 	dead bool
@@ -38,7 +43,14 @@ type qClause struct {
 type callStats struct {
 	count  int
 	rounds int
+	// examined counts the tuples RelevantGrounding examined, added or
+	// skipped; its instantiation budget is spent on these.
+	examined int
 }
+
+// allGrounded marks a clause whose tuples below uniDone were all
+// instantiated, so no skip is left to re-examine (see qClause.occGen).
+const allGrounded = -1
 
 // dedupEntry is one canonical ground clause in the dedup table, keyed
 // together with its selector (the same clause may legitimately recur
@@ -67,9 +79,20 @@ type groundCore struct {
 	// is 0 no model can be theory-inconsistent (see theoryConflict).
 	eqVars int
 
-	quant      []qClause
-	universe   []fol.TermID
-	inUniverse []bool // TermID -> member of universe
+	quant    []qClause
+	universe []fol.TermID
+	uniPos   []int32 // TermID -> 1 + its index in universe (0 = absent)
+
+	// Occurrences, for RelevantGrounding. occ holds, per atom, which
+	// polarities (occBit) occur in an asserted ground clause; occIndex
+	// lists those atoms by predicate; qOcc lists the non-nullary literals
+	// of live quantified clauses by predicate, rebuilt after g.quant
+	// changes. occGen grows whenever the occurrences do, so tuples
+	// skipped under fewer occurrences get examined again.
+	occ      []uint8
+	occIndex map[fol.Sym][]fol.AtomID
+	qOcc     map[fol.Sym][]fol.ILit
+	occGen   int
 
 	// atomIndex maps predicate symbol -> ground atoms bearing it, in
 	// first-seen order. It only ever grows; atomIndexed marks AtomIDs
@@ -87,6 +110,9 @@ type groundCore struct {
 	// so a past goal's Skolem functions do not permanently degrade later
 	// Sat answers to Unknown.
 	funcSels map[sat.Lit]bool
+	// eqSels holds, like funcSels, the selectors whose clauses mention an
+	// equality atom.
+	eqSels map[sat.Lit]bool
 	// complete records whether the last instantiate call reached a
 	// fixpoint over the live clauses, nothing skipped (sound Sat answers
 	// require it for quantified problems). Recomputed per call: retired
@@ -100,6 +126,10 @@ type groundCore struct {
 	scratchSub map[fol.Sym]fol.TermID
 	litBuf     []sat.Lit
 	termBuf    []fol.TermID
+	argBuf     []fol.TermID
+	allIdx     []int // 0, 1, 2, ...: every universe index
+	ufParent   []int
+	ufVal      []fol.TermID
 }
 
 func newGroundCore(strategy InstStrategy) *groundCore {
@@ -109,8 +139,10 @@ func newGroundCore(strategy InstStrategy) *groundCore {
 		core:        sat.New(),
 		atomVar:     []int{},
 		atomIndex:   map[fol.Sym][]fol.AtomID{},
+		occIndex:    map[fol.Sym][]fol.AtomID{},
 		clauseTable: map[uint64][]dedupEntry{},
 		funcSels:    map[sat.Lit]bool{},
+		eqSels:      map[sat.Lit]bool{},
 		complete:    true,
 		scratchSub:  map[fol.Sym]fol.TermID{},
 	}
@@ -160,19 +192,19 @@ func (g *groundCore) growAtomTables() {
 }
 
 func (g *groundCore) growTermTables() {
-	for len(g.inUniverse) < g.arena.NumTerms() {
-		g.inUniverse = append(g.inUniverse, false)
+	for len(g.uniPos) < g.arena.NumTerms() {
+		g.uniPos = append(g.uniPos, 0)
 	}
 }
 
 // addUniverseTerm adds a ground term to the instantiation universe.
 func (g *groundCore) addUniverseTerm(id fol.TermID) {
 	g.growTermTables()
-	if g.inUniverse[id] {
+	if g.uniPos[id] != 0 {
 		return
 	}
-	g.inUniverse[id] = true
 	g.universe = append(g.universe, id)
+	g.uniPos[id] = int32(len(g.universe))
 }
 
 // harvestConstants walks a term and adds its constant leaves to the
@@ -332,6 +364,9 @@ func (g *groundCore) addFormula(f *fol.Formula, sel sat.Lit) error {
 	for _, c := range clauses {
 		ic := g.arena.InternClause(c)
 		for _, l := range ic {
+			if g.arena.AtomEq(l.Atom()) {
+				g.eqSels[sel] = true
+			}
 			for _, arg := range g.arena.AtomArgs(l.Atom()) {
 				g.harvestConstants(arg)
 				if g.termContainsApp(arg) {
@@ -341,6 +376,7 @@ func (g *groundCore) addFormula(f *fol.Formula, sel sat.Lit) error {
 		}
 		vars := g.arena.ClauseVars(ic)
 		if len(vars) == 0 {
+			g.noteGround(ic)
 			g.addGround(ic, sel, false)
 			continue
 		}
@@ -349,6 +385,8 @@ func (g *groundCore) addFormula(f *fol.Formula, sel sat.Lit) error {
 			qc.trigger, qc.hasTrigger = g.pickTriggerInterned(ic, vars)
 		}
 		g.quant = append(g.quant, qc)
+		g.qOcc = nil
+		g.occGen++
 	}
 	return nil
 }
@@ -400,9 +438,17 @@ func (g *groundCore) liveQuant() bool {
 // mentions function symbols.
 func (g *groundCore) hasFuncs() bool { return len(g.funcSels) > 0 }
 
+// instantiateFull grounds under FullGrounding, and under
+// RelevantGrounding, which skips instances with a pure literal while the
+// live problem has neither function symbols nor equality atoms.
 func (g *groundCore) instantiateFull(ctx context.Context, lim Limits, deadline time.Time, st *callStats) {
 	if len(g.universe) == 0 {
 		g.addUniverseTerm(g.arena.InternConst(g.arena.Sym("$elem")))
+	}
+	relevant := g.strategy == RelevantGrounding && !g.hasFuncs() && len(g.eqSels) == 0
+	gen := allGrounded
+	if relevant {
+		gen = g.occGen
 	}
 	stopped := false
 rounds:
@@ -411,14 +457,21 @@ rounds:
 		uniLen := len(g.universe)
 		for qi := range g.quant {
 			qc := &g.quant[qi]
-			if qc.dead || qc.uniDone >= uniLen {
+			if qc.dead {
 				continue
 			}
-			if !g.enumerateNew(ctx, lim, deadline, st, qc, uniLen) {
+			if qc.occGen != allGrounded && qc.occGen != gen {
+				// Tuples skipped under other occurrences: examine all again.
+				qc.uniDone = 0
+			}
+			if qc.uniDone >= uniLen {
+				continue
+			}
+			if !g.enumerateNew(ctx, lim, deadline, st, qc, uniLen, relevant) {
 				stopped = true
 				break rounds
 			}
-			qc.uniDone = uniLen
+			qc.uniDone, qc.occGen = uniLen, gen
 		}
 		if len(g.universe) == uniLen {
 			break
@@ -439,11 +492,29 @@ rounds:
 
 // enumerateNew instantiates one clause over every tuple of universe
 // indices in [0, uniLen) that includes at least one index >= qc.uniDone.
-// It returns false when a budget, the deadline or ctx stopped enumeration
-// early.
-func (g *groundCore) enumerateNew(ctx context.Context, lim Limits, deadline time.Time, st *callStats, qc *qClause, uniLen int) bool {
+// When relevant, each variable ranges over its candidates only
+// (relevantCands), every tuple examined is charged to the budget, and an
+// instance with a pure literal is skipped. It returns false when a budget,
+// the deadline or ctx stopped enumeration early.
+func (g *groundCore) enumerateNew(ctx context.Context, lim Limits, deadline time.Time, st *callStats, qc *qClause, uniLen int, relevant bool) bool {
 	k := len(qc.vars)
-	idxs := make([]int, k)
+	var cands [][]int
+	if relevant {
+		if cands = g.relevantCands(qc, uniLen); cands == nil {
+			return true
+		}
+	} else {
+		cands = make([][]int, k)
+		for i := range cands {
+			cands[i] = g.universeIdx(uniLen)
+		}
+	}
+	// split[i] is the first candidate of variable i that is a new term.
+	split := make([]int, k)
+	for i, c := range cands {
+		split[i] = sort.SearchInts(c, qc.uniDone)
+	}
+	pos, idxs := make([]int, k), make([]int, k)
 	// Partition by the first position holding a new term: positions
 	// before j range over old terms only, j over new terms, after j over
 	// everything.
@@ -453,20 +524,20 @@ func (g *groundCore) enumerateNew(ctx context.Context, lim Limits, deadline time
 		}
 		lo := func(i int) int {
 			if i == j {
-				return qc.uniDone
+				return split[i]
 			}
 			return 0
 		}
 		hi := func(i int) int {
 			if i < j {
-				return qc.uniDone
+				return split[i]
 			}
-			return uniLen
+			return len(cands[i])
 		}
 		empty := false
 		for i := 0; i < k; i++ {
-			idxs[i] = lo(i)
-			if idxs[i] >= hi(i) {
+			pos[i] = lo(i)
+			if pos[i] >= hi(i) {
 				empty = true
 			}
 		}
@@ -474,7 +545,11 @@ func (g *groundCore) enumerateNew(ctx context.Context, lim Limits, deadline time
 			continue
 		}
 		for {
-			if st.count >= lim.MaxInstantiations {
+			spent := st.count
+			if relevant {
+				spent = st.examined
+			}
+			if spent >= lim.MaxInstantiations {
 				return false
 			}
 			if ctx.Err() != nil {
@@ -483,15 +558,23 @@ func (g *groundCore) enumerateNew(ctx context.Context, lim Limits, deadline time
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				return false
 			}
-			g.instantiateTuple(st, qc, idxs)
+			for i, p := range pos {
+				idxs[i] = cands[i][p]
+			}
+			if relevant {
+				st.examined++
+			}
+			if !relevant || !g.hasPureLiteral(qc, idxs) {
+				g.instantiateTuple(st, qc, idxs)
+			}
 			// Advance the mixed-radix odometer.
 			p := k - 1
 			for ; p >= 0; p-- {
-				idxs[p]++
-				if idxs[p] < hi(p) {
+				pos[p]++
+				if pos[p] < hi(p) {
 					break
 				}
-				idxs[p] = lo(p)
+				pos[p] = lo(p)
 			}
 			if p < 0 {
 				break
@@ -584,8 +667,9 @@ func (g *groundCore) instantiateTrigger(ctx context.Context, lim Limits, st *cal
 
 // retire permanently disables one scope: its quantified clauses die (their
 // ground instances stay in the SAT core but no longer take part in
-// instantiation or in the completeness verdict), its function symbols stop
-// counting, and the unit ¬sel satisfies every clause it guards at level 0.
+// instantiation, in the occurrences or in the completeness verdict), its
+// function symbols and equality atoms stop counting, and the unit ¬sel
+// satisfies every clause it guards at level 0.
 // The selector must never be assumed again.
 func (g *groundCore) retire(sel sat.Lit) {
 	for i := range g.quant {
@@ -593,7 +677,9 @@ func (g *groundCore) retire(sel sat.Lit) {
 			g.quant[i].dead = true
 		}
 	}
+	g.qOcc = nil
 	delete(g.funcSels, sel)
+	delete(g.eqSels, sel)
 	g.core.AddClause(sel.Neg())
 }
 

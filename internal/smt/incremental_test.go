@@ -94,6 +94,7 @@ func TestTriggerIndexCostIsIncremental(t *testing.T) {
 func TestIncrementalClauseReuse(t *testing.T) {
 	s := NewSolver()
 	s.Limits = Limits{MaxInstantiations: 20000, MaxRounds: 4}
+	s.Strategy = FullGrounding
 	s.Assert(fol.Forall("x", fol.Forall("y",
 		fol.Or(fol.Pred("r", fol.Var("x"), fol.Var("y")), fol.Pred("r", fol.Var("y"), fol.Var("x"))))))
 	s.Assert(fol.Pred("p", fol.Const("a")))

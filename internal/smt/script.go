@@ -28,6 +28,12 @@ func RunScriptCtx(ctx context.Context, src string, limits Limits) ([]Result, err
 	if err != nil {
 		return nil, err
 	}
+	return runProblem(ctx, prob, limits), nil
+}
+
+// runProblem replays a decoded script's commands on one solver (see
+// RunScriptCtx).
+func runProblem(ctx context.Context, prob *smtlib.Problem, limits Limits) []Result {
 	solver := NewSolver()
 	solver.Limits = limits
 	var results []Result
@@ -50,7 +56,7 @@ func RunScriptCtx(ctx context.Context, src string, limits Limits) ([]Result, err
 			results = append(results, solver.CheckSatAssumingCtx(ctx, cmd.Assume...))
 		}
 	}
-	return results, nil
+	return results
 }
 
 // FormatResult renders a result in solver-output style: the status line

@@ -465,6 +465,7 @@ func TestTriggerFarFewerInstantiations(t *testing.T) {
 		return fol.And(parts...)
 	}
 	full := NewSolver()
+	full.Strategy = FullGrounding
 	full.Assert(build())
 	fullRes := full.CheckSat()
 

@@ -48,7 +48,10 @@ func (s Status) String() string {
 type Limits struct {
 	// MaxSatSteps caps SAT decisions+propagations per CheckSat.
 	MaxSatSteps int64
-	// MaxInstantiations caps total quantifier instantiations per CheckSat.
+	// MaxInstantiations caps quantifier instantiations per CheckSat.
+	// Under RelevantGrounding, the default, it counts every substitution
+	// tuple examined, whether its instance was added or skipped; under
+	// FullGrounding and TriggerBased it counts the instances added.
 	MaxInstantiations int
 	// MaxRounds caps instantiation rounds per CheckSat.
 	MaxRounds int
@@ -137,8 +140,8 @@ type Solver struct {
 	// Limits bounds effort per check; the zero value uses defaults.
 	Limits Limits
 	// Strategy selects the quantifier-instantiation scheme; the zero
-	// value is FullGrounding. The first check fixes it for the solver's
-	// ground core.
+	// value is RelevantGrounding. The first check fixes it for the
+	// solver's ground core.
 	Strategy InstStrategy
 
 	scopes []scope

@@ -12,8 +12,7 @@ import (
 type Problem struct {
 	// Logic is the declared logic, if any.
 	Logic string
-	// Sorts lists the declared sort names; DecodeScript accepts at most
-	// one.
+	// Sorts lists the declared sort names; Decode accepts at most one.
 	Sorts []string
 	// Consts lists declared constants (arity-0 U-valued functions).
 	Consts []string
@@ -57,16 +56,24 @@ type Command struct {
 }
 
 // DecodeScript parses an SMT-LIB script and reconstructs the corresponding
-// Problem. Only the command subset CompileQuery emits is understood; other
-// commands are ignored. As in the standard, popping more scopes than are
-// open is an error, and so is opening more than MaxScopeDepth. A script
-// may use one declared sort, plus Bool as the result sort of a
-// declaration; any other sort is an error.
+// Problem (see Decode).
 func DecodeScript(src string) (*Problem, error) {
 	cmds, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
+	return Decode(cmds)
+}
+
+// Decode reconstructs the Problem of a script's parsed commands: the
+// commands Parse reads from its text, or a compiled Script's Commands,
+// which then need no printing and parsing. Only the command subset
+// CompileQuery emits is understood; other commands are ignored. As in the
+// standard, popping more scopes than are open is an error, and so is
+// opening more than MaxScopeDepth. A script may use one declared sort,
+// plus Bool as the result sort of a declaration; any other sort is an
+// error.
+func Decode(cmds []*SExpr) (*Problem, error) {
 	p := &Problem{Funcs: map[string]int{}, Preds: map[string]int{}}
 	depth := 0 // scopes open after the commands decoded so far
 	for _, cmd := range cmds {

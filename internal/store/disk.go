@@ -575,7 +575,15 @@ func (d *Disk) probe() error {
 
 // Close snapshots the state (so the next open replays no log) and closes
 // the WAL.
-func (d *Disk) Close() error {
+func (d *Disk) Close() error { return d.close(true) }
+
+// CloseWithoutSnapshot closes the store without compacting it, so the next
+// open replays the WAL, where every applied write already is. A follower
+// closes its store this way before a snapshot from its primary replaces
+// it: compacting first would write a full snapshot only to overwrite it.
+func (d *Disk) CloseWithoutSnapshot() error { return d.close(false) }
+
+func (d *Disk) close(snapshot bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -586,7 +594,10 @@ func (d *Disk) Close() error {
 	// promptly instead of hanging on a closed store.
 	close(d.seqWatch)
 	d.seqWatch = make(chan struct{})
-	snapErr := d.compactLocked()
+	var snapErr error
+	if snapshot {
+		snapErr = d.compactLocked()
+	}
 	closeErr := d.wal.Close()
 	var sfErr error
 	if d.snapFile != nil {

@@ -233,10 +233,13 @@ func (d *Disk) ApplyRecord(rec Record) error {
 // The bytes are staged to a temp file, validated end to end (magic,
 // header, index, every CRC boundary), fsynced, and renamed into place —
 // a truncated or corrupted transfer can never replace a good snapshot.
-// Any existing WAL is removed: a follower only installs a snapshot when
-// its local state is being superseded wholesale (first bootstrap, or
-// falling behind the primary's compaction horizon), and every record a
-// prior WAL could hold is below the new watermark by construction.
+// Any existing WAL is removed first: a follower only installs a snapshot
+// when its local state is being superseded wholesale (first bootstrap,
+// falling behind the primary's compaction horizon, or running ahead of a
+// fresh primary), and in the last case its WAL holds records above the
+// new watermark that replay must never apply over the new snapshot. A
+// crash between the two steps leaves the old snapshot alone: an older but
+// consistent state the follower catches up from.
 //
 // The target store must be closed; reopen it with OpenDisk afterwards.
 func InstallSnapshot(dir string, r io.Reader) (uint64, error) {
@@ -270,17 +273,20 @@ func InstallSnapshot(dir string, r io.Reader) (uint64, error) {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("store: install snapshot: %w", cerr)
 	}
+	if err := os.Remove(filepath.Join(dir, "wal.log")); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		os.Remove(tmp)
+		return 0, fmt.Errorf("store: install snapshot: remove stale wal: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("store: install snapshot: %w", err)
 	}
 	if err := syncDir(dir); err != nil {
 		return 0, err
-	}
-	// Drop the stale WAL (crash-safe either way: leftover records are all at
-	// or below the new watermark, which replay skips).
-	if err := os.Remove(filepath.Join(dir, "wal.log")); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return 0, fmt.Errorf("store: install snapshot: remove stale wal: %w", err)
 	}
 	return seq, nil
 }
