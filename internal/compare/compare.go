@@ -95,11 +95,11 @@ func (c *Comparer) Compare(a, b *kg.KnowledgeGraph) Report {
 	pb := companyPractices(b)
 
 	// Index B's data types per action class for matching.
-	ixB := embed.NewIndex(c.Model)
+	ixB := embed.NewIndex(c.Model, len(pb))
 	for key := range pb {
 		ixB.Add(key, strings.SplitN(key, "\x1f", 2)[1])
 	}
-	ixA := embed.NewIndex(c.Model)
+	ixA := embed.NewIndex(c.Model, len(pa))
 	for key := range pa {
 		ixA.Add(key, strings.SplitN(key, "\x1f", 2)[1])
 	}

@@ -23,17 +23,20 @@ import (
 // ignores it like any other unknown field.
 const CodecVersion = 2
 
-// analysisEnvelope is the serialized form of one Analysis.
+// analysisEnvelope is the serialized form of one Analysis. The graph
+// sections are wire structs, so encoding/json reads and writes the whole
+// payload in one pass and the graphs are restored from the decoded
+// sections.
 type analysisEnvelope struct {
 	// Codec is the schema version of this payload.
 	Codec int `json:"codec"`
 	// Extraction is the Phase 1 output (BySegment is rebuilt on decode).
 	Extraction *extract.Extraction `json:"extraction"`
 	// Company plus the three graph components are the Phase 2 output.
-	Company string           `json:"company"`
-	ED      *graph.Graph     `json:"ed"`
-	DataH   *graph.Hierarchy `json:"data_hierarchy"`
-	EntityH *graph.Hierarchy `json:"entity_hierarchy"`
+	Company string               `json:"company"`
+	ED      *graph.Wire          `json:"ed"`
+	DataH   *graph.HierarchyWire `json:"data_hierarchy"`
+	EntityH *graph.HierarchyWire `json:"entity_hierarchy"`
 }
 
 // EncodeAnalysis serializes an analysis into the versioned envelope. The
@@ -43,9 +46,9 @@ func EncodeAnalysis(a *Analysis) ([]byte, error) {
 		Codec:      CodecVersion,
 		Extraction: a.Extraction,
 		Company:    a.KG.Company,
-		ED:         a.KG.ED,
-		DataH:      a.KG.DataH,
-		EntityH:    a.KG.EntityH,
+		ED:         a.KG.ED.Wire(),
+		DataH:      a.KG.DataH.Wire(),
+		EntityH:    a.KG.EntityH.Wire(),
 	}
 	data, err := json.Marshal(env)
 	if err != nil {
@@ -54,21 +57,32 @@ func EncodeAnalysis(a *Analysis) ([]byte, error) {
 	return data, nil
 }
 
-// decodeEnvelope parses and validates the envelope without building
-// derived state.
-func decodeEnvelope(data []byte) (*analysisEnvelope, error) {
+// decodeEnvelope parses and validates the envelope and restores its
+// extraction and knowledge graph, without building derived state.
+func decodeEnvelope(data []byte) (*extract.Extraction, *kg.KnowledgeGraph, error) {
 	var env analysisEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("core: decode analysis: %w", err)
+		return nil, nil, fmt.Errorf("core: decode analysis: %w", err)
 	}
 	if env.Codec < 1 || env.Codec > CodecVersion {
-		return nil, fmt.Errorf("core: analysis codec %d unsupported (max %d)", env.Codec, CodecVersion)
+		return nil, nil, fmt.Errorf("core: analysis codec %d unsupported (max %d)", env.Codec, CodecVersion)
 	}
 	if env.Extraction == nil || env.ED == nil || env.DataH == nil || env.EntityH == nil {
-		return nil, fmt.Errorf("core: analysis payload incomplete")
+		return nil, nil, fmt.Errorf("core: analysis payload incomplete")
+	}
+	k := &kg.KnowledgeGraph{Company: env.Company}
+	var err error
+	if k.ED, err = env.ED.Graph(); err != nil {
+		return nil, nil, fmt.Errorf("core: decode analysis: %w", err)
+	}
+	if k.DataH, err = env.DataH.Hierarchy(); err != nil {
+		return nil, nil, fmt.Errorf("core: decode analysis: %w", err)
+	}
+	if k.EntityH, err = env.EntityH.Hierarchy(); err != nil {
+		return nil, nil, fmt.Errorf("core: decode analysis: %w", err)
 	}
 	rebuildBySegment(env.Extraction)
-	return &env, nil
+	return env.Extraction, k, nil
 }
 
 // rebuildBySegment restores the non-serialized practice index.
@@ -91,17 +105,11 @@ func rebuildBySegment(ex *extract.Extraction) {
 // what makes lazy recovery cheap: the store can be indexed and triaged
 // without paying engine construction per policy.
 func DecodeAnalysisEnvelope(data []byte) (*Analysis, error) {
-	env, err := decodeEnvelope(data)
+	ex, k, err := decodeEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
-	k := &kg.KnowledgeGraph{
-		Company: env.Company,
-		ED:      env.ED,
-		DataH:   env.DataH,
-		EntityH: env.EntityH,
-	}
-	return &Analysis{Extraction: env.Extraction, KG: k}, nil
+	return &Analysis{Extraction: ex, KG: k}, nil
 }
 
 // BuildEngine attaches a query engine — wired to this pipeline's limits,
@@ -134,9 +142,6 @@ func (p *Pipeline) DecodeAnalysis(data []byte) (*Analysis, error) {
 // analysis — enough for version diffing without rebuilding graphs or
 // engines.
 func DecodeExtraction(data []byte) (*extract.Extraction, error) {
-	env, err := decodeEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	return env.Extraction, nil
+	ex, _, err := decodeEnvelope(data)
+	return ex, err
 }

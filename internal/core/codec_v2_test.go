@@ -137,6 +137,52 @@ func TestCodecV1StillDecodes(t *testing.T) {
 	askAll(t, "v1 payload", v1)
 }
 
+// TestCodecFixtureSectionsRoundTrip: decoding the stored fixture and
+// encoding the result writes every section but the retired core section
+// byte for byte as stored, and nothing else.
+func TestCodecFixtureSectionsRoundTrip(t *testing.T) {
+	stored := readCorePayload(t)
+	a, err := DecodeAnalysisEnvelope(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := EncodeAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got map[string]json.RawMessage
+	if err := json.Unmarshal(stored, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(encoded, &got); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, "core")
+	for name, w := range want {
+		if !bytes.Equal(got[name], w) {
+			t.Errorf("section %q re-encodes as\n%s\nwant\n%s", name, got[name], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("re-encoded sections %d, want %d", len(got), len(want))
+	}
+}
+
+// withSection returns payload with one top-level section replaced.
+func withSection(t testing.TB, payload []byte, name, section string) []byte {
+	t.Helper()
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw[name] = json.RawMessage(section)
+	data, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestCorruptPayloadsErrorNotPanic: hostile or damaged payload bytes must
 // surface as decode errors — the signal the serving layer quarantines
 // on — never as a panic or a half-built analysis.
@@ -151,6 +197,15 @@ func TestCorruptPayloadsErrorNotPanic(t *testing.T) {
 		"future codec":     []byte(`{"codec":99}`),
 		"zero codec":       []byte(`{"codec":0}`),
 		"missing sections": []byte(`{"codec":2}`),
+		"null graph":       withSection(t, valid, "ed", `null`),
+		"graph not object": withSection(t, valid, "ed", `[1]`),
+		"null node":        withSection(t, valid, "ed", `{"nodes":[null],"edges":[]}`),
+		"null edge":        withSection(t, valid, "ed", `{"nodes":[],"edges":[null]}`),
+		"mistyped node":    withSection(t, valid, "ed", `{"nodes":[{"id":1}],"edges":[]}`),
+		"null hierarchy":   withSection(t, valid, "entity_hierarchy", `null`),
+		"orphaned terms":   withSection(t, valid, "data_hierarchy", `{"root":"data","parent":{"email":"contact","contact":"email"}}`),
+		"root as child":    withSection(t, valid, "data_hierarchy", `{"root":"data","parent":{"data":"email","email":"data"}}`),
+		"mistyped root":    withSection(t, valid, "entity_hierarchy", `{"root":1}`),
 	}
 	for name, data := range cases {
 		if _, err := p.DecodeAnalysis(data); err == nil {

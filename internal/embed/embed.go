@@ -8,7 +8,6 @@
 package embed
 
 import (
-	"hash/fnv"
 	"math"
 	"strings"
 
@@ -33,33 +32,48 @@ type Model struct {
 // NewModel returns a model with the given namespace name.
 func NewModel(name string) *Model { return &Model{Name: name} }
 
-func (m *Model) feature(tag, s string) (int, float32) {
-	h := fnv.New64a()
-	h.Write([]byte(m.Name))
-	h.Write([]byte{0})
-	h.Write([]byte(tag))
-	h.Write([]byte{0})
-	h.Write([]byte(s))
-	v := h.Sum64()
-	idx := int(v % Dim)
-	// Deterministic sign from a high bit keeps features roughly centered.
+// FNV-1a 64-bit parameters, as hash/fnv uses them.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvString continues the FNV-1a state h over the bytes of s.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// fnvByte continues the FNV-1a state h over one byte.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+// addFeature adds to v a feature of weight w whose FNV-1a hash (model
+// name, 0, tag, 0, text) is h. The hash modulo Dim picks the component,
+// and a deterministic sign from its high bit keeps features roughly
+// centered.
+func addFeature(v *Vector, h uint64, w float32) {
 	sign := float32(1)
-	if v&(1<<63) != 0 {
+	if h&(1<<63) != 0 {
 		sign = -1
 	}
-	return idx, sign
+	v[h%Dim] += sign * w
 }
 
 // Embed returns the L2-normalized embedding of text. The zero vector is
 // returned only for texts with no extractable features.
+//
+// Each feature is hashed by continuing its tag's prefix state over the
+// feature's bytes, so no feature re-hashes the model name or allocates.
 func (m *Model) Embed(text string) Vector {
+	name := fnvByte(fnvString(fnvOffset, m.Name), 0)
+	prefix := func(tag string) uint64 { return fnvByte(fnvString(name, tag), 0) }
+	hw, hstem, hcw, hcstem, hb, hc3 := prefix("w"), prefix("stem"), prefix("cw"), prefix("cstem"), prefix("b"), prefix("c3")
+
 	var v Vector
-	add := func(tag, s string, w float32) {
-		idx, sign := m.feature(tag, s)
-		v[idx] += sign * w
-	}
 	words := nlp.Words(text)
-	content := nlp.ContentWords(text)
 	stems := make([]string, len(words))
 	for i, w := range words {
 		stems[i] = stem(w)
@@ -68,21 +82,25 @@ func (m *Model) Embed(text string) Vector {
 	// addresses" vs "email address") land nearly on top of each other;
 	// raw surface forms contribute a small residual.
 	for i, w := range words {
-		add("w", w, 0.5)
-		add("stem", stems[i], 3)
+		addFeature(&v, fnvString(hw, w), 0.5)
+		addFeature(&v, fnvString(hstem, stems[i]), 3)
 	}
-	for _, w := range content {
-		add("cw", w, 0.5)
-		add("cstem", stem(w), 4)
+	// Content words are the non-stopwords, in order.
+	for i, w := range words {
+		if nlp.IsStopword(w) {
+			continue
+		}
+		addFeature(&v, fnvString(hcw, w), 0.5)
+		addFeature(&v, fnvString(hcstem, stems[i]), 4)
 	}
 	// Stemmed bigrams capture phrase structure.
 	for i := 0; i+1 < len(stems); i++ {
-		add("b", stems[i]+" "+stems[i+1], 2.5)
+		addFeature(&v, fnvString(fnvByte(fnvString(hb, stems[i]), ' '), stems[i+1]), 2.5)
 	}
 	// Character trigrams over the stemmed text catch morphology and typos.
 	joined := strings.Join(stems, " ")
 	for i := 0; i+3 <= len(joined); i++ {
-		add("c3", joined[i:i+3], 0.4)
+		addFeature(&v, fnvString(hc3, joined[i:i+3]), 0.4)
 	}
 	norm := float32(0)
 	for _, x := range v {
@@ -146,9 +164,10 @@ type Index struct {
 	byKey map[string]int
 }
 
-// NewIndex returns an empty index over the model's space.
-func NewIndex(m *Model) *Index {
-	return &Index{model: m, byKey: map[string]int{}}
+// NewIndex returns an empty index over the model's space with room for n
+// items, so an index built to a known size allocates its vectors once.
+func NewIndex(m *Model, n int) *Index {
+	return &Index{model: m, keys: make([]string, 0, n), vecs: make([]Vector, 0, n), byKey: make(map[string]int, n)}
 }
 
 // Add embeds text and indexes it under key. Re-adding a key replaces its
@@ -166,6 +185,10 @@ func (ix *Index) Add(key, text string) {
 
 // Len returns the number of indexed items.
 func (ix *Index) Len() int { return len(ix.keys) }
+
+// Item returns the key and vector of the i-th indexed item, in the order
+// keys were first added.
+func (ix *Index) Item(i int) (string, Vector) { return ix.keys[i], ix.vecs[i] }
 
 // Search returns the top-k most similar indexed items to the query text,
 // sorted by descending score (ties broken by key for determinism). It keeps

@@ -77,7 +77,7 @@ func TestModelNamespacesDiffer(t *testing.T) {
 
 func TestIndexSearch(t *testing.T) {
 	m := NewModel("text-embedding-sim")
-	ix := NewIndex(m)
+	ix := NewIndex(m, 0)
 	terms := []string{"email", "phone number", "gps location", "profile image", "credit card"}
 	for _, term := range terms {
 		ix.Add(term, term)
@@ -96,7 +96,7 @@ func TestIndexSearch(t *testing.T) {
 
 func TestIndexReAdd(t *testing.T) {
 	m := NewModel("text-embedding-sim")
-	ix := NewIndex(m)
+	ix := NewIndex(m, 0)
 	ix.Add("k", "email")
 	ix.Add("k", "phone")
 	if ix.Len() != 1 {
@@ -109,7 +109,7 @@ func TestIndexReAdd(t *testing.T) {
 }
 
 func TestIndexEdgeCases(t *testing.T) {
-	ix := NewIndex(NewModel("m"))
+	ix := NewIndex(NewModel("m"), 0)
 	if got := ix.Search("x", 3); got != nil {
 		t.Errorf("empty index search = %v", got)
 	}
@@ -124,7 +124,7 @@ func TestIndexEdgeCases(t *testing.T) {
 
 func TestSearchDeterministicTies(t *testing.T) {
 	m := NewModel("text-embedding-sim")
-	ix := NewIndex(m)
+	ix := NewIndex(m, 0)
 	ix.Add("b", "zzz")
 	ix.Add("a", "zzz")
 	got := ix.Search("zzz", 2)
@@ -141,7 +141,7 @@ func TestSearchMatchesFullSort(t *testing.T) {
 	words := []string{"email", "address", "location", "advertising", "partner", "device", "id"}
 	r := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 40; iter++ {
-		ix := NewIndex(m)
+		ix := NewIndex(m, 0)
 		var all []Match
 		query := words[r.Intn(len(words))] + " " + words[r.Intn(len(words))]
 		for i, n := 0, r.Intn(30); i < n; i++ {
@@ -196,7 +196,7 @@ func BenchmarkEmbed(b *testing.B) {
 
 func BenchmarkSearch1000(b *testing.B) {
 	m := NewModel("text-embedding-sim")
-	ix := NewIndex(m)
+	ix := NewIndex(m, 0)
 	for i := 0; i < 1000; i++ {
 		ix.Add(string(rune('a'+i%26))+string(rune('0'+i%10)), "term "+string(rune('a'+i%26)))
 	}

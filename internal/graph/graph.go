@@ -7,6 +7,7 @@ package graph
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -48,7 +49,7 @@ type Edge struct {
 
 // Key returns a string uniquely identifying the edge's content.
 func (e Edge) Key() string {
-	return fmt.Sprintf("%s\x1f%s\x1f%s\x1f%s\x1f%s\x1f%s\x1f%s", e.From, e.To, e.Label, e.Condition, e.Permission, e.Subject, e.Other)
+	return e.From + "\x1f" + e.To + "\x1f" + e.Label + "\x1f" + e.Condition + "\x1f" + e.Permission + "\x1f" + e.Subject + "\x1f" + e.Other
 }
 
 // String renders the edge in the paper's [from]-label->[to] notation.
@@ -113,10 +114,11 @@ func (g *Graph) HasNode(id string) bool { return g.nodes[id] != nil }
 // AddEdge inserts an edge, creating endpoints as needed. Exact duplicates
 // (same key and segment) are ignored. It returns the stored edge.
 func (g *Graph) AddEdge(e Edge) *Edge {
-	dedupeKey := e.Key() + "\x1f" + e.SegmentID
+	key := e.Key()
+	dedupeKey := key + "\x1f" + e.SegmentID
 	if g.edgeSet[dedupeKey] {
 		for _, ex := range g.out[e.From] {
-			if ex.Key() == e.Key() && ex.SegmentID == e.SegmentID {
+			if ex.SegmentID == e.SegmentID && ex.Key() == key {
 				return ex
 			}
 		}
@@ -260,32 +262,65 @@ func (g *Graph) Subgraph(keep map[string]bool) *Graph {
 	return sub
 }
 
-// jsonGraph is the serialization envelope.
-type jsonGraph struct {
+// Wire is the serialized form of a Graph: its nodes sorted by ID, then
+// its edges in insertion order. A decoder that holds a Wire in a larger
+// document, as the analysis codec does, restores the graph with
+// Wire.Graph in the document's one JSON pass.
+type Wire struct {
 	Nodes []*Node `json:"nodes"`
 	Edges []*Edge `json:"edges"`
 }
 
-// MarshalJSON serializes nodes and edges deterministically.
-func (g *Graph) MarshalJSON() ([]byte, error) {
-	edges := make([]*Edge, len(g.edges))
-	copy(edges, g.edges)
-	return json.Marshal(jsonGraph{Nodes: g.Nodes(), Edges: edges})
+// Wire returns the graph's serialized form. It shares the graph's nodes
+// and edges, so it is for encoding and must not be modified.
+func (g *Graph) Wire() *Wire {
+	edges := g.edges
+	if edges == nil {
+		edges = []*Edge{}
+	}
+	return &Wire{Nodes: g.Nodes(), Edges: edges}
 }
+
+// Graph restores the graph w serializes: nodes first, keeping a repeated
+// node's first kind and last attributes (the restored nodes share w's
+// attribute maps), then edges in order, dropping exact duplicates as
+// AddEdge does. A null node or edge is an error.
+func (w *Wire) Graph() (*Graph, error) {
+	g := &Graph{
+		nodes:   make(map[string]*Node, len(w.Nodes)),
+		out:     make(map[string][]*Edge, len(w.Nodes)),
+		in:      make(map[string][]*Edge, len(w.Nodes)),
+		edges:   make([]*Edge, 0, len(w.Edges)),
+		edgeSet: make(map[string]bool, len(w.Edges)),
+	}
+	for _, n := range w.Nodes {
+		if n == nil {
+			return nil, errors.New("graph: null node")
+		}
+		g.AddNode(n.ID, n.Kind).Attrs = n.Attrs
+	}
+	for _, e := range w.Edges {
+		if e == nil {
+			return nil, errors.New("graph: null edge")
+		}
+		g.AddEdge(*e)
+	}
+	return g, nil
+}
+
+// MarshalJSON serializes the graph's Wire form.
+func (g *Graph) MarshalJSON() ([]byte, error) { return json.Marshal(g.Wire()) }
 
 // UnmarshalJSON restores a graph serialized with MarshalJSON.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
+	var w Wire
+	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	*g = *New()
-	for _, n := range jg.Nodes {
-		node := g.AddNode(n.ID, n.Kind)
-		node.Attrs = n.Attrs
+	restored, err := w.Graph()
+	if err != nil {
+		return err
 	}
-	for _, e := range jg.Edges {
-		g.AddEdge(*e)
-	}
+	*g = *restored
 	return nil
 }

@@ -242,6 +242,49 @@ func TestHierarchyJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireFormPinned pins the serialized form of an empty graph and a
+// root-only hierarchy: every field is written, empty or not, so a stored
+// analysis always carries each section's full shape.
+func TestWireFormPinned(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{New(), `{"nodes":[],"edges":[]}`},
+		{NewHierarchy("data"), `{"root":"data","parent":{}}`},
+	} {
+		got, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%T serialized as %s, want %s", c.v, got, c.want)
+		}
+	}
+}
+
+// TestWireRestoreRefusals: a null node or edge, an orphaned term and a
+// root with a parent are errors, whether the graph is restored from its
+// own JSON or from a wire struct decoded in a larger document.
+func TestWireRestoreRefusals(t *testing.T) {
+	for name, c := range map[string]struct {
+		v    any
+		data string
+		want string
+	}{
+		"null node":     {&Graph{}, `{"nodes":[null],"edges":[]}`, "null node"},
+		"null edge":     {&Graph{}, `{"nodes":[],"edges":[null]}`, "null edge"},
+		"orphan":        {&Hierarchy{}, `{"root":"r","parent":{"a":"b","c":"a"}}`, "orphaned hierarchy entries [a c]"},
+		"cycle":         {&Hierarchy{}, `{"root":"r","parent":{"a":"b","b":"a","c":"r"}}`, "orphaned hierarchy entries [a b]"},
+		"root as child": {&Hierarchy{}, `{"root":"r","parent":{"r":"x","x":"r"}}`, "cannot add root"},
+	} {
+		err := json.Unmarshal([]byte(c.data), c.v)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
+		}
+	}
+}
+
 // Property: a randomly grown hierarchy always validates, and Subsumes is
 // antisymmetric for distinct terms.
 func TestHierarchyProperty(t *testing.T) {

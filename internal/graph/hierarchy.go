@@ -184,27 +184,29 @@ func (h *Hierarchy) Validate() error {
 	return nil
 }
 
-// jsonHierarchy is the serialization envelope.
-type jsonHierarchy struct {
+// HierarchyWire is the serialized form of a Hierarchy: its root and each
+// other term's parent. A decoder that holds one in a larger document, as
+// the analysis codec does, restores the hierarchy with
+// HierarchyWire.Hierarchy in the document's one JSON pass.
+type HierarchyWire struct {
 	Root   string            `json:"root"`
 	Parent map[string]string `json:"parent"`
 }
 
-// MarshalJSON serializes the hierarchy.
-func (h *Hierarchy) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonHierarchy{Root: h.Root, Parent: h.parent})
+// Wire returns the hierarchy's serialized form. It shares the hierarchy's
+// parent map, so it is for encoding and must not be modified.
+func (h *Hierarchy) Wire() *HierarchyWire {
+	return &HierarchyWire{Root: h.Root, Parent: h.parent}
 }
 
-// UnmarshalJSON restores a hierarchy serialized with MarshalJSON.
-func (h *Hierarchy) UnmarshalJSON(data []byte) error {
-	var jh jsonHierarchy
-	if err := json.Unmarshal(data, &jh); err != nil {
-		return err
-	}
-	restored := NewHierarchy(jh.Root)
+// Hierarchy restores the hierarchy w serializes. Every term must hang
+// below the root: a term whose parent chain never reaches it is an
+// orphan, and the root itself cannot have a parent.
+func (w *HierarchyWire) Hierarchy() (*Hierarchy, error) {
+	restored := NewHierarchy(w.Root)
 	// Insert parents before children.
 	var pending []string
-	for c := range jh.Parent {
+	for c := range w.Parent {
 		pending = append(pending, c)
 	}
 	sort.Strings(pending)
@@ -212,10 +214,10 @@ func (h *Hierarchy) UnmarshalJSON(data []byte) error {
 		progressed := false
 		var next []string
 		for _, c := range pending {
-			p := jh.Parent[c]
+			p := w.Parent[c]
 			if restored.Has(p) {
 				if err := restored.Add(p, c); err != nil {
-					return err
+					return nil, err
 				}
 				progressed = true
 			} else {
@@ -223,9 +225,25 @@ func (h *Hierarchy) UnmarshalJSON(data []byte) error {
 			}
 		}
 		if !progressed {
-			return fmt.Errorf("graph: orphaned hierarchy entries %v", next)
+			return nil, fmt.Errorf("graph: orphaned hierarchy entries %v", next)
 		}
 		pending = next
+	}
+	return restored, nil
+}
+
+// MarshalJSON serializes the hierarchy's Wire form.
+func (h *Hierarchy) MarshalJSON() ([]byte, error) { return json.Marshal(h.Wire()) }
+
+// UnmarshalJSON restores a hierarchy serialized with MarshalJSON.
+func (h *Hierarchy) UnmarshalJSON(data []byte) error {
+	var w HierarchyWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	restored, err := w.Hierarchy()
+	if err != nil {
+		return err
 	}
 	*h = *restored
 	return nil

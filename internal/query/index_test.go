@@ -3,10 +3,12 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
+	"github.com/privacy-quagmire/quagmire/internal/embed"
 	"github.com/privacy-quagmire/quagmire/internal/obs"
 )
 
@@ -148,5 +150,47 @@ func TestLazyIndexMatchesWarmed(t *testing.T) {
 	t.Logf("%d questions over %d policies", asked, policies)
 	if asked < 5*policies {
 		t.Errorf("only %d questions asked", asked)
+	}
+}
+
+// TestVocabIndexMatchesEveryAdd: the index an engine builds holds the keys,
+// in the same order and with bit-identical vectors, of an index that adds
+// every node, every edge and every data term in turn, re-adding each term
+// that is also a node under the node's key.
+func TestVocabIndexMatchesEveryAdd(t *testing.T) {
+	engines := append(corpusEngines(t, 30, 31), newEngine(t))
+	skipped := 0
+	for i, e := range engines {
+		ref := embed.NewIndex(e.Model, 0)
+		for _, n := range e.KG.ED.Nodes() {
+			ref.Add("node:"+n.ID, n.ID)
+		}
+		for j, ed := range e.KG.ED.Edges() {
+			ref.Add(fmt.Sprintf("edge:%d", j), ed.From+" "+ed.Label+" "+ed.To)
+		}
+		terms := e.KG.DataH.Terms()
+		for _, term := range terms {
+			ref.Add("node:"+term, term)
+		}
+		got := e.vocabIndex()
+		if got.Len() != ref.Len() {
+			t.Fatalf("policy %d: index holds %d items, want %d", i, got.Len(), ref.Len())
+		}
+		for j := 0; j < ref.Len(); j++ {
+			gk, gv := got.Item(j)
+			wk, wv := ref.Item(j)
+			if gk != wk {
+				t.Fatalf("policy %d item %d: key %q, want %q", i, j, gk, wk)
+			}
+			for c := range gv {
+				if math.Float32bits(gv[c]) != math.Float32bits(wv[c]) {
+					t.Fatalf("policy %d key %q: component %d = %v, want %v", i, gk, c, gv[c], wv[c])
+				}
+			}
+		}
+		skipped += e.KG.ED.NumNodes() + e.KG.ED.NumEdges() + len(terms) - ref.Len()
+	}
+	if skipped == 0 {
+		t.Error("no data term was also a node; the test covers no skipped key")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -167,16 +168,25 @@ func NewEngine(k *kg.KnowledgeGraph, client llm.Client, model *embed.Model) *Eng
 func (e *Engine) vocabIndex() *embed.Index {
 	e.indexOnce.Do(func() {
 		start := time.Now()
-		ix := embed.NewIndex(e.Model)
-		for _, n := range e.KG.ED.Nodes() {
+		nodes, edges := e.KG.ED.Nodes(), e.KG.ED.Edges()
+		// A data term that names a node has that node's key and text, so
+		// the node's entry already stands for it.
+		var terms []string
+		for _, term := range e.KG.DataH.Terms() {
+			if !e.KG.ED.HasNode(term) {
+				terms = append(terms, term)
+			}
+		}
+		ix := embed.NewIndex(e.Model, len(nodes)+len(edges)+len(terms))
+		for _, n := range nodes {
 			ix.Add("node:"+n.ID, n.ID)
 		}
 		// Edge representations: source+action+target concatenations, "for
 		// more accurate matching" (§3).
-		for i, ed := range e.KG.ED.Edges() {
-			ix.Add(fmt.Sprintf("edge:%d", i), ed.From+" "+ed.Label+" "+ed.To)
+		for i, ed := range edges {
+			ix.Add("edge:"+strconv.Itoa(i), ed.From+" "+ed.Label+" "+ed.To)
 		}
-		for _, term := range e.KG.DataH.Terms() {
+		for _, term := range terms {
 			ix.Add("node:"+term, term)
 		}
 		e.index = ix
