@@ -11,10 +11,11 @@ import (
 
 // runStore is `quagmire store <subcommand>`. The only subcommand so far
 // is inspect: a read-only report on a store data directory — snapshot
-// format version and watermark, WAL record count and durable sequence,
-// and per-policy version/payload accounting. It never opens the store
-// for writing (no recovery, no WAL truncation), so it is safe against a
-// directory another process is serving from.
+// format version and watermark, the retained WAL generation's records,
+// sequence range and size, the live log's record count and durable
+// sequence, and per-policy version/payload accounting. It never opens the
+// store for writing (no recovery, no WAL truncation), so it is safe
+// against a directory another process is serving from.
 func runStore(args []string) error {
 	if len(args) == 0 || args[0] != "inspect" {
 		return fmt.Errorf("usage: quagmire store inspect -data <dir> [-json]")
@@ -43,6 +44,13 @@ func runStore(args []string) error {
 		fmt.Printf("snapshot: none (WAL only)\n")
 	default:
 		fmt.Printf("snapshot: v%d, seq %d, %d bytes\n", info.SnapshotCodec, info.SnapshotSeq, info.SnapshotBytes)
+	}
+	if info.RetainedRecords > 0 || info.RetainedBytes > 0 || info.RetainedCorrupt != "" {
+		fmt.Printf("retained wal: %d records, seq %d-%d, %d bytes\n",
+			info.RetainedRecords, info.RetainedFirstSeq, info.RetainedSeq, info.RetainedBytes)
+	}
+	if info.RetainedCorrupt != "" {
+		fmt.Printf("retained wal corrupt tail: %s\n", info.RetainedCorrupt)
 	}
 	fmt.Printf("wal: %d records, seq %d, %d bytes\n", info.WALRecords, info.WALSeq, info.WALBytes)
 	if info.WALCorrupt != "" {

@@ -4,8 +4,9 @@ package replica
 // follower run in-process with a chaos TCP proxy between them, a
 // deterministic randomized workload writes through the primary, and the
 // suite injects the faults replication must survive — connections cut
-// mid-record, follower SIGKILL, primary crash-restart, and compaction
-// racing a lagging follower. After every fault the one assertion that
+// mid-record, follower SIGKILL, primary crash-restart, a follower cut off
+// across one compaction (it keeps tailing), and compaction outrunning a
+// lagging follower (it re-bootstraps). After every fault the one assertion that
 // matters is differential: once lag reaches 0, the follower's observable
 // state is byte-identical to the primary's and verdicts agree. Run under
 // -race; the suite is also the concurrency proof for the stream handlers.
@@ -13,6 +14,7 @@ package replica
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -213,24 +215,33 @@ func startPrimary(t *testing.T, dir string, threshold int64) *primaryNode {
 func (p *primaryNode) addr() string { return p.http.Listener.Addr().String() }
 
 // crash kills the incarnation the hard way: HTTP connections severed,
-// server stopped, and the store abandoned WITHOUT Close — no final
-// compaction, exactly like SIGKILL. The WAL holds everything acked.
+// server stopped, and the store abandoned without its final compaction,
+// exactly like SIGKILL. The WAL holds everything acked. A background
+// compaction already running finishes first (the process dies after its
+// last step), so it cannot touch the directory the next incarnation opens.
 func (p *primaryNode) crash() {
 	p.http.CloseClientConnections()
 	p.http.Close()
 	p.srv.Close()
-	// p.disk deliberately not closed.
+	p.disk.CloseWithoutSnapshot()
 }
 
 func TestReplicaConformanceUnderFaults(t *testing.T) {
 	payloads := encodedPayloads(t)
+	// smallOnly restricts writes to the smallest payload, whose records
+	// stay under a third of the compaction threshold.
+	smallOnly := false
 	mkVersion := func(i int) store.Version {
+		pi := i % len(payloads)
+		if smallOnly {
+			pi = 0
+		}
 		return store.Version{
 			VersionMeta: store.VersionMeta{
-				Company: fmt.Sprintf("Co%d", i%len(payloads)),
+				Company: fmt.Sprintf("Co%d", pi),
 				Stats:   store.VersionStats{Nodes: 5 + i%7, Edges: 3 + i%5, Segments: 2, Practices: 1 + i%3},
 			},
-			Payload: payloads[i%len(payloads)],
+			Payload: payloads[pi],
 		}
 	}
 	// Compaction threshold scaled to the payload size so the lag phase is
@@ -352,15 +363,47 @@ func TestReplicaConformanceUnderFaults(t *testing.T) {
 	writeN(t, 6)
 	converge(t, "primary crash-restart")
 
-	// Phase 5: compaction races a lagging follower. With the proxy down,
-	// the primary writes enough bytes to compact past the follower's
-	// watermark; on reconnect the primary answers 410 Gone and the
-	// follower must re-bootstrap from a fresh snapshot — and still end up
+	// Phase 5: the primary compacts once while the follower is cut off.
+	// Small records are written one at a time until a compaction has
+	// rotated the WAL at a cut above the follower's watermark (the
+	// retained generation then ends there); at most one record lands
+	// after that rotation, too few to start another compaction. The phase
+	// waits for that compaction's snapshot. The retained generation still
+	// holds every record past the follower's watermark, so the follower
+	// tails across the compaction with no re-bootstrap and ends
 	// byte-identical.
 	bootstrapsBefore := fol.Status().Bootstraps
+	watermark := fol.Seq()
 	proxy.down.Store(true)
 	proxy.dropAll()
-	writeN(t, 12) // ≥ threshold bytes: at least one compaction runs
+	smallOnly = true
+	for inspect(t, pdir).RetainedSeq <= watermark {
+		write(t)
+	}
+	smallOnly = false
+	cut := inspect(t, pdir).RetainedSeq
+	waitFor(t, "the compaction's snapshot", func() bool { return inspect(t, pdir).SnapshotSeq >= cut })
+	if floor := tailFloor(t, pri.disk); floor > watermark {
+		t.Fatalf("tail floor %d passed the follower's watermark %d: more than one compaction ran", floor, watermark)
+	}
+	proxy.down.Store(false)
+	converge(t, "follower cut off across one compaction")
+	if got := fol.Status().Bootstraps; got != bootstrapsBefore {
+		t.Errorf("tail across one compaction: bootstraps = %d, want %d (re-bootstrapped inside the retained window)", got, bootstrapsBefore)
+	}
+
+	// Phase 6: compaction outruns a lagging follower. With the proxy down,
+	// the primary writes until its tail floor passes the follower's
+	// watermark, which takes two compactions now that one stays inside the
+	// retained window; on reconnect the primary answers 410 Gone and the
+	// follower must re-bootstrap from a fresh snapshot — and still end up
+	// byte-identical.
+	watermark = fol.Seq()
+	proxy.down.Store(true)
+	proxy.dropAll()
+	for tailFloor(t, pri.disk) <= watermark {
+		write(t)
+	}
 	proxy.down.Store(false)
 	converge(t, "compaction vs lagging follower")
 	if got := fol.Status().Bootstraps; got <= bootstrapsBefore {
@@ -375,6 +418,46 @@ func TestReplicaConformanceUnderFaults(t *testing.T) {
 
 	if st := fol.Status(); st.Reconnects == 0 {
 		t.Error("suite never exercised a reconnect — fault injection is broken")
+	}
+}
+
+// tailFloor is the lowest watermark the primary's store still tails
+// from: below it, ReplayFrom answers ErrCompacted.
+func tailFloor(t *testing.T, d *store.Disk) uint64 {
+	t.Helper()
+	stop := errors.New("stop at the first record")
+	lo, hi := uint64(0), d.Seq()
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		err := d.ReplayFrom(mid, func(store.Record) error { return stop })
+		switch {
+		case errors.Is(err, store.ErrCompacted):
+			lo = mid + 1
+		case err == nil || errors.Is(err, stop):
+			hi = mid
+		default:
+			t.Fatal(err)
+		}
+	}
+	return lo
+}
+
+func inspect(t *testing.T, dir string) store.Info {
+	t.Helper()
+	info, err := store.Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// waitFor polls cond until it holds or 30 s pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

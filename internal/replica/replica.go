@@ -8,11 +8,14 @@
 // The tail loop is a supervision loop: a dropped connection or a torn
 // frame discards the partial record and reconnects with jittered
 // exponential backoff, resuming from the local watermark (delivery is
-// at-least-once; the store skips duplicates). When the primary answers
-// 410 Gone — it compacted past the follower's watermark, or the watermark
-// is ahead of the primary's own (the primary's directory was restored from
-// an older backup or re-created) — the follower re-bootstraps from a fresh
-// snapshot and resumes tailing from the new watermark. Replication is
+// at-least-once; the store skips duplicates). The primary keeps one
+// compacted WAL generation beside its live log, so a follower that lags by
+// less than one compaction window keeps tailing across a compaction. When
+// the primary answers 410 Gone — it compacted past the follower's
+// watermark twice, or the watermark is ahead of the primary's own (the
+// primary's directory was restored from an older backup or re-created) —
+// the follower re-bootstraps from a fresh snapshot and resumes tailing
+// from the new watermark. Replication is
 // asynchronous: a follower serves reads that may trail the primary by the
 // current lag, and read-your-writes holds only on the primary.
 package replica
@@ -25,8 +28,6 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -139,7 +140,7 @@ func New(opts Options) (*Follower, error) {
 	if f.client == nil {
 		f.client = &http.Client{}
 	}
-	if !hasStore(opts.Dir) {
+	if !store.HasState(opts.Dir) {
 		if err := f.bootstrap(context.Background()); err != nil {
 			return nil, err
 		}
@@ -152,17 +153,6 @@ func New(opts Options) (*Follower, error) {
 	f.registerMetrics()
 	f.logf("replica: local store at seq %d, primary %s", d.Seq(), opts.Primary)
 	return f, nil
-}
-
-// hasStore reports whether dir already holds a snapshot or WAL to resume
-// from.
-func hasStore(dir string) bool {
-	for _, name := range []string{"snapshot.v2", "wal.log"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
-		}
-	}
-	return false
 }
 
 func (f *Follower) logf(format string, args ...any) {
@@ -448,15 +438,19 @@ func (f *Follower) WaitFor(ctx context.Context, seq uint64) error {
 	}
 }
 
-// Kill stops the tail loop without closing the local store — the
-// conformance suite's SIGKILL: no compaction, no flush, no goodbye. The
-// abandoned store's files stay as the crash left them, and a new Follower
-// over the same directory must recover the watermark by replay.
+// Kill stops the tail loop and abandons the local store — the conformance
+// suite's SIGKILL: no final compaction, no snapshot, no goodbye. A
+// background compaction already running finishes first (the process dies
+// after its last step), so no goroutine of the dead follower touches the
+// directory a new one opens. The files stay as the crash left them, and a
+// new Follower over the same directory must recover the watermark by
+// replay.
 func (f *Follower) Kill() {
 	if f.cancel != nil {
 		f.cancel()
 		<-f.done
 	}
+	f.store().CloseWithoutSnapshot()
 }
 
 // Close stops the tail loop and closes the local store.

@@ -194,12 +194,13 @@ func TestSnapshotCompactionThreshold(t *testing.T) {
 		if _, err := d.Create("pol", mkVersion("Acme", "some payload long enough to trip the threshold quickly")); err != nil {
 			t.Fatal(err)
 		}
+		settle(d) // the compaction runs in the background
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotV2Name)); err != nil {
 		t.Fatalf("no snapshot despite threshold: %v", err)
 	}
 	d.mu.RLock()
-	walBytes := d.walBytes
+	walBytes := d.live.size
 	d.mu.RUnlock()
 	if walBytes >= 6*60 {
 		t.Errorf("wal never compacted: %d bytes", walBytes)
@@ -287,14 +288,7 @@ func TestInterruptedCompactionRecovery(t *testing.T) {
 	before := dumpState(t, d)
 	// Simulate the interrupted compaction: snapshot saved, WAL untouched,
 	// process dies (no Close).
-	d.mu.Lock()
-	hdr := snapHeader{Codec: snapshotCodecV2, Seq: d.seq, NextID: d.c.nextID}
-	sf, _, saveErr := saveSnapshotV2(d.dir, hdr, d.sortedStatesLocked(), d.loadPayloadLocked)
-	d.mu.Unlock()
-	if saveErr != nil {
-		t.Fatal(saveErr)
-	}
-	sf.Close()
+	saveCut(t, d)
 	var logBuf bytes.Buffer
 	d2, err := OpenDisk(dir, Options{Logger: log.New(&logBuf, "", 0)})
 	if err != nil {

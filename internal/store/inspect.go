@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // InspectPolicy is one policy's row in an Info report.
@@ -18,7 +17,8 @@ type InspectPolicy struct {
 }
 
 // Info is a read-only report on a store data directory: snapshot format
-// and watermark, WAL shape, and per-policy version/payload accounting.
+// and watermark, the shape of both WAL files, and per-policy
+// version/payload accounting.
 // It is assembled without opening the store for writing, so it is safe to
 // run against a directory another process is serving from — the first
 // debugging stop for any recovery or replication question.
@@ -29,21 +29,33 @@ type Info struct {
 	SnapshotCodec int    `json:"snapshot_codec"`
 	SnapshotSeq   uint64 `json:"snapshot_seq"`
 	SnapshotBytes int64  `json:"snapshot_bytes"`
-	// WALRecords counts intact records; WALSeq is the last record's
-	// sequence number (the durable watermark).
+	// WALRecords counts the live log's intact records; WALSeq is the last
+	// record's sequence number (the durable watermark).
 	WALRecords int    `json:"wal_records"`
 	WALSeq     uint64 `json:"wal_seq"`
 	WALBytes   int64  `json:"wal_bytes"`
 	// WALCorrupt describes a torn or corrupt tail, empty for a clean log.
 	// Inspection never truncates; recovery does that on the next open.
-	WALCorrupt string          `json:"wal_corrupt,omitempty"`
-	Policies   []InspectPolicy `json:"policies"`
+	WALCorrupt string `json:"wal_corrupt,omitempty"`
+	// The Retained fields describe the retained WAL generation, the live
+	// log as the last compaction rotated it out: its intact records, their
+	// first and last sequence numbers, and its size. All zero when the
+	// directory has none.
+	RetainedRecords  int    `json:"retained_records"`
+	RetainedFirstSeq uint64 `json:"retained_first_seq"`
+	RetainedSeq      uint64 `json:"retained_seq"`
+	RetainedBytes    int64  `json:"retained_bytes"`
+	RetainedCorrupt  string `json:"retained_corrupt,omitempty"`
+	// Policies is the census of snapshot plus both logs, each record
+	// counted once.
+	Policies []InspectPolicy `json:"policies"`
 }
 
-// Inspect reads the snapshot index and scans the WAL of the data
-// directory at dir, merging both into one report. dir must be an existing
-// directory: inspection never creates one. A directory holding only a
-// legacy v1 snapshot is refused with the same upgrade path OpenDisk names.
+// Inspect reads the snapshot index and scans the retained WAL generation
+// and the live log of the data directory at dir, merging them into one
+// report. dir must be an existing directory: inspection never creates
+// one. A directory holding only a legacy v1 snapshot is refused with the
+// same upgrade path OpenDisk names.
 func Inspect(dir string) (Info, error) {
 	fi, err := os.Stat(dir)
 	if err != nil {
@@ -79,41 +91,14 @@ func Inspect(dir string) (Info, error) {
 		return Info{}, err
 	}
 
-	if err := inspectWAL(dir, &info, byID); err != nil {
-		return Info{}, err
-	}
-
-	for _, p := range byID {
-		info.Policies = append(info.Policies, *p)
-	}
-	sort.Slice(info.Policies, func(i, j int) bool {
-		var a, b int
-		an, _ := fmt.Sscanf(info.Policies[i].ID, "p%d", &a)
-		bn, _ := fmt.Sscanf(info.Policies[j].ID, "p%d", &b)
-		if an == 1 && bn == 1 && a != b {
-			return a < b
+	// Records at or below the watermark are already counted: the snapshot
+	// holds them, or the retained generation did.
+	watermark := info.SnapshotSeq
+	census := func(op Record) {
+		if op.Seq <= watermark {
+			return
 		}
-		return info.Policies[i].ID < info.Policies[j].ID
-	})
-	return info, nil
-}
-
-func inspectWAL(dir string, info *Info, byID map[string]*InspectPolicy) error {
-	f, err := os.Open(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("store: open wal for inspection: %w", err)
-	}
-	defer f.Close()
-	offset, _, corrupt, err := replayWAL(f, func(op Record, _ int64) error {
-		info.WALRecords++
-		info.WALSeq = op.Seq
-		if op.Seq <= info.SnapshotSeq {
-			// Already covered by the snapshot (interrupted compaction).
-			return nil
-		}
+		watermark = op.Seq
 		switch op.Op {
 		case "create":
 			byID[op.ID] = &InspectPolicy{
@@ -126,14 +111,62 @@ func inspectWAL(dir string, info *Info, byID map[string]*InspectPolicy) error {
 				p.PayloadBytes += int64(len(op.Version.Payload))
 			}
 		}
+	}
+	retained, err := inspectWAL(filepath.Join(dir, retainedWALName), census)
+	if err != nil {
+		return Info{}, err
+	}
+	info.RetainedRecords, info.RetainedFirstSeq, info.RetainedSeq = retained.records, retained.first, retained.last
+	info.RetainedBytes, info.RetainedCorrupt = retained.bytes, retained.corrupt
+	live, err := inspectWAL(filepath.Join(dir, walName), census)
+	if err != nil {
+		return Info{}, err
+	}
+	info.WALRecords, info.WALSeq, info.WALBytes, info.WALCorrupt = live.records, live.last, live.bytes, live.corrupt
+
+	for _, p := range byID {
+		info.Policies = append(info.Policies, *p)
+	}
+	sortByID(info.Policies, func(p InspectPolicy) string { return p.ID })
+	return info, nil
+}
+
+// walReport is one WAL file's shape: intact records, their first and
+// last sequence numbers, the intact prefix's size and any corrupt tail.
+type walReport struct {
+	records     int
+	first, last uint64
+	bytes       int64
+	corrupt     string
+}
+
+// inspectWAL scans the WAL file at path, passing each intact record to
+// census. A missing file reports as empty.
+func inspectWAL(path string, census func(Record)) (walReport, error) {
+	var r walReport
+	f, err := os.Open(path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return r, nil
+		}
+		return r, fmt.Errorf("store: open %s for inspection: %w", filepath.Base(path), err)
+	}
+	defer f.Close()
+	offset, _, corrupt, err := replayWAL(f, func(op Record, _ int64) error {
+		if r.records == 0 {
+			r.first = op.Seq
+		}
+		r.records++
+		r.last = op.Seq
+		census(op)
 		return nil
 	})
 	if err != nil {
-		return err
+		return r, err
 	}
-	info.WALBytes = offset
+	r.bytes = offset
 	if corrupt != nil {
-		info.WALCorrupt = corrupt.Error()
+		r.corrupt = corrupt.Error()
 	}
-	return nil
+	return r, nil
 }

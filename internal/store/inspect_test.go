@@ -155,3 +155,96 @@ func fileSize(t *testing.T, path string) int64 {
 	}
 	return fi.Size()
 }
+
+// TestInspectBetweenRotationAndSwap inspects a directory captured while a
+// compaction is parked after writing its snapshot's temp file, between
+// rotation and swap: the previous snapshot, the retained generation (the
+// rotated log) and a live log holding one later write. The report shows
+// the retained generation beside the live log and its census counts each
+// record once, as recovery does.
+func TestInspectBetweenRotationAndSwap(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, Options{SnapshotThreshold: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	writeUntilCompacting(t, d, "a")
+	settle(d)
+	snapSeq := d.snapSeq
+	// An append the rotation moves into the retained generation.
+	if _, err := d.Append("p1", 1, mkVersion("Acme", "before the rotation")); err != nil {
+		t.Fatal(err)
+	}
+	p := newParker(stepWritten)
+	d.stepHook = p.hook
+	writeUntilCompacting(t, d, "b")
+	p.wait(t)
+	cut := d.Seq()
+	if _, err := d.Append("p1", 2, mkVersion("Acme", "after the rotation")); err != nil {
+		t.Fatal(err)
+	}
+	captured := copyDir(t, dir)
+	close(p.release)
+	settle(d)
+
+	info, err := Inspect(captured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotSeq != snapSeq {
+		t.Errorf("snapshot seq %d, want the previous snapshot's %d", info.SnapshotSeq, snapSeq)
+	}
+	if info.RetainedFirstSeq != snapSeq+1 || info.RetainedSeq != cut || info.RetainedRecords != int(cut-snapSeq) {
+		t.Errorf("retained generation: %d records, seq %d-%d; want %d records, seq %d-%d",
+			info.RetainedRecords, info.RetainedFirstSeq, info.RetainedSeq, cut-snapSeq, snapSeq+1, cut)
+	}
+	if want := fileSize(t, filepath.Join(captured, retainedWALName)); info.RetainedBytes != want || want == 0 {
+		t.Errorf("retained bytes %d, file holds %d", info.RetainedBytes, want)
+	}
+	if info.WALRecords != 1 || info.WALSeq != cut+1 || info.WALBytes != fileSize(t, filepath.Join(captured, walName)) {
+		t.Errorf("live wal: %d records, seq %d, %d bytes; want 1 record at seq %d", info.WALRecords, info.WALSeq, info.WALBytes, cut+1)
+	}
+	if info.RetainedCorrupt != "" || info.WALCorrupt != "" {
+		t.Errorf("corrupt tails reported: %q %q", info.RetainedCorrupt, info.WALCorrupt)
+	}
+	// The census matches what recovery makes of the same directory.
+	assertCensus(t, info, reopenCopy(t, captured))
+
+	// Once the compaction is done the snapshot also holds every record of
+	// the retained generation; the census still counts each once.
+	info, err = Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotSeq != cut || info.RetainedSeq != cut {
+		t.Errorf("after the swap: snapshot seq %d, retained generation ends at %d; want both %d", info.SnapshotSeq, info.RetainedSeq, cut)
+	}
+	assertCensus(t, info, d)
+}
+
+// assertCensus checks an Inspect report's policy rows against a store's
+// list, versions and payload sizes.
+func assertCensus(t *testing.T, info Info, st PolicyStore) {
+	t.Helper()
+	list, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Policies) != len(list) {
+		t.Fatalf("census lists %d policies, the store %d", len(info.Policies), len(list))
+	}
+	for i, pol := range list {
+		vs, err := st.Versions(pol.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payload int64
+		for _, v := range vs {
+			payload += int64(v.Bytes)
+		}
+		if got := info.Policies[i]; got.ID != pol.ID || got.Versions != len(vs) || got.PayloadBytes != payload {
+			t.Errorf("census row %+v, the store has %s with %d versions, %d payload bytes", got, pol.ID, len(vs), payload)
+		}
+	}
+}

@@ -84,17 +84,36 @@ func (c *core) list() []Policy {
 	for _, st := range c.policies {
 		out = append(out, st.Meta)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		// Numeric order for the canonical "p<N>" IDs, lexicographic tiebreak.
-		var a, b int
-		an, _ := fmt.Sscanf(out[i].ID, "p%d", &a)
-		bn, _ := fmt.Sscanf(out[j].ID, "p%d", &b)
-		if an == 1 && bn == 1 && a != b {
-			return a < b
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortByID(out, func(p Policy) string { return p.ID })
 	return out
+}
+
+// sortByID puts xs in canonical policy order: numeric for the "p<N>" IDs
+// the store assigns, lexicographic otherwise and as the tiebreak. Each ID
+// is parsed once, not once per comparison.
+func sortByID[T any](xs []T, id func(T) string) {
+	type keyed struct {
+		id  string
+		n   int
+		num bool
+		x   T
+	}
+	ks := make([]keyed, len(xs))
+	for i, x := range xs {
+		ks[i] = keyed{id: id(x), x: x}
+		c, _ := fmt.Sscanf(ks[i].id, "p%d", &ks[i].n)
+		ks[i].num = c == 1
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		a, b := &ks[i], &ks[j]
+		if a.num && b.num && a.n != b.n {
+			return a.n < b.n
+		}
+		return a.id < b.id
+	})
+	for i := range ks {
+		xs[i] = ks[i].x
+	}
 }
 
 func (c *core) versions(id string) ([]VersionMeta, error) {

@@ -16,12 +16,13 @@ import (
 // together form a state-shipping primitive. A follower bootstraps from
 // SnapshotTo (an indexed snapshot it can open directly), then catches up
 // and stays current by polling ReplayFrom with its last-applied sequence
-// number. ErrCompacted tells a follower it fell behind the primary's
-// compaction horizon and must re-bootstrap from a fresh snapshot.
+// number. ErrCompacted tells a follower it fell behind the primary's tail
+// floor (more than one compaction window) and must re-bootstrap from a
+// fresh snapshot.
 
 // ErrCompacted reports that the requested replay window starts below the
-// snapshot watermark: those records were compacted away, and the caller
-// must bootstrap from a snapshot instead.
+// tail floor: those records were compacted away, and the caller must
+// bootstrap from a snapshot instead.
 var ErrCompacted = errors.New("store: records compacted away")
 
 // ErrReplicationGap reports a replicated record whose sequence number does
@@ -48,9 +49,9 @@ type Record struct {
 	// Seq is the mutation's store-wide sequence number, strictly
 	// increasing across compactions. The snapshot records the sequence it
 	// was taken at, so replay can skip records the snapshot already
-	// contains — which is what makes an interrupted compaction (snapshot
-	// saved, WAL not yet truncated) recoverable instead of a replay of
-	// duplicate creates and appends.
+	// contains — which is what lets the retained WAL generation outlive
+	// the compaction that covers it, and makes an interrupted compaction
+	// recoverable instead of a replay of duplicate creates and appends.
 	Seq uint64 `json:"seq"`
 	// Op is "create" or "append".
 	Op string `json:"op"`
@@ -69,31 +70,42 @@ type Record struct {
 // write it to its own data directory and OpenDisk from it. started, when
 // non-nil, is invoked with the watermark before the first byte is written
 // — the HTTP handler uses it to emit the watermark as a response header,
-// which must precede the body. Concurrent reads proceed; writes block for
-// the duration.
+// which must precede the body.
+//
+// The stream is a cut taken under a brief read lock and written without
+// it, so reads and writes proceed while a follower downloads. It holds
+// d.snapMu for the duration: a compaction waits for the stream to end
+// rather than close the snapshot file its payloads are read from.
 func (d *Disk) SnapshotTo(w io.Writer, started func(seq uint64)) (uint64, error) {
 	defer d.opts.observe("snapshot_to", time.Now())
+	d.snapMu.Lock()
+	defer d.snapMu.Unlock()
 	d.mu.RLock()
-	defer d.mu.RUnlock()
 	if d.closed {
+		d.mu.RUnlock()
 		return 0, ErrClosed
 	}
+	c := d.cutLocked()
+	d.mu.RUnlock()
 	if started != nil {
-		started(d.seq)
+		started(c.hdr.Seq)
 	}
-	hdr := snapHeader{Codec: snapshotCodecV2, Seq: d.seq, NextID: d.c.nextID}
-	if _, err := writeSnapshotV2(w, hdr, d.sortedStatesLocked(), d.loadPayloadLocked); err != nil {
+	sortByID(c.policies, func(st *policyState) string { return st.Meta.ID })
+	if _, err := writeSnapshotV2(w, c.hdr, c.policies, c.load); err != nil {
 		return 0, err
 	}
-	return d.seq, nil
+	return c.hdr.Seq, nil
 }
 
 // ReplayFrom invokes fn for every durable WAL record with sequence number
-// strictly greater than seq, in order. It returns ErrCompacted when seq
-// predates the snapshot watermark — the records are gone and the caller
-// must bootstrap via SnapshotTo. A fn error aborts the replay.
+// strictly greater than seq, in order, reading the retained generation
+// and then the live log. It returns ErrCompacted when seq is below the
+// tail floor — the records are gone and the caller must bootstrap via
+// SnapshotTo. The retained generation keeps the floor at or below the
+// previous snapshot's watermark, so a caller that lags by less than one
+// compaction window keeps tailing. A fn error aborts the replay.
 //
-// The WAL index locates the first record past seq, so a replay reads and
+// The WAL indexes locate the first record past seq, so a replay reads and
 // decodes only the records it yields, not the whole log, and a caught-up
 // caller costs no file I/O at all.
 func (d *Disk) ReplayFrom(seq uint64, fn func(Record) error) error {
@@ -103,22 +115,31 @@ func (d *Disk) ReplayFrom(seq uint64, fn func(Record) error) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if seq < d.snapSeq {
-		return fmt.Errorf("%w: requested replay from seq %d, snapshot watermark is %d", ErrCompacted, seq, d.snapSeq)
+	if seq < d.floor {
+		return fmt.Errorf("%w: requested replay from seq %d, the wal holds records after seq %d only", ErrCompacted, seq, d.floor)
 	}
-	i := sort.Search(len(d.walIndex), func(i int) bool { return d.walIndex[i].seq > seq })
-	if i == len(d.walIndex) {
+	if err := d.retained.tail(seq, fn); err != nil {
+		return err
+	}
+	return d.live.tail(seq, fn)
+}
+
+// tail invokes fn for every record in g with sequence number above seq.
+// The caller holds d.mu (read or write).
+func (g *walGen) tail(seq uint64, fn func(Record) error) error {
+	i := sort.Search(len(g.index), func(i int) bool { return g.index[i].seq > seq })
+	if i == len(g.index) {
 		return nil
 	}
-	start := d.walIndex[i].off
-	f, err := os.Open(d.walPath)
+	start := g.index[i].off
+	f, err := os.Open(g.path)
 	if err != nil {
-		return fmt.Errorf("store: open wal for replay: %w", err)
+		return fmt.Errorf("store: open %s for replay: %w", filepath.Base(g.path), err)
 	}
 	defer f.Close()
-	// Limit the read to the durable boundary: bytes past d.walBytes are a
+	// Limit the read to the durable boundary: bytes past g.size are a
 	// rolled-back or torn tail and were never acknowledged.
-	_, _, corrupt, err := replayWAL(io.NewSectionReader(f, start, d.walBytes-start), func(op Record, _ int64) error {
+	_, _, corrupt, err := replayWAL(io.NewSectionReader(f, start, g.size-start), func(op Record, _ int64) error {
 		if op.Seq <= seq {
 			return nil
 		}
@@ -129,33 +150,9 @@ func (d *Disk) ReplayFrom(seq uint64, fn func(Record) error) error {
 	}
 	if corrupt != nil {
 		corrupt.offset += start
-		return fmt.Errorf("store: wal corrupt inside durable boundary: %w", corrupt)
+		return fmt.Errorf("store: %s corrupt inside durable boundary: %w", filepath.Base(g.path), corrupt)
 	}
 	return nil
-}
-
-// sortedStatesLocked returns the policy states in canonical ID order.
-// The caller holds d.mu (read or write).
-func (d *Disk) sortedStatesLocked() []*policyState {
-	ids := sortedIDs(d.c.policies)
-	out := make([]*policyState, len(ids))
-	for i, id := range ids {
-		out[i] = d.c.policies[id]
-	}
-	return out
-}
-
-// loadPayloadLocked materializes one version's payload bytes: inline for
-// WAL-resident versions, a CRC-verified snapshot read for ref'd ones.
-// The caller holds d.mu (read or write).
-func (d *Disk) loadPayloadLocked(id string, v *Version) ([]byte, error) {
-	if v.Payload != nil || v.ref == nil {
-		return v.Payload, nil
-	}
-	if d.snapFile == nil {
-		return nil, fmt.Errorf("store: payload %s/v%d referenced but no snapshot open", id, v.N)
-	}
-	return d.snapFile.load(*v.ref)
 }
 
 // Seq returns the sequence number of the last durable mutation — the
@@ -233,12 +230,13 @@ func (d *Disk) ApplyRecord(rec Record) error {
 // The bytes are staged to a temp file, validated end to end (magic,
 // header, index, every CRC boundary), fsynced, and renamed into place —
 // a truncated or corrupted transfer can never replace a good snapshot.
-// Any existing WAL is removed first: a follower only installs a snapshot
-// when its local state is being superseded wholesale (first bootstrap,
-// falling behind the primary's compaction horizon, or running ahead of a
-// fresh primary), and in the last case its WAL holds records above the
-// new watermark that replay must never apply over the new snapshot. A
-// crash between the two steps leaves the old snapshot alone: an older but
+// Both WAL files are removed first, the live log before the retained
+// generation: a follower only installs a snapshot when its local state is
+// being superseded wholesale (first bootstrap, falling behind the
+// primary's tail floor, or running ahead of a fresh primary), and in the
+// last case its WAL holds records above the new watermark that replay
+// must never apply over the new snapshot. A crash between the steps
+// leaves the old snapshot and a prefix of its log: an older but
 // consistent state the follower catches up from.
 //
 // The target store must be closed; reopen it with OpenDisk afterwards.
@@ -273,9 +271,11 @@ func InstallSnapshot(dir string, r io.Reader) (uint64, error) {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("store: install snapshot: %w", cerr)
 	}
-	if err := os.Remove(filepath.Join(dir, "wal.log")); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("store: install snapshot: remove stale wal: %w", err)
+	for _, name := range []string{walName, retainedWALName} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			os.Remove(tmp)
+			return 0, fmt.Errorf("store: install snapshot: remove stale wal: %w", err)
+		}
 	}
 	if err := syncDir(dir); err != nil {
 		os.Remove(tmp)

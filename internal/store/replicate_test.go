@@ -153,6 +153,58 @@ func TestInstallSnapshotBootstrapsFollower(t *testing.T) {
 	}
 }
 
+// TestInstallSnapshotDropsBothWALFiles: a follower that ran ahead of a
+// fresh primary holds records above the new snapshot's watermark in both
+// WAL files. Installing the snapshot removes both, so recovery replays
+// none of them over it.
+func TestInstallSnapshotDropsBothWALFiles(t *testing.T) {
+	fdir := t.TempDir()
+	fol, err := OpenDisk(fdir, Options{SnapshotThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fol.AppendBatch(mkBatch(3, "ahead")); err != nil {
+		t.Fatal(err)
+	}
+	fol.mu.Lock()
+	err = fol.rotateLocked()
+	fol.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fol.AppendBatch(mkBatch(2, "ahead-live")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fol.CloseWithoutSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if n := walFiles(t, fdir); len(n) != 2 {
+		t.Fatalf("follower WAL files %v, want both", n)
+	}
+	pri, err := OpenDisk(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pri.Close()
+	if _, err := pri.Create("fresh", mkVersion("Fresh", "f1")); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := pri.SnapshotTo(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := InstallSnapshot(fdir, &buf); err != nil || seq != 1 {
+		t.Fatalf("install = %d, %v; want seq 1", seq, err)
+	}
+	if n := walFiles(t, fdir); len(n) != 0 {
+		t.Errorf("WAL files %v left beside the installed snapshot", n)
+	}
+	r := reopen(t, fdir, Options{})
+	if r.Seq() != 1 || dumpState(t, r) != dumpState(t, pri) {
+		t.Errorf("reopened follower at seq %d differs from the primary's snapshot", r.Seq())
+	}
+}
+
 // TestSnapshotReplayUnderConcurrentWrites pins the replication read
 // surface against live writers (run under -race): SnapshotTo must stream
 // a consistent, installable snapshot whose header watermark is exact,
@@ -360,6 +412,9 @@ func TestSnapshotReplayUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
+// TestReplayFromBelowSnapshotWatermarkIsCompacted: the retained WAL
+// generation keeps one compaction window servable, so a watermark is
+// refused only once two compactions have passed it.
 func TestReplayFromBelowSnapshotWatermarkIsCompacted(t *testing.T) {
 	d, err := OpenDisk(t.TempDir(), Options{SnapshotThreshold: 1}) // every write compacts
 	if err != nil {
@@ -369,12 +424,18 @@ func TestReplayFromBelowSnapshotWatermarkIsCompacted(t *testing.T) {
 	if _, err := d.Create("a", mkVersion("Acme", "1")); err != nil {
 		t.Fatal(err)
 	}
+	settle(d)
 	if _, err := d.Create("b", mkVersion("Bmax", "2")); err != nil {
 		t.Fatal(err)
 	}
+	settle(d)
 	err = d.ReplayFrom(0, func(Record) error { return nil })
 	if !errors.Is(err, ErrCompacted) {
 		t.Errorf("replay below watermark = %v, want ErrCompacted", err)
+	}
+	// One compaction back is inside the retained generation.
+	if recs, err := tailFrom(d, 1); err != nil || len(recs) != 1 || recs[0].Seq != 2 {
+		t.Errorf("replay from the previous snapshot's watermark = %d records, %v; want record 2", len(recs), err)
 	}
 	// Replaying from the current watermark is always legal.
 	if err := d.ReplayFrom(d.Seq(), func(Record) error { return nil }); err != nil {

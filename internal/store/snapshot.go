@@ -48,8 +48,8 @@ var (
 
 // snapHeader is the eagerly-read head of a v2 snapshot. Seq is the WAL
 // watermark the snapshot was taken at: replay skips records at or below
-// it, so a snapshot whose WAL truncation never completed (crash
-// mid-compaction) replays cleanly.
+// it, so the WAL files a snapshot covers (the retained generation, or
+// logs a crashed compaction left) replay cleanly.
 type snapHeader struct {
 	Codec  int    `json:"codec"`
 	Seq    uint64 `json:"seq"`
@@ -99,7 +99,8 @@ func writeBlock(w io.Writer, data []byte) (int64, error) {
 
 // writeSnapshotV2 streams a v2 snapshot of the given policies (already in
 // canonical order) to w. load materializes each version's payload bytes —
-// inline for WAL-resident versions, a snapshot read for ref'd ones. The
+// inline for WAL-resident versions, a snapshot read for ref'd ones — which
+// need stay valid only until the next load. The
 // returned index records where every payload section landed, so a caller
 // writing to a real file can re-point in-memory refs at the new offsets.
 func writeSnapshotV2(w io.Writer, hdr snapHeader, policies []*policyState, load func(id string, v *Version) ([]byte, error)) (snapIndex, error) {
@@ -261,9 +262,9 @@ func readSnapshotV2(f *os.File) (*snapshotFile, error) {
 	return &snapshotFile{f: f, hdr: hdr, idx: idx}, nil
 }
 
-// load reads and CRC-verifies one payload section.
-func (sf *snapshotFile) load(ref payloadRef) ([]byte, error) {
-	buf := make([]byte, ref.n)
+// load reads and CRC-verifies one payload section into buf, which holds
+// exactly ref.n bytes.
+func (sf *snapshotFile) load(buf []byte, ref payloadRef) ([]byte, error) {
 	if _, err := sf.f.ReadAt(buf, ref.off); err != nil {
 		return nil, fmt.Errorf("read payload section at %d: %w", ref.off, err)
 	}
@@ -276,10 +277,12 @@ func (sf *snapshotFile) load(ref payloadRef) ([]byte, error) {
 func (sf *snapshotFile) Close() error { return sf.f.Close() }
 
 // saveSnapshotV2 writes a v2 snapshot durably and atomically into dir
-// (temp file, fsync, rename, directory fsync) and reopens it for reading. The WAL is truncated right
-// after this returns, so a snapshot living only in the page cache would
+// (temp file, fsync, rename, directory fsync) and reopens it for reading.
+// written, when non-nil, runs once the temp file is complete and synced,
+// before the rename. A WAL file is deleted only once a snapshot covering
+// its records is saved, so a snapshot living only in the page cache would
 // mean losing both.
-func saveSnapshotV2(dir string, hdr snapHeader, policies []*policyState, load func(id string, v *Version) ([]byte, error)) (*snapshotFile, snapIndex, error) {
+func saveSnapshotV2(dir string, hdr snapHeader, policies []*policyState, load func(id string, v *Version) ([]byte, error), written func()) (*snapshotFile, snapIndex, error) {
 	path := filepath.Join(dir, snapshotV2Name)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -296,6 +299,9 @@ func saveSnapshotV2(dir string, hdr snapHeader, policies []*policyState, load fu
 	if werr != nil {
 		os.Remove(tmp)
 		return nil, snapIndex{}, werr
+	}
+	if written != nil {
+		written()
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)

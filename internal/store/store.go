@@ -6,10 +6,11 @@
 //
 // Two backends implement PolicyStore: NewMem is a process-local map for
 // tests and cacheless deployments, and OpenDisk adds durability through an
-// append-only record log (WAL) with CRC-checked framing and snapshot
-// compaction — every mutation is logged before it is applied, recovery
-// replays the snapshot plus the log, and a corrupted log tail is truncated
-// at the last intact record instead of poisoning the whole store.
+// append-only record log (WAL) with CRC-checked framing and background
+// snapshot compaction — every mutation is logged before it is applied,
+// recovery replays the snapshot plus the log, and a corrupted log tail is
+// truncated at the last intact record instead of poisoning the whole
+// store.
 package store
 
 import (
@@ -109,7 +110,8 @@ type Health struct {
 	// Policies and Versions count stored records.
 	Policies int `json:"policies"`
 	Versions int `json:"versions"`
-	// WALBytes is the current record-log size (disk only).
+	// WALBytes is the current record-log size: the live log plus the
+	// retained generation (disk only).
 	WALBytes int64 `json:"wal_bytes,omitempty"`
 	// Writable reports the disk-writability probe (always true for the
 	// memory backend).
@@ -180,9 +182,9 @@ type Options struct {
 	Obs *obs.Registry
 	// Clock stamps version creation times; nil selects time.Now.
 	Clock func() time.Time
-	// SnapshotThreshold compacts the WAL into a snapshot when the log
-	// exceeds this many bytes (disk only); 0 selects 4 MiB, negative
-	// disables automatic compaction.
+	// SnapshotThreshold compacts the WAL into a snapshot, in the
+	// background, when the live log exceeds this many bytes (disk only);
+	// 0 selects 4 MiB, negative disables automatic compaction.
 	SnapshotThreshold int64
 	// NoSync skips fsync after each WAL append (disk only). Faster, but a
 	// host crash can lose the last records; process crashes cannot.

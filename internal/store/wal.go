@@ -61,7 +61,8 @@ func (e *corruptTailError) Error() string {
 // offset, relative to the start of r, at which the record's frame begins.
 // It returns the byte offset of the last intact record boundary, the
 // record count, and a *corruptTailError (nil for a clean log). Apply
-// errors abort the replay.
+// errors abort the replay, except a *corruptTailError, with which apply
+// declares the log unusable from its record on.
 //
 // Only a genuinely torn tail (unexpected EOF, bad length, bad checksum,
 // undecodable payload) is reported as corruption; any other read error is
@@ -100,6 +101,10 @@ func replayWAL(r io.Reader, apply func(op walOp, off int64) error) (offset int64
 			return offset, records, &corruptTailError{offset, "undecodable payload"}, nil
 		}
 		if aerr := apply(op, offset); aerr != nil {
+			var ce *corruptTailError
+			if errors.As(aerr, &ce) {
+				return offset, records, ce, nil
+			}
 			return offset, records, nil, fmt.Errorf("store: replay wal record %d: %w", records, aerr)
 		}
 		offset = br.n

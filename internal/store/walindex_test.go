@@ -5,35 +5,40 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// scanWAL is the reference reader: it decodes wal.log from its first
-// byte up to the durable boundary and returns every record with the
-// offset of its frame.
-func scanWAL(t *testing.T, d *Disk) ([]Record, []walEntry) {
+// scanWAL is the reference reader: it decodes the retained generation and
+// then the live log, each from its first byte up to its durable boundary,
+// and returns every record with the offset of its frame in its file.
+func scanWAL(t *testing.T, d *Disk) (recs []Record, retained, live []walEntry) {
 	t.Helper()
 	d.mu.RLock()
-	limit := d.walBytes
+	gens := []walGen{d.retained, d.live}
 	d.mu.RUnlock()
-	data, err := os.ReadFile(d.walPath)
-	if err != nil {
-		t.Fatal(err)
+	entries := [2][]walEntry{}
+	for i, g := range gens {
+		data, err := os.ReadFile(g.path)
+		if errors.Is(err, fs.ErrNotExist) && g.size == 0 {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, corrupt, err := replayWAL(bytes.NewReader(data[:g.size]), func(op Record, off int64) error {
+			recs = append(recs, op)
+			entries[i] = append(entries[i], walEntry{seq: op.Seq, off: off})
+			return nil
+		})
+		if err != nil || corrupt != nil {
+			t.Fatalf("reference scan of %s: %v %v", g.path, err, corrupt)
+		}
 	}
-	var recs []Record
-	var entries []walEntry
-	_, _, corrupt, err := replayWAL(bytes.NewReader(data[:limit]), func(op Record, off int64) error {
-		recs = append(recs, op)
-		entries = append(entries, walEntry{seq: op.Seq, off: off})
-		return nil
-	})
-	if err != nil || corrupt != nil {
-		t.Fatalf("reference scan: %v %v", err, corrupt)
-	}
-	return recs, entries
+	return recs, entries[0], entries[1]
 }
 
 func tailFrom(d *Disk, seq uint64) ([]Record, error) {
@@ -54,22 +59,35 @@ func renderRecords(t *testing.T, recs []Record) string {
 	return string(b)
 }
 
-// assertTailsMatchScan checks that the index holds exactly the intact
-// records of the durable prefix, that ReplayFrom matches the reference
-// scan filtered to Seq > seq for every watermark from the snapshot's to
-// one past the store's seq, and that a watermark below the snapshot's is
+// assertTailsMatchScan checks that the indexes hold exactly the intact
+// records of each file's durable prefix; that the tail floor is the
+// reference scan's (the lowest watermark above which the two files hold
+// every record) and no higher than the snapshot watermark, so the logs
+// hold every record the snapshot does not; that ReplayFrom matches the
+// reference scan filtered to Seq > seq for every watermark from the floor
+// to one past the store's seq; and that a watermark below the floor is
 // refused as compacted.
 func assertTailsMatchScan(t *testing.T, d *Disk, phase string) {
 	t.Helper()
-	recs, entries := scanWAL(t, d)
+	recs, retained, live := scanWAL(t, d)
 	d.mu.RLock()
-	snapSeq := d.snapSeq
-	index := fmt.Sprint(d.walIndex)
+	snapSeq, floor := d.snapSeq, d.floor
+	index := fmt.Sprint(d.retained.index, d.live.index)
 	d.mu.RUnlock()
-	if want := fmt.Sprint(entries); index != want {
+	if want := fmt.Sprint(retained, live); index != want {
 		t.Fatalf("%s: index %s, want %s", phase, index, want)
 	}
-	for seq := snapSeq; seq <= d.Seq()+1; seq++ {
+	want := d.Seq()
+	for i := len(recs) - 1; i >= 0 && recs[i].Seq == want; i-- {
+		want--
+	}
+	if floor != want {
+		t.Fatalf("%s: tail floor %d, want %d", phase, floor, want)
+	}
+	if floor > snapSeq {
+		t.Fatalf("%s: tail floor %d above the snapshot watermark %d", phase, floor, snapSeq)
+	}
+	for seq := floor; seq <= d.Seq()+1; seq++ {
 		got, err := tailFrom(d, seq)
 		if err != nil {
 			t.Fatalf("%s: ReplayFrom(%d): %v", phase, seq, err)
@@ -84,9 +102,9 @@ func assertTailsMatchScan(t *testing.T, d *Disk, phase string) {
 			t.Fatalf("%s: ReplayFrom(%d) differs from a full scan\ngot:  %.300s\nwant: %.300s", phase, seq, g, w)
 		}
 	}
-	if snapSeq > 0 {
-		if _, err := tailFrom(d, snapSeq-1); !errors.Is(err, ErrCompacted) {
-			t.Fatalf("%s: ReplayFrom below the snapshot watermark = %v, want ErrCompacted", phase, err)
+	if floor > 0 {
+		if _, err := tailFrom(d, floor-1); !errors.Is(err, ErrCompacted) {
+			t.Fatalf("%s: ReplayFrom below the tail floor = %v, want ErrCompacted", phase, err)
 		}
 	}
 }
@@ -179,10 +197,11 @@ type stuckWAL struct{ tornWAL }
 
 func (w *stuckWAL) Truncate(int64) error { return errors.New("injected truncate failure") }
 
-// TestIndexedTailAcrossCompaction: an interrupted compaction leaves
-// records at or below the snapshot watermark in wal.log, and a completed
-// one empties the log; either way the tail past any legal watermark is
-// exactly the scan's.
+// TestIndexedTailAcrossCompaction: a compaction that saved its snapshot
+// but never rotated leaves records at or below the snapshot watermark in
+// wal.log, and a completed one rotates wal.log into the retained
+// generation; either way the tail past any legal watermark is exactly the
+// scan's.
 func TestIndexedTailAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDisk(dir, Options{SnapshotThreshold: -1})
@@ -197,32 +216,28 @@ func TestIndexedTailAcrossCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Snapshot saved, WAL untouched, process dies.
-	d.mu.Lock()
-	hdr := snapHeader{Codec: snapshotCodecV2, Seq: d.seq, NextID: d.c.nextID}
-	sf, _, err := saveSnapshotV2(d.dir, hdr, d.sortedStatesLocked(), d.loadPayloadLocked)
-	d.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.Close()
+	saveCut(t, d)
 	d = reopen(t, dir, Options{SnapshotThreshold: 600})
-	if d.snapSeq != 4 || len(d.walIndex) != 4 {
-		t.Fatalf("interrupted compaction: snapSeq %d with %d indexed records, want 4 and 4", d.snapSeq, len(d.walIndex))
+	if indexed := len(d.retained.index) + len(d.live.index); d.snapSeq != 4 || indexed != 4 {
+		t.Fatalf("interrupted compaction: snapSeq %d with %d indexed records, want 4 and 4", d.snapSeq, indexed)
 	}
 	assertTailsMatchScan(t, d, "interrupted compaction")
 	if _, err := d.Append(p.ID, 1, mkVersion("Acme", "v2")); err != nil {
 		t.Fatal(err)
 	}
+	settle(d)
 	assertTailsMatchScan(t, d, "write above the leftover records")
 
-	// Writes past the threshold compact: the log empties, the watermark
-	// moves up and every tail is still the scan's.
+	// Writes past the threshold compact: wal.log rotates, the watermark
+	// moves up and every tail is still the scan's. Each write waits for
+	// the compaction it started.
 	compactions := 0
 	for i := 0; i < 40; i++ {
 		before := d.snapSeq
 		if _, err := d.Create(fmt.Sprintf("c%d", i), mkVersion("Bmax", strings.Repeat("x", 100))); err != nil {
 			t.Fatal(err)
 		}
+		settle(d)
 		if d.snapSeq != before {
 			compactions++
 		}
