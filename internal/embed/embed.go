@@ -132,8 +132,7 @@ func stem(w string) string {
 // normalized vectors this is their dot product.
 func Cosine(a, b Vector) float64 { return dot(&a, &b) }
 
-// dot is Cosine over pointers, so a search scores each indexed vector
-// without copying it.
+// dot is Cosine over pointers.
 func dot(a, b *Vector) float64 {
 	var sum float64
 	for i := range a {
@@ -193,6 +192,11 @@ func (ix *Index) Item(i int) (string, Vector) { return ix.keys[i], ix.vecs[i] }
 // Search returns the top-k most similar indexed items to the query text,
 // sorted by descending score (ties broken by key for determinism). It keeps
 // a k-entry buffer in that order rather than sorting every match.
+//
+// A query's embedding has few nonzero components (tens of Dim), so each
+// score sums only their products, in ascending component order. The
+// products it skips are exact zeros, which change no float64 sum, so every
+// score equals the dense dot product exactly and the ranking is Cosine's.
 func (ix *Index) Search(query string, k int) []Match {
 	if k <= 0 || len(ix.keys) == 0 {
 		return nil
@@ -201,9 +205,17 @@ func (ix *Index) Search(query string, k int) []Match {
 		k = len(ix.keys)
 	}
 	qv := ix.model.Embed(query)
+	var nz [Dim]uint16
+	n := 0
+	for i, x := range qv {
+		if x != 0 {
+			nz[n] = uint16(i)
+			n++
+		}
+	}
 	top := make([]Match, 0, k)
 	for i := range ix.vecs {
-		m := Match{Key: ix.keys[i], Score: dot(&qv, &ix.vecs[i])}
+		m := Match{Key: ix.keys[i], Score: sparseDot(&qv, nz[:n], &ix.vecs[i])}
 		if len(top) == k && !ranksBefore(m, top[k-1]) {
 			continue
 		}
@@ -217,6 +229,16 @@ func (ix *Index) Search(query string, k int) []Match {
 		top[pos] = m
 	}
 	return top
+}
+
+// sparseDot is dot(q, v) for a q whose nonzero components are q[nz[0]],
+// q[nz[1]], ... in ascending order.
+func sparseDot(q *Vector, nz []uint16, v *Vector) float64 {
+	var sum float64
+	for _, i := range nz {
+		sum += float64(q[i]) * float64(v[i])
+	}
+	return sum
 }
 
 // ranksBefore is Search's order: higher score first, then lower key.

@@ -2,11 +2,13 @@ package embed_test
 
 import (
 	"context"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -212,6 +214,103 @@ func FuzzEmbedMatchesReference(f *testing.F) {
 		for _, name := range modelNames {
 			if i, got, want := embedDiff(embed.NewModel(name), text); i >= 0 {
 				t.Fatalf("%s: Embed(%q)[%d] = %v, reference %v", name, text, i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// denseSearch is Search's reference: every indexed vector scored by the
+// dense dot product (Cosine), fully sorted by descending score and then
+// key, cut to k.
+func denseSearch(ix *embed.Index, m *embed.Model, query string, k int) []embed.Match {
+	if k <= 0 || ix.Len() == 0 {
+		return nil
+	}
+	qv := m.Embed(query)
+	all := make([]embed.Match, ix.Len())
+	for i := range all {
+		key, v := ix.Item(i)
+		all[i] = embed.Match{Key: key, Score: embed.Cosine(qv, v)}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score {
+			return all[i].Score > all[j].Score
+		}
+		return all[i].Key < all[j].Key
+	})
+	return all[:min(k, len(all))]
+}
+
+// searchDiff reports how Search differs from denseSearch, scores compared
+// with ==, or "" when they agree.
+func searchDiff(ix *embed.Index, m *embed.Model, query string, k int) string {
+	got, want := ix.Search(query, k), denseSearch(ix, m, query, k)
+	if len(got) != len(want) {
+		return fmt.Sprintf("k=%d: %d matches, want %d", k, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Sprintf("k=%d: match %d = %+v, want %+v", k, i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// randomIndex indexes up to 40 random texts under random keys, with
+// repeated texts (tied scores) and texts with no features (zero vectors).
+func randomIndex(r *rand.Rand, m *embed.Model) *embed.Index {
+	ix := embed.NewIndex(m, 0)
+	var texts []string
+	for i, n := 0, r.Intn(40); i < n; i++ {
+		var text string
+		switch {
+		case r.Intn(6) == 0:
+			text = []string{"", "!!", " - "}[r.Intn(3)]
+		case len(texts) > 0 && r.Intn(4) == 0:
+			text = texts[r.Intn(len(texts))]
+		default:
+			text = randomText(r)
+		}
+		texts = append(texts, text)
+		ix.Add(fmt.Sprintf("k%02d", r.Intn(60)), text)
+	}
+	return ix
+}
+
+// TestSearchMatchesDense holds the sparse scorer to the dense reference on
+// random indexes, queries (zero vectors among them) and every k up to
+// two past the index size, in both model spaces.
+func TestSearchMatchesDense(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	for iter := 0; iter < 300; iter++ {
+		m := embed.NewModel(modelNames[iter%len(modelNames)])
+		ix := randomIndex(r, m)
+		query := randomText(r)
+		if iter%10 == 0 {
+			query = "?!"
+		}
+		for k := 0; k <= ix.Len()+2; k++ {
+			if d := searchDiff(ix, m, query, k); d != "" {
+				t.Fatalf("iter %d, query %q: %s", iter, query, d)
+			}
+		}
+	}
+}
+
+// FuzzSearchMatchesDense: for any query and any index drawn from seed,
+// Search ranks and scores exactly as the dense reference.
+func FuzzSearchMatchesDense(f *testing.F) {
+	f.Add(int64(1), "email address", 3)
+	f.Add(int64(2), "", 10)
+	f.Add(int64(3), "third-party analytics providers", 100)
+	f.Add(int64(4), "KİßΣς’s data-sharing", 1)
+	f.Fuzz(func(t *testing.T, seed int64, query string, k int) {
+		r := rand.New(rand.NewSource(seed))
+		for _, name := range modelNames {
+			m := embed.NewModel(name)
+			ix := randomIndex(r, m)
+			if d := searchDiff(ix, m, query, k%64); d != "" {
+				t.Fatalf("%s, query %q: %s", name, query, d)
 			}
 		}
 	})

@@ -8,7 +8,6 @@ package graph
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -21,6 +20,9 @@ type Node struct {
 	Kind string `json:"kind,omitempty"`
 	// Attrs holds optional metadata.
 	Attrs map[string]string `json:"attrs,omitempty"`
+
+	// ord is the node's ordinal in its graph (see Graph.Ordinal).
+	ord int32
 }
 
 // Edge is a directed labeled edge. Multiple edges may connect the same
@@ -54,7 +56,7 @@ func (e Edge) Key() string {
 
 // String renders the edge in the paper's [from]-label->[to] notation.
 func (e Edge) String() string {
-	return fmt.Sprintf("[%s]-%s->[%s]", e.From, e.Label, e.To)
+	return "[" + e.From + "]-" + e.Label + "->[" + e.To + "]"
 }
 
 // Graph is a directed labeled multigraph. The zero value is not ready;
@@ -87,7 +89,7 @@ func (g *Graph) AddNode(id, kind string) *Node {
 		}
 		return n
 	}
-	n := &Node{ID: id, Kind: kind}
+	n := &Node{ID: id, Kind: kind, ord: int32(len(g.nodes))}
 	g.nodes[id] = n
 	return n
 }
@@ -110,6 +112,18 @@ func (g *Graph) NodeFold(id string) *Node {
 
 // HasNode reports whether the node exists.
 func (g *Graph) HasNode(id string) bool { return g.nodes[id] != nil }
+
+// Ordinal returns the ordinal of node id and whether the node exists. The
+// graph numbers its nodes 0..NumNodes()-1 in the order they were added,
+// and renumbers the survivors in that order when RemoveSegment drops
+// nodes, so a slice of NumNodes() entries indexed by ordinal stands for a
+// set of nodes.
+func (g *Graph) Ordinal(id string) (int32, bool) {
+	if n := g.nodes[id]; n != nil {
+		return n.ord, true
+	}
+	return 0, false
+}
 
 // AddEdge inserts an edge, creating endpoints as needed. Exact duplicates
 // (same key and segment) are ignored. It returns the stored edge.
@@ -185,42 +199,19 @@ func (g *Graph) RemoveSegment(segID string) int {
 		touched[e.From] = true
 		touched[e.To] = true
 	}
-	for id := range g.nodes {
+	var survivors []*Node
+	for id, n := range g.nodes {
 		if !touched[id] {
 			delete(g.nodes, id)
+			continue
 		}
+		survivors = append(survivors, n)
+	}
+	sort.Slice(survivors, func(i, j int) bool { return survivors[i].ord < survivors[j].ord })
+	for i, n := range survivors {
+		n.ord = int32(i)
 	}
 	return removed
-}
-
-// Neighborhood returns the set of node IDs reachable from start within
-// depth hops, ignoring direction.
-func (g *Graph) Neighborhood(start string, depth int) map[string]bool {
-	seen := map[string]bool{}
-	if !g.HasNode(start) {
-		return seen
-	}
-	frontier := []string{start}
-	seen[start] = true
-	for d := 0; d < depth; d++ {
-		var next []string
-		for _, id := range frontier {
-			for _, e := range g.out[id] {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-			for _, e := range g.in[id] {
-				if !seen[e.From] {
-					seen[e.From] = true
-					next = append(next, e.From)
-				}
-			}
-		}
-		frontier = next
-	}
-	return seen
 }
 
 // Clone returns a deep copy of the graph. Mutating the clone (or the

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,23 +113,41 @@ func TestRemoveSegment(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodAndSubgraph(t *testing.T) {
+// TestOrdinalsAndSubgraph: the graph numbers its nodes densely in the
+// order they were added, renumbers the survivors in that order when
+// RemoveSegment drops nodes, and Subgraph keeps the edges among the nodes
+// it is given.
+func TestOrdinalsAndSubgraph(t *testing.T) {
 	g := New()
-	g.AddEdge(Edge{From: "a", To: "b", Label: "x"})
-	g.AddEdge(Edge{From: "b", To: "c", Label: "y"})
-	g.AddEdge(Edge{From: "c", To: "d", Label: "z"})
-	n1 := g.Neighborhood("b", 1)
-	if len(n1) != 3 { // a, b, c
-		t.Errorf("depth-1 neighborhood = %v", n1)
+	g.AddEdge(Edge{From: "a", To: "b", Label: "x", SegmentID: "s1"})
+	g.AddEdge(Edge{From: "b", To: "c", Label: "y", SegmentID: "s2"})
+	g.AddEdge(Edge{From: "c", To: "d", Label: "z", SegmentID: "s2"})
+	ordinals := func() map[string]int32 {
+		out := map[string]int32{}
+		for _, n := range g.Nodes() {
+			v, ok := g.Ordinal(n.ID)
+			if !ok {
+				t.Fatalf("node %q has no ordinal", n.ID)
+			}
+			out[n.ID] = v
+		}
+		return out
 	}
-	n0 := g.Neighborhood("b", 0)
-	if len(n0) != 1 {
-		t.Errorf("depth-0 neighborhood = %v", n0)
+	if got, want := ordinals(), map[string]int32{"a": 0, "b": 1, "c": 2, "d": 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ordinals = %v, want %v", got, want)
 	}
-	if len(g.Neighborhood("missing", 2)) != 0 {
-		t.Error("missing start should be empty")
+	if _, ok := g.Ordinal("missing"); ok {
+		t.Error("a missing node has an ordinal")
 	}
-	sub := g.Subgraph(n1)
+	g.RemoveSegment("s1") // drops a
+	if got, want := ordinals(), map[string]int32{"b": 0, "c": 1, "d": 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ordinals after RemoveSegment = %v, want %v", got, want)
+	}
+	g.AddNode("e", "")
+	if v, _ := g.Ordinal("e"); v != 3 {
+		t.Errorf("node added after RemoveSegment has ordinal %d, want 3", v)
+	}
+	sub := g.Subgraph(map[string]bool{"b": true, "c": true, "d": true})
 	if sub.NumNodes() != 3 || sub.NumEdges() != 2 {
 		t.Errorf("subgraph = %d nodes %d edges", sub.NumNodes(), sub.NumEdges())
 	}

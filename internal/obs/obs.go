@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -320,7 +321,7 @@ type metricEntry struct {
 // a nil Registry, returning nil metric handles (which are themselves
 // no-op).
 type Registry struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	metrics map[string]*metricEntry
 	help    map[string]string
 }
@@ -330,57 +331,74 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: map[string]*metricEntry{}, help: map[string]string{}}
 }
 
-// metricID renders the canonical identity: name{k1="v1",k2="v2"} with
-// label keys sorted. Labels are alternating key/value pairs; a trailing
-// odd key is ignored.
-func metricID(name string, labels []string) string {
-	if len(labels) < 2 {
-		return name
+// metricID appends to buf the canonical identity name{k1="v1",k2="v2"}:
+// label keys sorted, equal keys in the order given, and values quoted as
+// %q quotes them. Labels are alternating key/value pairs; a trailing odd
+// key is ignored.
+func metricID(buf []byte, name string, labels []string) []byte {
+	buf = append(buf, name...)
+	n := len(labels) / 2
+	if n == 0 {
+		return buf
 	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
-	for i := 0; i+1 < len(labels); i += 2 {
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
+	// order lists the pairs by key, by insertion sort: labels are few.
+	var small [4]int
+	order := small[:0]
+	if n > len(small) {
+		order = make([]int, 0, n)
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
+	for p := 0; p < n; p++ {
+		order = append(order, p)
+		j := len(order) - 1
+		for ; j > 0 && labels[2*order[j-1]] > labels[2*p]; j-- {
+			order[j] = order[j-1]
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
+		order[j] = p
 	}
-	b.WriteByte('}')
-	return b.String()
+	buf = append(buf, '{')
+	for i, p := range order {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, labels[2*p]...)
+		buf = append(buf, '=')
+		buf = strconv.AppendQuote(buf, labels[2*p+1])
+	}
+	return append(buf, '}')
 }
 
-// lookup returns the entry for id, creating it via mk when absent. It
-// returns nil when an existing entry has a different kind (a programming
-// error surfaced as a dead metric rather than a crash or a type pun).
-func (r *Registry) lookup(name string, labels []string, kind int, mk func(id string) *metricEntry) *metricEntry {
+// lookup returns the entry for (name, labels), creating it via mk when
+// absent. It returns nil when an existing entry has a different kind (a
+// programming error surfaced as a dead metric rather than a crash or a
+// type pun). Looking up an existing metric builds its identity in a stack
+// buffer and takes only the read lock, so it allocates nothing.
+func (r *Registry) lookup(name string, labels []string, kind int, mk func() *metricEntry) *metricEntry {
 	if r == nil {
 		return nil
 	}
-	id := metricID(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.metrics[id]; ok {
-		if e.kind != kind {
-			return nil
+	var buf [128]byte
+	id := metricID(buf[:0], name, labels)
+	r.mu.RLock()
+	e, ok := r.metrics[string(id)]
+	r.mu.RUnlock()
+	if !ok {
+		r.mu.Lock()
+		if e, ok = r.metrics[string(id)]; !ok {
+			e = mk()
+			e.id, e.family, e.kind = string(id), name, kind
+			r.metrics[e.id] = e
 		}
-		return e
+		r.mu.Unlock()
 	}
-	e := mk(id)
-	e.id, e.family, e.kind = id, name, kind
-	r.metrics[id] = e
+	if e.kind != kind {
+		return nil
+	}
 	return e
 }
 
 // Counter returns the named counter, registering it on first use.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	e := r.lookup(name, labels, kindCounter, func(string) *metricEntry {
+	e := r.lookup(name, labels, kindCounter, func() *metricEntry {
 		return &metricEntry{counter: &Counter{}}
 	})
 	if e == nil {
@@ -392,7 +410,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 // ShardedCounter returns the named sharded counter, registering it on
 // first use. Intended for write-hot paths shared by many goroutines.
 func (r *Registry) ShardedCounter(name string, labels ...string) *ShardedCounter {
-	e := r.lookup(name, labels, kindSharded, func(string) *metricEntry {
+	e := r.lookup(name, labels, kindSharded, func() *metricEntry {
 		return &metricEntry{sharded: &ShardedCounter{}}
 	})
 	if e == nil {
@@ -403,7 +421,7 @@ func (r *Registry) ShardedCounter(name string, labels ...string) *ShardedCounter
 
 // Gauge returns the named gauge, registering it on first use.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	e := r.lookup(name, labels, kindGauge, func(string) *metricEntry {
+	e := r.lookup(name, labels, kindGauge, func() *metricEntry {
 		return &metricEntry{gauge: &Gauge{}}
 	})
 	if e == nil {
@@ -415,7 +433,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 // Histogram returns the named histogram, registering it with the given
 // bucket bounds on first use (later calls reuse the original buckets).
 func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *Histogram {
-	e := r.lookup(name, labels, kindHistogram, func(string) *metricEntry {
+	e := r.lookup(name, labels, kindHistogram, func() *metricEntry {
 		return &metricEntry{hist: newHistogram(buckets)}
 	})
 	if e == nil {
@@ -428,7 +446,7 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 // snapshot time — the pull pattern for subsystems that already keep their
 // own counters (e.g. the SMT result cache).
 func (r *Registry) CounterFunc(name string, fn func() float64, labels ...string) {
-	r.lookup(name, labels, kindCounterFunc, func(string) *metricEntry {
+	r.lookup(name, labels, kindCounterFunc, func() *metricEntry {
 		return &metricEntry{fn: fn}
 	})
 }
@@ -436,7 +454,7 @@ func (r *Registry) CounterFunc(name string, fn func() float64, labels ...string)
 // GaugeFunc registers a gauge collected by calling fn at scrape or
 // snapshot time.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
-	r.lookup(name, labels, kindGaugeFunc, func(string) *metricEntry {
+	r.lookup(name, labels, kindGaugeFunc, func() *metricEntry {
 		return &metricEntry{fn: fn}
 	})
 }
@@ -456,7 +474,7 @@ func (r *Registry) SetHelp(family, help string) {
 // map, so rendering never holds the registry lock while calling fn
 // collectors.
 func (r *Registry) entries() ([]*metricEntry, map[string]string) {
-	r.mu.Lock()
+	r.mu.RLock()
 	out := make([]*metricEntry, 0, len(r.metrics))
 	for _, e := range r.metrics {
 		out = append(out, e)
@@ -465,7 +483,7 @@ func (r *Registry) entries() ([]*metricEntry, map[string]string) {
 	for k, v := range r.help {
 		help[k] = v
 	}
-	r.mu.Unlock()
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].family != out[j].family {
 			return out[i].family < out[j].family

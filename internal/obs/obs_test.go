@@ -2,7 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -152,8 +155,8 @@ func TestSameIdentitySameMetric(t *testing.T) {
 }
 
 func TestLabelOrderCanonical(t *testing.T) {
-	if metricID("m", []string{"b", "2", "a", "1"}) != `m{a="1",b="2"}` {
-		t.Errorf("labels not canonicalized: %s", metricID("m", []string{"b", "2", "a", "1"}))
+	if id := string(metricID(nil, "m", []string{"b", "2", "a", "1"})); id != `m{a="1",b="2"}` {
+		t.Errorf("labels not canonicalized: %s", id)
 	}
 	r := NewRegistry()
 	a := r.Counter("m_total", "b", "2", "a", "1")
@@ -328,4 +331,74 @@ func TestSnapshotConcurrentWithWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// referenceMetricID is the fmt-based identity metricID must match byte
+// for byte: pairs sorted by key with sort.Slice, values formatted with %q.
+func referenceMetricID(name string, labels []string) string {
+	if len(labels) < 2 {
+		return name
+	}
+	type kv struct{ k, v string }
+	pairs := make([]kv, 0, len(labels)/2)
+	for i := 0; i+1 < len(labels); i += 2 {
+		pairs = append(pairs, kv{labels[i], labels[i+1]})
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	var b strings.Builder
+	b.WriteString(name)
+	b.WriteByte('{')
+	for i, p := range pairs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// TestMetricIDMatchesReference: on random names and up to six label pairs
+// (repeated keys, odd trailing keys, values with quotes, backslashes,
+// newlines, control bytes, non-ASCII and invalid UTF-8), metricID writes
+// the reference's bytes.
+func TestMetricIDMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	parts := []string{"phase", "code", "a", "b", "verdict", "", `"`, `\`, "\n", "\t", "\x00",
+		"é", "日本", "\xff", "solve", `x"y\z`, "200", "le", "+Inf"}
+	for iter := 0; iter < 20000; iter++ {
+		labels := make([]string, r.Intn(14))
+		for i := range labels {
+			labels[i] = parts[r.Intn(len(parts))]
+			if r.Intn(3) == 0 {
+				labels[i] += parts[r.Intn(len(parts))]
+			}
+		}
+		name := parts[r.Intn(len(parts))] + "_total"
+		want := referenceMetricID(name, labels)
+		if got := string(metricID(nil, name, labels)); got != want {
+			t.Fatalf("metricID(%q, %q) = %q, want %q", name, labels, got, want)
+		}
+		if got := string(metricID(make([]byte, 0, 3), name, labels)); got != want {
+			t.Fatalf("metricID into a short buffer (%q, %q) = %q, want %q", name, labels, got, want)
+		}
+	}
+}
+
+// TestLookupOfExistingMetricAllocatesNothing: once registered, looking up
+// a labelled counter, histogram or gauge allocates nothing.
+func TestLookupOfExistingMetricAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	phase := "translate"
+	r.Counter("q_total", "verdict", "VALID")
+	r.Histogram("q_seconds", TimeBuckets, "phase", phase)
+	r.Gauge("q_gauge", "code", "200", "route", "/v1/query")
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("q_total", "verdict", "VALID").Inc()
+		r.Histogram("q_seconds", TimeBuckets, "phase", phase).Observe(0.001)
+		r.Gauge("q_gauge", "route", "/v1/query", "code", "200").Set(1)
+	})
+	if allocs != 0 {
+		t.Errorf("lookups of existing metrics made %v allocations, want 0", allocs)
+	}
 }

@@ -122,6 +122,9 @@ type Engine struct {
 
 	index     *embed.Index
 	indexOnce sync.Once
+
+	subgraph     *subgraphIndex
+	subgraphOnce sync.Once
 }
 
 // phaseTimer observes one Phase 3 stage's latency on the engine's
@@ -490,65 +493,6 @@ func (e *Engine) translate(ctx context.Context, term string, record map[string]s
 	// policy, making incompleteness explicit).
 	record[term] = term
 	return term, nil
-}
-
-// relevantEdges extracts the query's subgraph: edges touching the matched
-// terms or any hierarchy-related data type, within SubgraphDepth hops.
-func (e *Engine) relevantEdges(actor, action, data, other string) []*graph.Edge {
-	if e.WholePolicy {
-		return e.KG.ED.Edges()
-	}
-	keep := map[string]bool{}
-	mark := func(id string) {
-		if id == "" {
-			return
-		}
-		for n := range e.KG.ED.Neighborhood(id, e.SubgraphDepth) {
-			keep[n] = true
-		}
-		keep[id] = true
-	}
-	mark(actor)
-	mark(other)
-	mark(data)
-	// Hierarchy closure over the data term: ancestors and descendants are
-	// candidates for subsumption reasoning.
-	if !e.NoHierarchy && e.KG.DataH.Has(data) {
-		for _, t := range e.KG.DataH.Descendants(data) {
-			mark(t)
-		}
-		for _, t := range e.KG.DataH.Ancestors(data) {
-			if t != e.KG.DataH.Root {
-				keep[t] = true
-			}
-		}
-	}
-	var out []*graph.Edge
-	for _, ed := range e.KG.ED.Edges() {
-		if keep[ed.From] && keep[ed.To] {
-			if matchesAction(ed.Label, action) || actionNeutral(action) {
-				out = append(out, ed)
-			}
-		}
-	}
-	return out
-}
-
-func matchesAction(edgeAction, queryAction string) bool {
-	if queryAction == "" {
-		return true
-	}
-	return nlp.VerbBase(baseWord(edgeAction)) == nlp.VerbBase(baseWord(queryAction)) ||
-		strings.Contains(edgeAction, queryAction)
-}
-
-func actionNeutral(a string) bool { return a == "" }
-
-func baseWord(s string) string {
-	if i := strings.IndexByte(s, ' '); i > 0 {
-		return s[:i]
-	}
-	return s
 }
 
 // sym sanitizes a term into an SMT-LIB-friendly symbol.

@@ -35,7 +35,7 @@ func (s *Script) Add(cmd *SExpr) { s.Commands = append(s.Commands, cmd) }
 func (s *Script) String() string {
 	var b strings.Builder
 	for _, c := range s.Commands {
-		b.WriteString(c.String())
+		c.write(&b)
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // SExpr is an s-expression: either an atom or a list.
@@ -67,22 +68,60 @@ func (e *SExpr) write(b *strings.Builder) {
 	b.WriteByte(')')
 }
 
-// simpleSymbol reports whether s is a valid unquoted SMT-LIB simple symbol.
+// Character classes of simple symbols, by a character's first byte: one
+// table load per ASCII byte of a printed atom, and the unicode package
+// only for runes past ASCII.
+const (
+	symbolChar = 1 << iota // may appear in a simple symbol
+	digitChar              // a decimal digit, which cannot start one
+	multiByte              // starts a rune past ASCII (see runeClass)
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, b := range []byte("~!@$%^&*_-+=<>.?/") {
+		t[b] = symbolChar
+	}
+	for b := 'a'; b <= 'z'; b++ {
+		t[b], t[b-'a'+'A'] = symbolChar, symbolChar
+	}
+	for b := '0'; b <= '9'; b++ {
+		t[b] = symbolChar | digitChar
+	}
+	for b := utf8.RuneSelf; b < len(t); b++ {
+		t[b] = multiByte
+	}
+	return t
+}()
+
+// runeClass returns the class of the rune past ASCII that s starts with
+// and its length in bytes; an invalid UTF-8 byte is one character of no
+// class.
+func runeClass(s string) (class uint8, size int) {
+	r, size := utf8.DecodeRuneInString(s)
+	switch {
+	case unicode.IsDigit(r):
+		return symbolChar | digitChar, size
+	case unicode.IsLetter(r):
+		return symbolChar, size
+	}
+	return 0, size
+}
+
+// simpleSymbol reports whether s is a valid unquoted SMT-LIB simple symbol:
+// letters, digits and ~!@$%^&*_-+=<>.?/, not starting with a digit.
 func simpleSymbol(s string) bool {
 	if s == "" {
 		return false
 	}
-	for i, r := range s {
-		ok := r == '~' || r == '!' || r == '@' || r == '$' || r == '%' ||
-			r == '^' || r == '&' || r == '*' || r == '_' || r == '-' ||
-			r == '+' || r == '=' || r == '<' || r == '>' || r == '.' ||
-			r == '?' || r == '/' || unicode.IsLetter(r) || unicode.IsDigit(r)
-		if !ok {
+	for i := 0; i < len(s); {
+		class, size := byteClass[s[i]], 1
+		if class == multiByte {
+			class, size = runeClass(s[i:])
+		}
+		if class&symbolChar == 0 || i == 0 && class&digitChar != 0 {
 			return false
 		}
-		if i == 0 && unicode.IsDigit(r) {
-			return false
-		}
+		i += size
 	}
 	return true
 }
@@ -126,10 +165,15 @@ func looksLikeLiteral(s string) bool {
 	if s[0] == ':' {
 		return true
 	}
-	for _, r := range s {
-		if !unicode.IsDigit(r) && r != '.' {
+	for i := 0; i < len(s); {
+		class, size := byteClass[s[i]], 1
+		if class == multiByte {
+			class, size = runeClass(s[i:])
+		}
+		if class&digitChar == 0 && s[i] != '.' {
 			return false
 		}
+		i += size
 	}
 	return true
 }
