@@ -94,22 +94,11 @@ func (c *Comparer) Compare(a, b *kg.KnowledgeGraph) Report {
 	pa := companyPractices(a)
 	pb := companyPractices(b)
 
-	// Index B's data types per action class for matching.
-	ixB := embed.NewIndex(c.Model, len(pb))
-	for key := range pb {
-		ixB.Add(key, strings.SplitN(key, "\x1f", 2)[1])
-	}
-	ixA := embed.NewIndex(c.Model, len(pa))
-	for key := range pa {
-		ixA.Add(key, strings.SplitN(key, "\x1f", 2)[1])
-	}
+	// Index each side's practices by data type for matching.
+	keysA, keysB := sortedKeys(pa), sortedKeys(pb)
+	ixA, ixB := c.practiceIndex(keysA), c.practiceIndex(keysB)
 
 	matchedB := map[string]bool{}
-	var keysA []string
-	for k := range pa {
-		keysA = append(keysA, k)
-	}
-	sort.Strings(keysA)
 	for _, ka := range keysA {
 		action, data := splitKey(ka)
 		match := ""
@@ -132,11 +121,6 @@ func (c *Comparer) Compare(a, b *kg.KnowledgeGraph) Report {
 			rep.OnlyA = append(rep.OnlyA, Gap{Action: action, DataType: data, Condition: pa[ka]})
 		}
 	}
-	var keysB []string
-	for k := range pb {
-		keysB = append(keysB, k)
-	}
-	sort.Strings(keysB)
 	for _, kb := range keysB {
 		if matchedB[kb] {
 			continue
@@ -160,6 +144,25 @@ func (c *Comparer) Compare(a, b *kg.KnowledgeGraph) Report {
 		}
 	}
 	return rep
+}
+
+// sortedKeys returns the keys of practices, sorted.
+func sortedKeys(practices map[string]string) []string {
+	keys := make([]string, 0, len(practices))
+	for k := range practices {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// practiceIndex indexes each practice key under its data type.
+func (c *Comparer) practiceIndex(keys []string) *embed.Index {
+	texts := make([]string, len(keys))
+	for i, key := range keys {
+		_, texts[i] = splitKey(key)
+	}
+	return embed.BuildIndex(c.Model, keys, texts)
 }
 
 // companyPractices collects the company's allow-practices keyed by

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -94,17 +96,96 @@ func TestIndexSearch(t *testing.T) {
 	}
 }
 
+// TestIndexReAdd: a key given twice, to Add or to BuildIndex, is indexed
+// once, under its last text.
 func TestIndexReAdd(t *testing.T) {
 	m := NewModel("text-embedding-sim")
-	ix := NewIndex(m, 0)
-	ix.Add("k", "email")
-	ix.Add("k", "phone")
-	if ix.Len() != 1 {
-		t.Fatalf("re-add duplicated key: %d", ix.Len())
+	added := NewIndex(m, 0)
+	added.Add("k", "email")
+	added.Add("k", "phone")
+	built := BuildIndex(m, []string{"k", "k"}, []string{"email", "phone"})
+	for name, ix := range map[string]*Index{"Add": added, "BuildIndex": built} {
+		if ix.Len() != 1 {
+			t.Fatalf("%s: re-add duplicated key: %d", name, ix.Len())
+		}
+		got := ix.Search("phone", 1)
+		if got[0].Score < 0.9 {
+			t.Errorf("%s: re-added vector not updated: %v", name, got[0])
+		}
 	}
-	got := ix.Search("phone", 1)
-	if got[0].Score < 0.9 {
-		t.Errorf("re-added vector not updated: %v", got[0])
+}
+
+// TestBuildIndexMatchesAdd: on random keys and texts, repeated keys among
+// them, BuildIndex holds the keys in the order Add gives them, and every
+// item's vector is bit-identical to the embedding of its key's last text.
+func TestBuildIndexMatchesAdd(t *testing.T) {
+	m := NewModel("text-embedding-sim")
+	words := []string{"email", "address", "location", "advertising", "partner", "device", "id", "", "!!"}
+	r := rand.New(rand.NewSource(41))
+	for iter := 0; iter < 200; iter++ {
+		var keys, texts []string
+		lastText := map[string]string{}
+		added := NewIndex(m, 0)
+		for i, n := 0, r.Intn(40); i < n; i++ {
+			key := fmt.Sprintf("k%02d", r.Intn(30))
+			text := words[r.Intn(len(words))] + " " + words[r.Intn(len(words))]
+			keys, texts = append(keys, key), append(texts, text)
+			lastText[key] = text
+			added.Add(key, text)
+		}
+		built := BuildIndex(m, keys, texts)
+		if built.Len() != added.Len() || built.Len() != len(lastText) {
+			t.Fatalf("iter %d: BuildIndex holds %d items, Add %d, want %d", iter, built.Len(), added.Len(), len(lastText))
+		}
+		for i := 0; i < built.Len(); i++ {
+			bk, bv := built.Item(i)
+			ak, av := added.Item(i)
+			if bk != ak {
+				t.Fatalf("iter %d item %d: BuildIndex key %q, Add key %q", iter, i, bk, ak)
+			}
+			want := m.Embed(lastText[bk])
+			for d := range want {
+				if math.Float32bits(bv[d]) != math.Float32bits(want[d]) || math.Float32bits(av[d]) != math.Float32bits(want[d]) {
+					t.Fatalf("iter %d key %q component %d: BuildIndex %v, Add %v, want %v", iter, bk, d, bv[d], av[d], want[d])
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentSearch runs Search from many goroutines on one built index
+// (run under -race): the index is read-only once built, and every result
+// equals the one a single caller gets.
+func TestConcurrentSearch(t *testing.T) {
+	m := NewModel("text-embedding-sim")
+	terms := []string{"email address", "phone number", "gps location", "profile image", "credit card", "device identifier", "advertising partner"}
+	// One index scores on Search's stack, the other on the heap.
+	for _, size := range []int{scoreBuf / 2, 2 * scoreBuf} {
+		var keys, texts []string
+		for i := 0; i < size; i++ {
+			keys = append(keys, fmt.Sprintf("k%03d", i))
+			texts = append(texts, terms[i%len(terms)]+" "+terms[(i/len(terms))%len(terms)])
+		}
+		ix := BuildIndex(m, keys, texts)
+		want := make([][]Match, len(terms))
+		for i, q := range terms {
+			want[i] = ix.Search(q, 10)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					q := (g + i) % len(terms)
+					if got := ix.Search(terms[q], 10); !slices.Equal(got, want[q]) {
+						t.Errorf("%d items, goroutine %d: Search(%q) = %v, want %v", size, g, terms[q], got, want[q])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }
 
@@ -141,16 +222,16 @@ func TestSearchMatchesFullSort(t *testing.T) {
 	words := []string{"email", "address", "location", "advertising", "partner", "device", "id"}
 	r := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 40; iter++ {
-		ix := NewIndex(m, 0)
+		var keys, texts []string
 		var all []Match
 		query := words[r.Intn(len(words))] + " " + words[r.Intn(len(words))]
 		for i, n := 0, r.Intn(30); i < n; i++ {
 			key := fmt.Sprintf("k%02d", r.Intn(100))
-			if _, dup := ix.byKey[key]; dup {
+			if slices.Contains(keys, key) {
 				continue
 			}
 			text := words[r.Intn(3)] + " " + words[r.Intn(len(words))]
-			ix.Add(key, text)
+			keys, texts = append(keys, key), append(texts, text)
 			all = append(all, Match{Key: key, Score: Cosine(m.Embed(query), m.Embed(text))})
 		}
 		sort.Slice(all, func(i, j int) bool {
@@ -159,6 +240,7 @@ func TestSearchMatchesFullSort(t *testing.T) {
 			}
 			return all[i].Key < all[j].Key
 		})
+		ix := BuildIndex(m, keys, texts)
 		for k := 0; k <= len(all)+1; k++ {
 			want := all[:min(k, len(all))]
 			got := ix.Search(query, k)
@@ -205,3 +287,27 @@ func BenchmarkSearch1000(b *testing.B) {
 		ix.Search("term q", 10)
 	}
 }
+
+// BenchmarkSearchPolicySized searches an index the size of a generated
+// policy's vocabulary: 140 items of one to four policy words.
+func BenchmarkSearchPolicySized(b *testing.B) {
+	m := NewModel("text-embedding-sim")
+	words := []string{"email", "address", "location", "advertising", "partner", "device", "identifier", "share",
+		"collect", "acme", "user", "personal", "information", "service", "provider", "purchase", "history"}
+	r := rand.New(rand.NewSource(1))
+	ix := NewIndex(m, 140)
+	for i := 0; i < 140; i++ {
+		text := words[r.Intn(len(words))]
+		for j, n := 0, r.Intn(4); j < n; j++ {
+			text += " " + words[r.Intn(len(words))]
+		}
+		ix.Add(fmt.Sprintf("node:%d", i), text)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		searchSink = ix.Search("email addresses", 10)
+	}
+}
+
+// searchSink keeps the benchmarked searches from being optimized away.
+var searchSink []Match

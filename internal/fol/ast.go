@@ -13,7 +13,6 @@ package fol
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Term is a first-order term: a variable, a constant, or a function
@@ -69,11 +68,29 @@ func (t Term) String() string {
 	if t.Kind != TermApp {
 		return t.Name
 	}
-	parts := make([]string, len(t.Args))
-	for i, a := range t.Args {
-		parts[i] = a.String()
+	var buf [64]byte
+	return string(t.appendTo(buf[:0]))
+}
+
+// appendTo appends the term's String to b.
+func (t Term) appendTo(b []byte) []byte {
+	b = append(b, t.Name...)
+	if t.Kind != TermApp {
+		return b
 	}
-	return t.Name + "(" + strings.Join(parts, ",") + ")"
+	return appendTerms(b, t.Args)
+}
+
+// appendTerms appends "(" ts joined by "," ")" to b.
+func appendTerms(b []byte, ts []Term) []byte {
+	b = append(b, '(')
+	for i, t := range ts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = t.appendTo(b)
+	}
+	return append(b, ')')
 }
 
 // Op enumerates formula connectives and atoms.
@@ -243,38 +260,46 @@ func (f *Formula) Equal(g *Formula) bool {
 
 // String renders the formula with conventional unicode connectives.
 func (f *Formula) String() string {
+	var buf [256]byte
+	return string(f.appendTo(buf[:0]))
+}
+
+// appendTo appends the formula's String to b. It is the one printer:
+// String copies its bytes out, and Simplify keys its deduplication on them.
+func (f *Formula) appendTo(b []byte) []byte {
 	switch f.Op {
-	case OpTrue:
-		return "⊤"
-	case OpFalse:
-		return "⊥"
+	case OpTrue, OpFalse:
+		return append(b, f.Op.String()...)
 	case OpPred:
+		b = append(b, f.Pred...)
 		if len(f.Terms) == 0 {
-			return f.Pred
+			return b
 		}
-		parts := make([]string, len(f.Terms))
-		for i, t := range f.Terms {
-			parts[i] = t.String()
-		}
-		return f.Pred + "(" + strings.Join(parts, ",") + ")"
+		return appendTerms(b, f.Terms)
 	case OpEq:
-		return "(" + f.Terms[0].String() + " = " + f.Terms[1].String() + ")"
+		b = f.Terms[0].appendTo(append(b, '('))
+		b = f.Terms[1].appendTo(append(b, " = "...))
+		return append(b, ')')
 	case OpNot:
-		return "¬" + f.Sub[0].String()
+		return f.Sub[0].appendTo(append(b, "¬"...))
 	case OpAnd, OpOr:
-		parts := make([]string, len(f.Sub))
+		b = append(b, '(')
 		for i, s := range f.Sub {
-			parts[i] = s.String()
+			if i > 0 {
+				b = append(append(append(b, ' '), f.Op.String()...), ' ')
+			}
+			b = s.appendTo(b)
 		}
-		return "(" + strings.Join(parts, " "+f.Op.String()+" ") + ")"
-	case OpImplies:
-		return "(" + f.Sub[0].String() + " → " + f.Sub[1].String() + ")"
-	case OpIff:
-		return "(" + f.Sub[0].String() + " ↔ " + f.Sub[1].String() + ")"
+		return append(b, ')')
+	case OpImplies, OpIff:
+		b = f.Sub[0].appendTo(append(b, '('))
+		b = append(append(append(b, ' '), f.Op.String()...), ' ')
+		return append(f.Sub[1].appendTo(b), ')')
 	case OpForall, OpExists:
-		return f.Op.String() + f.Bound + ". " + f.Sub[0].String()
+		b = append(append(append(b, f.Op.String()...), f.Bound...), ". "...)
+		return f.Sub[0].appendTo(b)
 	default:
-		return fmt.Sprintf("<bad op %d>", f.Op)
+		return fmt.Appendf(b, "<bad op %d>", f.Op)
 	}
 }
 

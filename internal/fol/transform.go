@@ -294,8 +294,12 @@ func Simplify(f *Formula) *Formula {
 			identity, absorber = OpFalse, OpTrue
 		}
 		var flat []*Formula
+		// Operands are equal when they print the same. Each is printed
+		// once into one buffer, and only a new key is copied out.
 		seen := map[string]bool{}
 		negSeen := map[string]bool{}
+		var buf [256]byte
+		key := buf[:0]
 		contradiction := false
 		var add func(s *Formula)
 		add = func(s *Formula) {
@@ -312,22 +316,24 @@ func Simplify(f *Formula) *Formula {
 				contradiction = true
 				return
 			}
-			key := s.String()
-			if seen[key] {
+			key = s.appendTo(key[:0])
+			if seen[string(key)] {
 				return
 			}
-			// Complementary pair detection.
+			// Complementary pair detection. A negation prints as "¬"
+			// followed by its operand.
 			if s.Op == OpNot {
-				if seen[s.Sub[0].String()] {
+				operand := key[len("¬"):]
+				if seen[string(operand)] {
 					contradiction = true
 					return
 				}
-				negSeen[s.Sub[0].String()] = true
-			} else if negSeen[key] {
+				negSeen[string(operand)] = true
+			} else if negSeen[string(key)] {
 				contradiction = true
 				return
 			}
-			seen[key] = true
+			seen[string(key)] = true
 			flat = append(flat, s)
 		}
 		for _, s := range f.Sub {

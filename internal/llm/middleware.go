@@ -16,29 +16,43 @@ type CachingClient struct {
 	Inner Client
 
 	mu    sync.Mutex
-	cache map[string]Response
+	cache map[[sha256.Size]byte]Response
 	hits  int
 	calls int
 }
 
 // NewCachingClient wraps inner with a memoization layer.
 func NewCachingClient(inner Client) *CachingClient {
-	return &CachingClient{Inner: inner, cache: map[string]Response{}}
+	return &CachingClient{Inner: inner, cache: map[[sha256.Size]byte]Response{}}
 }
 
-// cacheKey hashes the task and prompt; the hash doubles as the segment
-// identity used for diff-based re-extraction.
-func cacheKey(req Request) string {
+// digest is the SHA-256 of the task, a zero byte and the prompt; the hash
+// doubles as the segment identity used for diff-based re-extraction. The
+// strings are hashed through a fixed buffer rather than copied.
+func digest(req Request) [sha256.Size]byte {
 	h := sha256.New()
-	h.Write([]byte(req.Task))
-	h.Write([]byte{0})
-	h.Write([]byte(req.Prompt))
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [512]byte
+	for _, s := range [...]string{string(req.Task), "\x00", req.Prompt} {
+		for len(s) > 0 {
+			n := copy(buf[:], s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// cacheKey is the digest in hex, as transcripts record it.
+func cacheKey(req Request) string {
+	d := digest(req)
+	return hex.EncodeToString(d[:])
 }
 
 // Complete implements Client with memoization.
 func (c *CachingClient) Complete(ctx context.Context, req Request) (Response, error) {
-	key := cacheKey(req)
+	key := digest(req)
 	c.mu.Lock()
 	c.calls++
 	if resp, ok := c.cache[key]; ok {

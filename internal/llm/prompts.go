@@ -1,7 +1,7 @@
 package llm
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -49,38 +49,44 @@ Output: [{"sender":"user","receiver":"Acme","subject":"user","data_type":"name",
 
 // CompanyNamePrompt renders the company-name identification prompt over the
 // first 1000 characters of the policy, per §3.
+//
+// The prompts are built by concatenation, with strconv.Quote where a value
+// is quoted (the bytes fmt's %q writes): a prompt's bytes are its cache
+// and transcript key.
 func CompanyNamePrompt(policyPrefix string) Request {
 	if len(policyPrefix) > 1000 {
 		policyPrefix = policyPrefix[:1000]
 	}
 	return Request{
 		Task: TaskCompanyName,
-		Prompt: fmt.Sprintf(`Identify the organization that owns this privacy policy.
+		Prompt: `Identify the organization that owns this privacy policy.
 Respond with JSON: {"company": "<name>"}.
 
 Policy opening:
-%s`, policyPrefix),
+` + policyPrefix,
 		Input: map[string]string{"prefix": policyPrefix},
 	}
 }
 
-// ExtractParamsPrompt renders the semantic-role extraction prompt for one
-// coreference-resolved segment.
-func ExtractParamsPrompt(company, segment string) Request {
-	return Request{
-		Task: TaskExtractParams,
-		Prompt: fmt.Sprintf(`Extract every data practice from the policy statement below.
+// extractParamsHead is the extraction prompt up to the company's name.
+const extractParamsHead = `Extract every data practice from the policy statement below.
 For each practice produce JSON with sender, receiver, subject, data_type,
 action, condition, permission. Normalize: base-form verbs, singular data
 types, "user" for data subjects. Keep vague conditions verbatim; preserve
 AND/OR. Expand enumerated lists into one object per data type. Respond with
 a JSON array.
 
-%s
+` + extractFewShots + `
 
-Company: %s
-Statement: %q`, extractFewShots, company, segment),
-		Input: map[string]string{"company": company, "segment": segment},
+Company: `
+
+// ExtractParamsPrompt renders the semantic-role extraction prompt for one
+// coreference-resolved segment.
+func ExtractParamsPrompt(company, segment string) Request {
+	return Request{
+		Task:   TaskExtractParams,
+		Prompt: extractParamsHead + company + "\nStatement: " + strconv.Quote(segment),
+		Input:  map[string]string{"company": company, "segment": segment},
 	}
 }
 
@@ -88,10 +94,9 @@ Statement: %q`, extractFewShots, company, segment),
 func TaxonomyRootPrompt(kind string, terms []string) Request {
 	return Request{
 		Task: TaskTaxonomyRoot,
-		Prompt: fmt.Sprintf(`These are %s terms from a privacy policy:
-%s
+		Prompt: "These are " + kind + " terms from a privacy policy:\n" + strings.Join(terms, "; ") + `
 Name the single root concept that subsumes all of them.
-Respond with JSON: {"root": "<concept>"}.`, kind, strings.Join(terms, "; ")),
+Respond with JSON: {"root": "<concept>"}.`,
 		Input: map[string]string{"kind": kind, "terms": strings.Join(terms, "\x1f")},
 	}
 }
@@ -101,12 +106,11 @@ Respond with JSON: {"root": "<concept>"}.`, kind, strings.Join(terms, "; ")),
 func TaxonomyLayerPrompt(kind string, frontier, remaining []string) Request {
 	return Request{
 		Task: TaskTaxonomyLayer,
-		Prompt: fmt.Sprintf(`Current taxonomy frontier (%s): %s
-Remaining terms: %s
+		Prompt: "Current taxonomy frontier (" + kind + "): " + strings.Join(frontier, "; ") +
+			"\nRemaining terms: " + strings.Join(remaining, "; ") + `
 For each frontier node, list which remaining terms are its immediate
 subcategories. Every remaining term may appear under at most one node.
 Respond with JSON: {"children": {"<node>": ["<term>", ...]}}.`,
-			kind, strings.Join(frontier, "; "), strings.Join(remaining, "; ")),
 		Input: map[string]string{
 			"kind":      kind,
 			"frontier":  strings.Join(frontier, "\x1f"),
@@ -120,8 +124,8 @@ Respond with JSON: {"children": {"<node>": ["<term>", ...]}}.`,
 func SemanticEquivPrompt(a, b string) Request {
 	return Request{
 		Task: TaskSemanticEquiv,
-		Prompt: fmt.Sprintf(`In the context of a privacy policy, do %q and %q refer to the
-same kind of information or party? Respond with JSON: {"equivalent": true|false}.`, a, b),
+		Prompt: "In the context of a privacy policy, do " + strconv.Quote(a) + " and " + strconv.Quote(b) + ` refer to the
+same kind of information or party? Respond with JSON: {"equivalent": true|false}.`,
 		Input: map[string]string{"a": a, "b": b},
 	}
 }

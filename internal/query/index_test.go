@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -192,5 +195,83 @@ func TestVocabIndexMatchesEveryAdd(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Error("no data term was also a node; the test covers no skipped key")
+	}
+}
+
+// indexTexts returns the text each key of the engine's vocabulary index
+// is embedded from: a node's ID, an edge's "from label to", a data term.
+func indexTexts(e *Engine) map[string]string {
+	texts := map[string]string{}
+	for _, n := range e.KG.ED.Nodes() {
+		texts["node:"+n.ID] = n.ID
+	}
+	for j, ed := range e.KG.ED.Edges() {
+		texts[fmt.Sprintf("edge:%d", j)] = ed.From + " " + ed.Label + " " + ed.To
+	}
+	for _, term := range e.KG.DataH.Terms() {
+		texts["node:"+term] = term
+	}
+	return texts
+}
+
+// TestVocabSearchMatchesDenseRanking: over generated policies, searching
+// the engine's index for every node, term and edge text ranks and scores
+// exactly as a dense reference that embeds each indexed text, scores it
+// with Cosine and sorts every item by score, then key.
+func TestVocabSearchMatchesDenseRanking(t *testing.T) {
+	engines := append(corpusEngines(t, 12, 37), newEngine(t))
+	searches := 0
+	for i, e := range engines {
+		ix, texts := e.vocabIndex(), indexTexts(e)
+		keys := make([]string, ix.Len())
+		vecs := make([]embed.Vector, ix.Len())
+		for j := range keys {
+			keys[j], _ = ix.Item(j)
+			vecs[j] = e.Model.Embed(texts[keys[j]])
+		}
+		for _, q := range texts {
+			qv := e.Model.Embed(q)
+			want := make([]embed.Match, len(keys))
+			for j, key := range keys {
+				want[j] = embed.Match{Key: key, Score: embed.Cosine(qv, vecs[j])}
+			}
+			sort.Slice(want, func(a, b int) bool {
+				if want[a].Score != want[b].Score {
+					return want[a].Score > want[b].Score
+				}
+				return want[a].Key < want[b].Key
+			})
+			for _, k := range []int{e.TopK, len(keys)} {
+				got := ix.Search(q, k)
+				if !slices.Equal(got, want[:min(k, len(want))]) {
+					t.Fatalf("policy %d, query %q, k=%d:\ngot  %v\nwant %v", i, q, k, got, want[:min(k, len(want))])
+				}
+				searches++
+			}
+		}
+	}
+	t.Logf("%d searches over %d policies", searches, len(engines))
+}
+
+// TestIndexFootprint: the vocabulary indexes of generated policies hold at
+// most 400 bytes of heap per indexed item, keys included. A dense vector
+// alone is 1 KiB.
+func TestIndexFootprint(t *testing.T) {
+	const maxPerItem = 400
+	engines := corpusEngines(t, 60, 13)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	items := 0
+	for _, e := range engines {
+		items += e.vocabIndex().Len()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(engines)
+	perItem := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(items)
+	t.Logf("%d items over %d policies: %.0f bytes of heap per item", items, len(engines), perItem)
+	if perItem > maxPerItem {
+		t.Errorf("the indexes hold %.0f bytes of heap per item, want at most %d", perItem, maxPerItem)
 	}
 }

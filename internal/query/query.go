@@ -180,19 +180,20 @@ func (e *Engine) vocabIndex() *embed.Index {
 				terms = append(terms, term)
 			}
 		}
-		ix := embed.NewIndex(e.Model, len(nodes)+len(edges)+len(terms))
+		size := len(nodes) + len(edges) + len(terms)
+		keys, texts := make([]string, 0, size), make([]string, 0, size)
 		for _, n := range nodes {
-			ix.Add("node:"+n.ID, n.ID)
+			keys, texts = append(keys, "node:"+n.ID), append(texts, n.ID)
 		}
 		// Edge representations: source+action+target concatenations, "for
 		// more accurate matching" (§3).
 		for i, ed := range edges {
-			ix.Add("edge:"+strconv.Itoa(i), ed.From+" "+ed.Label+" "+ed.To)
+			keys, texts = append(keys, "edge:"+strconv.Itoa(i)), append(texts, ed.From+" "+ed.Label+" "+ed.To)
 		}
 		for _, term := range terms {
-			ix.Add("node:"+term, term)
+			keys, texts = append(keys, "node:"+term), append(texts, term)
 		}
-		e.index = ix
+		e.index = embed.BuildIndex(e.Model, keys, texts)
 		e.Obs.Histogram("quagmire_engine_index_seconds", obs.TimeBuckets).ObserveSince(start)
 	})
 	return e.index

@@ -99,20 +99,24 @@ func (c *ResultCache) Stats() CacheStats {
 // CacheKey hashes problem source text together with every limit field: a
 // different budget can change the verdict (unknown vs decided), so limits
 // are part of the identity.
+//
+// The limits and then the source go through one fixed buffer, so hashing
+// a script copies none of it to the heap.
 func CacheKey(src string, limits Limits) string {
 	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+	var buf [512]byte
+	for i, v := range [...]int64{limits.MaxSatSteps, int64(limits.MaxInstantiations),
+		int64(limits.MaxRounds), int64(limits.MaxTheoryLemmas), int64(limits.Timeout)} {
+		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
 	}
-	writeInt(limits.MaxSatSteps)
-	writeInt(int64(limits.MaxInstantiations))
-	writeInt(int64(limits.MaxRounds))
-	writeInt(int64(limits.MaxTheoryLemmas))
-	writeInt(int64(limits.Timeout))
-	h.Write([]byte(src))
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(buf[:40])
+	for len(src) > 0 {
+		n := copy(buf[:], src)
+		h.Write(buf[:n])
+		src = src[n:]
+	}
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // putLocked stores a result, evicting the oldest entry when full. The

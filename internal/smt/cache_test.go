@@ -2,8 +2,12 @@ package smt
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -383,5 +387,36 @@ func TestMemoCtxLeaderCancelDoesNotPoisonWaiters(t *testing.T) {
 	<-leaderDone
 	if st := c.Stats(); st.Entries != 1 {
 		t.Errorf("entries = %d, want 1 (only the retry's result cached)", st.Entries)
+	}
+}
+
+// referenceCacheKey is CacheKey as it was before hashing through a
+// buffer: each limit written on its own, the source copied to a slice.
+func referenceCacheKey(src string, limits Limits) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range []int64{limits.MaxSatSteps, int64(limits.MaxInstantiations),
+		int64(limits.MaxRounds), int64(limits.MaxTheoryLemmas), int64(limits.Timeout)} {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	h.Write([]byte(src))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCacheKeyMatchesReference: for random sources of every length around
+// the hashing buffer's size and random limits, CacheKey is the old key.
+func TestCacheKeyMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(81))
+	for i := 0; i < 3000; i++ {
+		src := make([]byte, r.Intn(2100))
+		r.Read(src)
+		limits := Limits{
+			MaxSatSteps: r.Int63() - r.Int63(), MaxInstantiations: r.Intn(1 << 20), MaxRounds: r.Intn(100),
+			MaxTheoryLemmas: r.Intn(1000), Timeout: time.Duration(r.Int63()),
+		}
+		if got, want := CacheKey(string(src), limits), referenceCacheKey(string(src), limits); got != want {
+			t.Fatalf("source %d (%d bytes): key %s, reference %s", i, len(src), got, want)
+		}
 	}
 }

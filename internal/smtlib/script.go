@@ -2,6 +2,7 @@ package smtlib
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,12 +20,56 @@ type Script struct {
 	Commands []*SExpr
 }
 
+// Atoms and commands every compiled script uses. An SExpr is never
+// modified once built, so scripts share these instead of allocating one
+// per use.
+var (
+	kwSetLogic         = A("set-logic")
+	kwSetInfo          = A("set-info")
+	kwSource           = A(":source")
+	kwPlaceholder      = A(":uninterpreted-placeholder")
+	kwDeclareSort      = A("declare-sort")
+	kwDeclareConst     = A("declare-const")
+	kwDeclareFun       = A("declare-fun")
+	kwAssert           = A("assert")
+	kwCheckSatAssuming = A("check-sat-assuming")
+	kwTrue             = A("true")
+	kwFalse            = A("false")
+	kwNot              = A("not")
+	kwAnd              = A("and")
+	kwOr               = A("or")
+	kwImplies          = A("=>")
+	kwEq               = A("=")
+	kwForall           = A("forall")
+	kwExists           = A("exists")
+	kwBool             = A("Bool")
+	kwU                = A(USort)
+	kw0                = A("0")
+
+	cmdProduceModels = L(A("set-option"), A(":produce-models"), kwTrue)
+	cmdCheckSat      = L(A("check-sat"))
+	cmdPush          = L(A("push"), A("1"))
+	cmdPop           = L(A("pop"), A("1"))
+)
+
+// sortAtom returns the atom of a sort name, the shared one for USort and
+// Bool.
+func sortAtom(name string) *SExpr {
+	switch name {
+	case USort:
+		return kwU
+	case "Bool":
+		return kwBool
+	}
+	return A(name)
+}
+
 // NewScript returns a script preloaded with the standard header the paper's
 // compiler emits: logic and model production option.
 func NewScript(logic string) *Script {
 	s := &Script{}
-	s.Add(L(A("set-logic"), A(logic)))
-	s.Add(L(A("set-option"), A(":produce-models"), A("true")))
+	s.Add(L(kwSetLogic, A(logic)))
+	s.Add(cmdProduceModels)
 	return s
 }
 
@@ -33,7 +78,12 @@ func (s *Script) Add(cmd *SExpr) { s.Commands = append(s.Commands, cmd) }
 
 // String renders the script, one command per line.
 func (s *Script) String() string {
+	n := len(s.Commands)
+	for _, c := range s.Commands {
+		n += c.printedLen()
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for _, c := range s.Commands {
 		c.write(&b)
 		b.WriteByte('\n')
@@ -43,39 +93,40 @@ func (s *Script) String() string {
 
 // DeclareSort appends (declare-sort name 0).
 func (s *Script) DeclareSort(name string) {
-	s.Add(L(A("declare-sort"), A(name), A("0")))
+	s.Add(L(kwDeclareSort, sortAtom(name), kw0))
 }
 
 // DeclareConst appends (declare-const name sort).
 func (s *Script) DeclareConst(name, sort string) {
-	s.Add(L(A("declare-const"), A(name), A(sort)))
+	s.Add(L(kwDeclareConst, A(name), sortAtom(sort)))
 }
 
-// DeclareFun appends (declare-fun name (argSorts...) retSort).
-func (s *Script) DeclareFun(name string, argSorts []string, retSort string) {
-	args := make([]*SExpr, len(argSorts))
-	for i, a := range argSorts {
-		args[i] = A(a)
+// DeclareFun appends (declare-fun name (U...) retSort), with arity USort
+// arguments: every compiled symbol ranges over the one sort.
+func (s *Script) DeclareFun(name string, arity int, retSort string) {
+	args := make([]*SExpr, arity)
+	for i := range args {
+		args[i] = kwU
 	}
-	s.Add(L(A("declare-fun"), A(name), L(args...), A(retSort)))
+	s.Add(L(kwDeclareFun, A(name), L(args...), sortAtom(retSort)))
 }
 
 // Assert appends (assert e).
-func (s *Script) Assert(e *SExpr) { s.Add(L(A("assert"), e)) }
+func (s *Script) Assert(e *SExpr) { s.Add(L(kwAssert, e)) }
 
 // CheckSat appends (check-sat).
-func (s *Script) CheckSat() { s.Add(L(A("check-sat"))) }
+func (s *Script) CheckSat() { s.Add(cmdCheckSat) }
 
 // CheckSatAssuming appends (check-sat-assuming (lits...)).
 func (s *Script) CheckSatAssuming(lits ...*SExpr) {
-	s.Add(L(A("check-sat-assuming"), L(lits...)))
+	s.Add(L(kwCheckSatAssuming, L(lits...)))
 }
 
 // Push and Pop append incremental-solving scope commands.
-func (s *Script) Push() { s.Add(L(A("push"), A("1"))) }
+func (s *Script) Push() { s.Add(cmdPush) }
 
 // Pop appends (pop 1).
-func (s *Script) Pop() { s.Add(L(A("pop"), A("1"))) }
+func (s *Script) Pop() { s.Add(cmdPop) }
 
 // TermToSExpr converts a FOL term to its SMT-LIB rendering.
 func TermToSExpr(t fol.Term) *SExpr {
@@ -99,9 +150,9 @@ func TermToSExpr(t fol.Term) *SExpr {
 func FormulaToSExpr(f *fol.Formula) *SExpr {
 	switch f.Op {
 	case fol.OpTrue:
-		return A("true")
+		return kwTrue
 	case fol.OpFalse:
-		return A("false")
+		return kwFalse
 	case fol.OpPred:
 		if len(f.Terms) == 0 {
 			return A(f.Pred)
@@ -113,31 +164,31 @@ func FormulaToSExpr(f *fol.Formula) *SExpr {
 		}
 		return L(items...)
 	case fol.OpEq:
-		return L(A("="), TermToSExpr(f.Terms[0]), TermToSExpr(f.Terms[1]))
+		return L(kwEq, TermToSExpr(f.Terms[0]), TermToSExpr(f.Terms[1]))
 	case fol.OpNot:
-		return L(A("not"), FormulaToSExpr(f.Sub[0]))
+		return L(kwNot, FormulaToSExpr(f.Sub[0]))
 	case fol.OpAnd, fol.OpOr:
-		op := "and"
+		op := kwAnd
 		if f.Op == fol.OpOr {
-			op = "or"
+			op = kwOr
 		}
 		items := make([]*SExpr, 0, len(f.Sub)+1)
-		items = append(items, A(op))
+		items = append(items, op)
 		for _, s := range f.Sub {
 			items = append(items, FormulaToSExpr(s))
 		}
 		return L(items...)
 	case fol.OpImplies:
-		return L(A("=>"), FormulaToSExpr(f.Sub[0]), FormulaToSExpr(f.Sub[1]))
+		return L(kwImplies, FormulaToSExpr(f.Sub[0]), FormulaToSExpr(f.Sub[1]))
 	case fol.OpIff:
-		return L(A("="), FormulaToSExpr(f.Sub[0]), FormulaToSExpr(f.Sub[1]))
+		return L(kwEq, FormulaToSExpr(f.Sub[0]), FormulaToSExpr(f.Sub[1]))
 	case fol.OpForall, fol.OpExists:
-		op := "forall"
+		op := kwForall
 		if f.Op == fol.OpExists {
-			op = "exists"
+			op = kwExists
 		}
-		binder := L(L(A(f.Bound), A(USort)))
-		return L(A(op), binder, FormulaToSExpr(f.Sub[0]))
+		binder := L(L(A(f.Bound), kwU))
+		return L(op, binder, FormulaToSExpr(f.Sub[0]))
 	default:
 		panic(fmt.Sprintf("smtlib: bad op %d", f.Op))
 	}
@@ -186,23 +237,28 @@ func CompileQuery(policy, negGoal *fol.Formula, goals [][]*fol.Formula, opts Com
 	if logic == "" {
 		logic = "UF"
 	}
+	consts, funcs, preds := sortedKeys(sig.Consts), sortedKeysInt(sig.Funcs), sortedKeysInt(sig.Preds)
+	// Room for the comment, sort, declarations, placeholder tags, the two
+	// asserts, push, the goal checks, pop and the last check.
+	n := 1 + 1 + len(consts) + len(funcs) + len(preds) + len(sig.Uninterpreted) + 2 + 1 + len(goals) + 2
 	s := NewScript(logic)
+	s.Commands = slices.Grow(s.Commands, n)
 	if opts.Comment != "" {
-		s.Add(L(A("set-info"), A(":source"), A("\""+strings.ReplaceAll(opts.Comment, `"`, `'`)+"\"")))
+		s.Add(L(kwSetInfo, kwSource, A("\""+strings.ReplaceAll(opts.Comment, `"`, `'`)+"\"")))
 	}
 	s.DeclareSort(USort)
 
-	for _, c := range sortedKeys(sig.Consts) {
+	for _, c := range consts {
 		s.DeclareConst(c, USort)
 	}
-	for _, fn := range sortedKeysInt(sig.Funcs) {
-		s.DeclareFun(fn, repeat(USort, sig.Funcs[fn]), USort)
+	for _, fn := range funcs {
+		s.DeclareFun(fn, sig.Funcs[fn], USort)
 	}
-	for _, p := range sortedKeysInt(sig.Preds) {
+	for _, p := range preds {
 		if sig.Uninterpreted[p] {
-			s.Add(L(A("set-info"), A(":uninterpreted-placeholder"), A(p)))
+			s.Add(L(kwSetInfo, kwPlaceholder, A(p)))
 		}
-		s.DeclareFun(p, repeat(USort, sig.Preds[p]), "Bool")
+		s.DeclareFun(p, sig.Preds[p], "Bool")
 	}
 
 	s.Assert(FormulaToSExpr(policy))
@@ -239,13 +295,5 @@ func sortedKeysInt(m map[string]int) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func repeat(s string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = s
-	}
 	return out
 }

@@ -12,7 +12,9 @@ import (
 	"unicode/utf8"
 )
 
-// SExpr is an s-expression: either an atom or a list.
+// SExpr is an s-expression: either an atom or a list. No code modifies an
+// expression once built, so scripts may share one: every compiled script
+// points at the same keyword atoms and fixed commands.
 type SExpr struct {
 	// Atom is the token text for leaf expressions; empty for lists.
 	Atom string
@@ -51,6 +53,19 @@ func (e *SExpr) String() string {
 	var b strings.Builder
 	e.write(&b)
 	return b.String()
+}
+
+// printedLen is the length of e's printed form when none of its atoms is
+// quoted or escaped, which each lengthen it by a few bytes: a size hint.
+func (e *SExpr) printedLen() int {
+	if e.IsAtom() {
+		return len(e.Atom)
+	}
+	n := 1 + max(len(e.List), 1) // the parentheses and the spaces between items
+	for _, it := range e.List {
+		n += it.printedLen()
+	}
+	return n
 }
 
 func (e *SExpr) write(b *strings.Builder) {
