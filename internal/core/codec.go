@@ -24,9 +24,9 @@ import (
 const CodecVersion = 2
 
 // analysisEnvelope is the serialized form of one Analysis. The graph
-// sections are wire structs, so encoding/json reads and writes the whole
-// payload in one pass and the graphs are restored from the decoded
-// sections.
+// sections are wire structs, so the whole payload is written (by
+// encoding/json) and read (by parseEnvelope) in one pass and the graphs
+// are restored from the decoded sections.
 type analysisEnvelope struct {
 	// Codec is the schema version of this payload.
 	Codec int `json:"codec"`
@@ -60,8 +60,8 @@ func EncodeAnalysis(a *Analysis) ([]byte, error) {
 // decodeEnvelope parses and validates the envelope and restores its
 // extraction and knowledge graph, without building derived state.
 func decodeEnvelope(data []byte) (*extract.Extraction, *kg.KnowledgeGraph, error) {
-	var env analysisEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
+	env, err := parseEnvelope(data)
+	if err != nil {
 		return nil, nil, fmt.Errorf("core: decode analysis: %w", err)
 	}
 	if env.Codec < 1 || env.Codec > CodecVersion {
@@ -71,7 +71,6 @@ func decodeEnvelope(data []byte) (*extract.Extraction, *kg.KnowledgeGraph, error
 		return nil, nil, fmt.Errorf("core: analysis payload incomplete")
 	}
 	k := &kg.KnowledgeGraph{Company: env.Company}
-	var err error
 	if k.ED, err = env.ED.Graph(); err != nil {
 		return nil, nil, fmt.Errorf("core: decode analysis: %w", err)
 	}

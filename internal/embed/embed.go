@@ -82,19 +82,23 @@ func (m *Model) Embed(text string) Vector {
 //
 // Each feature is hashed by continuing its tag's prefix state over the
 // feature's bytes, so no feature re-hashes the model name or allocates.
-// The norm and the scaling visit only the touched components, in the
-// ascending order a walk over all of v would: the components they skip
-// add exact zeros to the norm and stay zero when scaled.
+// The words and stems sit in arrays on the stack up to maxWords of them,
+// and the trigrams are hashed across the stems without joining them, so
+// embedding a phrase allocates nothing unless its lowercasing or
+// singularizing builds a new string. The norm and the scaling visit only
+// the touched components, in the ascending order a walk over all of v
+// would: the components they skip add exact zeros to the norm and stay
+// zero when scaled.
 func (m *Model) embed(text string, v *Vector, dims *[Dim]uint16) []uint16 {
 	name := fnvByte(fnvString(fnvOffset, m.Name), 0)
 	prefix := func(tag string) uint64 { return fnvByte(fnvString(name, tag), 0) }
 	hw, hstem, hcw, hcstem, hb, hc3 := prefix("w"), prefix("stem"), prefix("cw"), prefix("cstem"), prefix("b"), prefix("c3")
 
 	var touched [Dim / 64]uint64
-	words := nlp.Words(text)
-	stems := make([]string, len(words))
-	for i, w := range words {
-		stems[i] = stem(w)
+	var wordBuf, stemBuf [maxWords]string
+	words, stems := wordBuf[:0], stemBuf[:0]
+	for w, i, ok := nlp.NextWord(text, 0); ok; w, i, ok = nlp.NextWord(text, i) {
+		words, stems = append(words, w), append(stems, stem(w))
 	}
 	// Stemmed features dominate so that morphological variants ("email
 	// addresses" vs "email address") land nearly on top of each other;
@@ -115,10 +119,24 @@ func (m *Model) embed(text string, v *Vector, dims *[Dim]uint16) []uint16 {
 	for i := 0; i+1 < len(stems); i++ {
 		addFeature(v, &touched, fnvString(fnvByte(fnvString(hb, stems[i]), ' '), stems[i+1]), 2.5)
 	}
-	// Character trigrams over the stemmed text catch morphology and typos.
-	joined := strings.Join(stems, " ")
-	for i := 0; i+3 <= len(joined); i++ {
-		addFeature(v, &touched, fnvString(hc3, joined[i:i+3]), 0.4)
+	// Character trigrams over the stemmed text (the stems joined by
+	// spaces) catch morphology and typos. push slides a window of the last
+	// three bytes along the joined text without building it.
+	var win [3]byte
+	seen := 0
+	push := func(c byte) {
+		win[0], win[1], win[2] = win[1], win[2], c
+		if seen++; seen >= 3 {
+			addFeature(v, &touched, fnvByte(fnvByte(fnvByte(hc3, win[0]), win[1]), win[2]), 0.4)
+		}
+	}
+	for i, s := range stems {
+		if i > 0 {
+			push(' ')
+		}
+		for j := 0; j < len(s); j++ {
+			push(s[j])
+		}
 	}
 	n := 0
 	for i, word := range touched {
@@ -141,6 +159,10 @@ func (m *Model) embed(text string, v *Vector, dims *[Dim]uint16) []uint16 {
 	}
 	return list
 }
+
+// maxWords is how many words embed keeps on its stack; a longer text's
+// words spill to the heap.
+const maxWords = 32
 
 // stem crudely strips plural/inflection suffixes so "addresses" and
 // "address" share features.
@@ -206,6 +228,13 @@ func NewIndex(m *Model, n int) *Index {
 	return &Index{model: m, keys: make([]string, 0, n)}
 }
 
+// scratchPerItem is the number of nonzero components per item BuildIndex
+// makes room for before it embeds. A vocabulary item has about 24 (a node
+// or a data term) or 46 (an edge), and the vocabularies of generated
+// policies average 33 to 39, so a policy-sized build never grows its
+// scratch.
+const scratchPerItem = 48
+
 // BuildIndex returns the index of texts[i] under keys[i], for every i. A
 // key given twice keeps its first position and takes its last text, as
 // adding the pairs one by one would.
@@ -227,7 +256,7 @@ func BuildIndex(m *Model, keys, texts []string) *Index {
 	ix := &Index{model: m, keys: make([]string, len(last))}
 	// Every item's nonzero components, item by item, then counted and
 	// placed into postings: each component's items come out ascending.
-	dims := make([]uint16, 0, 32*len(last))
+	dims := make([]uint16, 0, scratchPerItem*len(last))
 	vals := make([]float32, 0, cap(dims))
 	ends := make([]int, len(last))
 	var buf [Dim]uint16

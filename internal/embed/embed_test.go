@@ -269,10 +269,22 @@ func TestCosineProperties(t *testing.T) {
 	}
 }
 
+// embedSentence is a 14-word policy sentence.
+const embedSentence = "we may share your personal information with trusted service providers for legitimate business purposes"
+
 func BenchmarkEmbed(b *testing.B) {
 	m := NewModel("text-embedding-sim")
 	for i := 0; i < b.N; i++ {
-		m.Embed("we may share your personal information with trusted service providers for legitimate business purposes")
+		m.Embed(embedSentence)
+	}
+}
+
+// TestEmbedAllocatesNothing: embedding a policy sentence allocates
+// nothing; its words and stems stay on the stack.
+func TestEmbedAllocatesNothing(t *testing.T) {
+	m := NewModel("text-embedding-sim")
+	if n := testing.AllocsPerRun(100, func() { m.Embed(embedSentence) }); n != 0 {
+		t.Errorf("Embed allocates %v times per call", n)
 	}
 }
 

@@ -315,3 +315,58 @@ func FuzzSearchMatchesDense(f *testing.F) {
 		}
 	})
 }
+
+// TestBuildIndexScratchFitsPolicies: building the vocabulary index of
+// each of 100 generated policies, as the query engine builds it, makes as
+// many allocations as building the index of one-letter texts under the
+// same keys, whose scratch cannot grow, plus those of embedding the texts
+// (lowercasing a company name, singularizing an -ies plural): no
+// policy-sized build grows its scratch.
+func TestBuildIndexScratchFitsPolicies(t *testing.T) {
+	dir := t.TempDir()
+	names, err := corpus.WriteCorpus(dir, 100, 2317)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := embed.NewModel(modelNames[0])
+	for _, name := range names {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := p.Analyze(context.Background(), string(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys, texts []string
+		for _, n := range a.KG.ED.Nodes() {
+			keys, texts = append(keys, "node:"+n.ID), append(texts, n.ID)
+		}
+		for i, ed := range a.KG.ED.Edges() {
+			keys, texts = append(keys, fmt.Sprintf("edge:%d", i)), append(texts, ed.From+" "+ed.Label+" "+ed.To)
+		}
+		for _, term := range a.KG.DataH.Terms() {
+			if !a.KG.ED.HasNode(term) {
+				keys, texts = append(keys, "node:"+term), append(texts, term)
+			}
+		}
+		letters := make([]string, len(texts))
+		for i := range letters {
+			letters[i] = "x"
+		}
+		got := testing.AllocsPerRun(2, func() { embed.BuildIndex(m, keys, texts) })
+		want := testing.AllocsPerRun(2, func() { embed.BuildIndex(m, keys, letters) }) +
+			testing.AllocsPerRun(2, func() {
+				for _, text := range texts {
+					m.Embed(text)
+				}
+			})
+		if got != want {
+			t.Fatalf("%s: BuildIndex of %d items makes %v allocations, %v without growing its scratch", name, len(keys), got, want)
+		}
+	}
+}

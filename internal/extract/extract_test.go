@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/privacy-quagmire/quagmire/internal/llm"
@@ -149,26 +150,39 @@ func TestReExtractOnlyChangedSegments(t *testing.T) {
 	}
 }
 
-type failNth struct {
-	inner llm.Client
-	n     int
-	fail  int
+// failOn fails every request of one task whose input contains a given
+// text, and passes the others on. The extractor calls it from several
+// workers at once, so it picks the failing request by content, not by
+// arrival order, and counts the failures atomically.
+type failOn struct {
+	inner  llm.Client
+	task   llm.Task
+	text   string
+	failed atomic.Int64
 }
 
-func (f *failNth) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	f.n++
-	if f.n == f.fail {
-		return llm.Response{}, llm.ErrOverloaded
+func (f *failOn) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	if req.Task == f.task {
+		for _, in := range req.Input {
+			if strings.Contains(in, f.text) {
+				f.failed.Add(1)
+				return llm.Response{}, llm.ErrOverloaded
+			}
+		}
 	}
 	return f.inner.Complete(ctx, req)
 }
 
 func TestExtractPolicyDegradesOnSegmentFailure(t *testing.T) {
-	// Fail the 3rd call (a segment extraction, after the company prompt).
-	e := New(&failNth{inner: llm.NewSim(), fail: 3})
+	// Fail one segment's extraction: the usage-data statement.
+	client := &failOn{inner: llm.NewSim(), task: llm.TaskExtractParams, text: "share usage data"}
+	e := New(client)
 	ex, err := e.ExtractPolicy(context.Background(), policy)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := client.failed.Load(); n != 1 {
+		t.Fatalf("%d requests failed, want 1", n)
 	}
 	if e.Stats.Errors != 1 {
 		t.Errorf("errors = %d", e.Stats.Errors)
@@ -176,10 +190,15 @@ func TestExtractPolicyDegradesOnSegmentFailure(t *testing.T) {
 	if len(ex.Practices) == 0 {
 		t.Error("all practices lost on single failure")
 	}
+	for _, p := range ex.Practices {
+		if p.DataType == "usage data" {
+			t.Errorf("practice %+v extracted from the failed segment", p.ParamSet)
+		}
+	}
 }
 
 func TestExtractPolicyCompanyFailureAborts(t *testing.T) {
-	e := New(&failNth{inner: llm.NewSim(), fail: 1})
+	e := New(&failOn{inner: llm.NewSim(), task: llm.TaskCompanyName})
 	if _, err := e.ExtractPolicy(context.Background(), policy); !errors.Is(err, llm.ErrOverloaded) {
 		t.Errorf("err = %v", err)
 	}

@@ -49,11 +49,6 @@ type Edge struct {
 	SegmentID string `json:"segment_id,omitempty"`
 }
 
-// Key returns a string uniquely identifying the edge's content.
-func (e Edge) Key() string {
-	return e.From + "\x1f" + e.To + "\x1f" + e.Label + "\x1f" + e.Condition + "\x1f" + e.Permission + "\x1f" + e.Subject + "\x1f" + e.Other
-}
-
 // String renders the edge in the paper's [from]-label->[to] notation.
 func (e Edge) String() string {
 	return "[" + e.From + "]-" + e.Label + "->[" + e.To + "]"
@@ -66,9 +61,11 @@ type Graph struct {
 	// out and in index edges by endpoint.
 	out map[string][]*Edge
 	in  map[string][]*Edge
-	// edges stores all edges in insertion order, deduplicated by Key+Segment.
+	// edges stores all edges in insertion order; edgeSet maps each stored
+	// edge's content, segment included, to it, so a duplicate is found in
+	// one lookup.
 	edges   []*Edge
-	edgeSet map[string]bool
+	edgeSet map[Edge]*Edge
 }
 
 // New returns an empty graph.
@@ -77,7 +74,7 @@ func New() *Graph {
 		nodes:   map[string]*Node{},
 		out:     map[string][]*Edge{},
 		in:      map[string][]*Edge{},
-		edgeSet: map[string]bool{},
+		edgeSet: map[Edge]*Edge{},
 	}
 }
 
@@ -126,22 +123,17 @@ func (g *Graph) Ordinal(id string) (int32, bool) {
 }
 
 // AddEdge inserts an edge, creating endpoints as needed. Exact duplicates
-// (same key and segment) are ignored. It returns the stored edge.
+// (every field equal, segment included) are ignored. It returns the
+// stored edge.
 func (g *Graph) AddEdge(e Edge) *Edge {
-	key := e.Key()
-	dedupeKey := key + "\x1f" + e.SegmentID
-	if g.edgeSet[dedupeKey] {
-		for _, ex := range g.out[e.From] {
-			if ex.SegmentID == e.SegmentID && ex.Key() == key {
-				return ex
-			}
-		}
+	if ex := g.edgeSet[e]; ex != nil {
+		return ex
 	}
 	g.AddNode(e.From, "")
 	g.AddNode(e.To, "")
 	stored := &e
 	g.edges = append(g.edges, stored)
-	g.edgeSet[dedupeKey] = true
+	g.edgeSet[e] = stored
 	g.out[e.From] = append(g.out[e.From], stored)
 	g.in[e.To] = append(g.in[e.To], stored)
 	return stored
@@ -180,7 +172,7 @@ func (g *Graph) RemoveSegment(segID string) int {
 	for _, e := range g.edges {
 		if e.SegmentID == segID {
 			removed++
-			delete(g.edgeSet, e.Key()+"\x1f"+e.SegmentID)
+			delete(g.edgeSet, *e)
 			continue
 		}
 		kept = append(kept, e)
@@ -282,7 +274,7 @@ func (w *Wire) Graph() (*Graph, error) {
 		out:     make(map[string][]*Edge, len(w.Nodes)),
 		in:      make(map[string][]*Edge, len(w.Nodes)),
 		edges:   make([]*Edge, 0, len(w.Edges)),
-		edgeSet: make(map[string]bool, len(w.Edges)),
+		edgeSet: make(map[Edge]*Edge, len(w.Edges)),
 	}
 	for _, n := range w.Nodes {
 		if n == nil {

@@ -296,3 +296,26 @@ func TestSplitSentencesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNextWordMatchesWords: ranging over a text with NextWord yields
+// Words of the text, for quick-checked strings and ones built from word
+// runes, joiners, digits, invalid UTF-8 and letters whose lowercase
+// differs in byte length.
+func TestNextWordMatchesWords(t *testing.T) {
+	words := func(s string) []string {
+		out := []string{}
+		for w, i, ok := NextWord(s, 0); ok; w, i, ok = NextWord(s, i) {
+			out = append(out, w)
+		}
+		return out
+	}
+	f := func(s string) bool { return reflect.DeepEqual(words(s), Words(s)) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, s := range []string{"", " ", "We-'re USER's data-", "a--b c’d 42 x2 İSTANBUL ΣΑΣ", "\xff\xfeab\xffcd", "-'’"} {
+		if !f(s) {
+			t.Errorf("%q: NextWord yields %q, Words %q", s, words(s), Words(s))
+		}
+	}
+}

@@ -56,14 +56,44 @@ func isWordRune(r rune) bool {
 // as single tokens, matching how the extraction prompts treat them.
 func Tokenize(s string) []Token {
 	var toks []Token
-	i := 0
+	for i := 0; ; {
+		start, end, kind := scan(s, i)
+		if start == end {
+			return toks
+		}
+		toks = append(toks, Token{Text: s[start:end], Start: start, End: end, Kind: kind})
+		i = end
+	}
+}
+
+// NextWord returns the first word token of s at or after byte offset i,
+// lowercased as Words lowercases it, and the offset just past the token;
+// ok is false when no word token is left. Ranging over s with NextWord
+// yields Words(s) without building a slice.
+func NextWord(s string, i int) (word string, next int, ok bool) {
+	for {
+		start, end, kind := scan(s, i)
+		switch {
+		case start == end:
+			return "", end, false
+		case kind == Word:
+			return strings.ToLower(s[start:end]), end, true
+		}
+		i = end
+	}
+}
+
+// scan finds the first token of s at or after byte offset i and returns
+// its bounds and kind; start == end when only whitespace is left. It is
+// the one tokenizer behind Tokenize and NextWord.
+func scan(s string, i int) (start, end int, kind TokenKind) {
 	for i < len(s) {
 		r, size := decodeRune(s[i:])
 		switch {
 		case unicode.IsSpace(r):
 			i += size
 		case isWordRune(r):
-			start := i
+			start = i
 			i += size
 			for i < len(s) {
 				r2, sz2 := decodeRune(s[i:])
@@ -82,18 +112,15 @@ func Tokenize(s string) []Token {
 				}
 				break
 			}
-			text := s[start:i]
-			kind := Word
-			if isAllDigits(text) {
-				kind = Number
+			if isAllDigits(s[start:i]) {
+				return start, i, Number
 			}
-			toks = append(toks, Token{Text: text, Start: start, End: i, Kind: kind})
+			return start, i, Word
 		default:
-			toks = append(toks, Token{Text: s[i : i+size], Start: i, End: i + size, Kind: Punct})
-			i += size
+			return i, i + size, Punct
 		}
 	}
-	return toks
+	return len(s), len(s), Word
 }
 
 func isAllDigits(s string) bool {

@@ -135,7 +135,7 @@ func randomKG(r *rand.Rand) *kg.KnowledgeGraph {
 func edgeKeys(edges []*graph.Edge) []string {
 	out := make([]string, len(edges))
 	for i, ed := range edges {
-		out[i] = ed.Key() + "\x1f" + ed.SegmentID
+		out[i] = fmt.Sprintf("%+v", *ed)
 	}
 	return out
 }
