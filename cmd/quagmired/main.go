@@ -174,8 +174,9 @@ func run(cfg serveConfig, logger *log.Logger) error {
 	// runs last), whether we exit through drain or a listener error.
 	defer srv.Close()
 	if follower != nil {
-		// Tail only once the server exists: each applied record installs its
-		// live engine cell, and a re-bootstrap reloads the whole live map.
+		// Tail only once the server exists: reads start from the store, so
+		// the hooks only free the engine each applied record supersedes and
+		// empty the engine cache after a re-bootstrap.
 		follower.Start(replica.Hooks{OnApply: srv.ApplyReplicated, OnReload: srv.ReloadReplicated})
 		logger.Printf("following %s from seq %d", cfg.follow, follower.Seq())
 	}

@@ -19,6 +19,7 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/query"
 	"github.com/privacy-quagmire/quagmire/internal/segment"
 	"github.com/privacy-quagmire/quagmire/internal/smt"
+	"github.com/privacy-quagmire/quagmire/internal/store"
 	"github.com/privacy-quagmire/quagmire/internal/taxonomy"
 )
 
@@ -150,6 +151,18 @@ type Analysis struct {
 
 // Stats returns the Table 1 metrics of the analysis.
 func (a *Analysis) Stats() kg.Stats { return a.KG.Stats() }
+
+// VersionStats pins the analysis's shape into the version metadata it is
+// stored under, which is what every policy listing renders.
+func (a *Analysis) VersionStats() store.VersionStats {
+	st := a.Stats()
+	return store.VersionStats{
+		Nodes: st.Nodes, Edges: st.Edges, Entities: st.Entities,
+		DataTypes: st.DataTypes,
+		Segments:  len(a.Extraction.Segments),
+		Practices: len(a.Extraction.Practices),
+	}
+}
 
 // Analyze runs Phases 1 and 2 over a policy text and prepares the query
 // engine, which embeds the graph's vocabulary on its first question.

@@ -359,19 +359,13 @@ func analyzeFile(ctx context.Context, p *core.Pipeline, j job, opts Options) (st
 	if err != nil {
 		return store.BatchEntry{}, fmt.Errorf("encode: %w", err)
 	}
-	st := a.Stats()
 	return store.BatchEntry{
 		Name: j.rel,
 		Version: store.Version{
 			VersionMeta: store.VersionMeta{
 				Company:    a.Extraction.Company,
 				SourceHash: hex.EncodeToString(srcSum[:]),
-				Stats: store.VersionStats{
-					Nodes: st.Nodes, Edges: st.Edges, Entities: st.Entities,
-					DataTypes: st.DataTypes,
-					Segments:  len(a.Extraction.Segments),
-					Practices: len(a.Extraction.Practices),
-				},
+				Stats:      a.VersionStats(),
 			},
 			Payload: payload,
 		},

@@ -76,13 +76,14 @@ type Options struct {
 	BackoffMin, BackoffMax time.Duration
 }
 
-// Hooks are the serving layer's callbacks into the apply loop.
+// Hooks are the serving layer's callbacks into the apply loop. Reads need
+// neither: a record is visible in the store before OnApply runs.
 type Hooks struct {
 	// OnApply runs after each record is durably applied — the server uses
-	// it to install the policy's live engine cell.
+	// it to free the engine of the version the record supersedes.
 	OnApply func(store.Record)
 	// OnReload runs after a snapshot re-bootstrap replaced store state
-	// wholesale; the server rebuilds its live map in it.
+	// wholesale; the server empties its engine cache in it.
 	OnReload func() error
 }
 
@@ -336,7 +337,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 // rebootstrap replaces the local store wholesale after the primary
 // refused our watermark with 410: close the current store without
 // snapshotting it (the new snapshot replaces it anyway), install a fresh
-// snapshot, reopen, and tell the serving layer to rebuild. Reads hitting
+// snapshot, reopen, and tell the serving layer to reload. Reads hitting
 // the brief closed window fail with ErrClosed and retry; durability is
 // never at risk (the old snapshot and WAL stay in place until the
 // validated new snapshot renames over them).

@@ -1,13 +1,10 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 
-	"github.com/privacy-quagmire/quagmire/internal/query"
 	"github.com/privacy-quagmire/quagmire/internal/scenario"
-	"github.com/privacy-quagmire/quagmire/internal/store"
 )
 
 // checkRequest is the POST /v1/policies/{id}/check body: a scenario suite
@@ -16,7 +13,7 @@ type checkRequest struct {
 	// Suite is the .qq suite source. Its `policy` declaration, if any, is
 	// ignored — the URL names the policy under check.
 	Suite string `json:"suite"`
-	// Version selects a stored version (0 = the live latest).
+	// Version selects a stored version (0 = the latest).
 	Version int `json:"version,omitempty"`
 	// Format selects the response rendering: "json" (default) or "junit".
 	Format string `json:"format,omitempty"`
@@ -33,9 +30,12 @@ type checkResponse struct {
 // handleCheck executes a compliance-as-code scenario suite against a
 // stored policy. The response always carries HTTP 200 with the full
 // report — a failing scenario is a result, not a transport error; CI
-// gating on the verdicts is the CLI's job.
+// gating on the verdicts is the CLI's job. A pinned version resolves
+// through the same engine cache as the latest one, so repeated pinned
+// checks pay one decode per (policy, version), and a check pinned to a
+// healthy version never builds, or answers for, any other.
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+	meta, ok := s.lookupMeta(w, r)
 	if !ok {
 		return
 	}
@@ -62,13 +62,22 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	eng, version, ok := s.checkEngine(w, e, req.Version)
-	if !ok {
+	version, source := req.Version, "version"
+	if version == 0 || version == meta.Versions {
+		version, source = meta.Versions, "query"
+	}
+	if version < 1 || version > meta.Versions {
+		writeError(w, http.StatusNotFound, "policy %q has no version %d", meta.ID, version)
 		return
 	}
-	res, err := scenario.Execute(r.Context(), eng, cs, scenario.ExecOptions{
+	a, err := s.engine(meta, version, source)
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
+	res, err := scenario.Execute(r.Context(), a.Engine, cs, scenario.ExecOptions{
 		Obs:    s.pipeline.Obs(),
-		Policy: fmt.Sprintf("store:%s@%d", e.meta.ID, version),
+		Policy: fmt.Sprintf("store:%s@%d", meta.ID, version),
 	})
 	if err != nil {
 		s.writeComputeError(w, r, "scenario execution failed", err)
@@ -84,28 +93,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, checkResponse{
-		PolicyID: e.meta.ID,
+		PolicyID: meta.ID,
 		Version:  version,
 		Report:   scenario.NewReport(results),
 	})
-}
-
-// checkEngine resolves the engine a check runs on: the live analysis for
-// the latest version, or — for a pinned historical version — the bounded
-// version-engine cache, so repeated pinned checks pay one decode per
-// (policy, version) instead of one per request.
-func (s *Server) checkEngine(w http.ResponseWriter, e policySnapshot, version int) (*query.Engine, int, bool) {
-	if version == 0 || version == e.version {
-		return e.analysis.Engine, e.version, true
-	}
-	a, err := s.versions.analysis(s, e.meta.ID, version)
-	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			writeError(w, http.StatusNotFound, "policy %q version %d: %v", e.meta.ID, version, err)
-		} else {
-			writeError(w, http.StatusInternalServerError, "decode version %d: %v", version, err)
-		}
-		return nil, 0, false
-	}
-	return a.Engine, version, true
 }

@@ -4,9 +4,9 @@ package server
 // policy and compliance-query fan-out across the whole corpus. The
 // paper's thesis is that ambiguity shows up when interpretations are
 // compared *across* policies; these endpoints are where that comparison
-// happens. Both fan out over the live engine cells through a bounded
-// worker pool — a corpus of thousands of policies never spawns thousands
-// of goroutines — and each policy gets its own deadline so one
+// happens. Both fan out over each policy's latest engine through a
+// bounded worker pool — a corpus of thousands of policies never spawns
+// thousands of goroutines — and each policy gets its own deadline so one
 // pathological engine cannot starve the rest of the sweep. The query
 // endpoint streams NDJSON results as they land rather than buffering the
 // corpus in memory; the whole fan-out occupies one solver admission slot.
@@ -48,41 +48,15 @@ func (c CorpusConfig) withDefaults() CorpusConfig {
 	return c
 }
 
-// corpusItem is one policy in a fan-out: the consistent (metadata, cell)
-// pair snapshotted under the server lock.
-type corpusItem struct {
-	meta store.Policy
-	cell *engineCell
-}
-
-// snapshotCorpus captures every live policy in store-list order. The
-// snapshot is taken under the read lock but used outside it, so a sweep
-// never blocks writers for its whole duration.
-func (s *Server) snapshotCorpus() ([]corpusItem, error) {
-	s.mu.RLock()
-	pols, err := s.store.List()
-	items := make([]corpusItem, 0, len(pols))
-	for _, p := range pols {
-		if cell := s.live[p.ID]; cell != nil {
-			items = append(items, corpusItem{meta: p, cell: cell})
-		}
-	}
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	return items, nil
-}
-
-// forEachPolicy runs fn over items through a bounded worker pool,
-// stopping early when ctx expires. It returns how many items were
+// forEachPolicy runs fn over pols through a bounded worker pool,
+// stopping early when ctx expires. It returns how many policies were
 // dispatched before the context fired.
-func (s *Server) forEachPolicy(ctx context.Context, items []corpusItem, fn func(corpusItem)) int {
+func (s *Server) forEachPolicy(ctx context.Context, pols []store.Policy, fn func(store.Policy)) int {
 	workers := s.corpus.Workers
-	if workers > len(items) {
-		workers = len(items)
+	if workers > len(pols) {
+		workers = len(pols)
 	}
-	jobs := make(chan corpusItem)
+	jobs := make(chan store.Policy)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -94,9 +68,9 @@ func (s *Server) forEachPolicy(ctx context.Context, items []corpusItem, fn func(
 		}()
 	}
 	dispatched := 0
-	for _, it := range items {
+	for _, p := range pols {
 		select {
-		case jobs <- it:
+		case jobs <- p:
 			dispatched++
 		case <-ctx.Done():
 			close(jobs)
@@ -148,7 +122,7 @@ const corpusTopN = 10
 
 func (s *Server) handleCorpusStats(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	items, err := s.snapshotCorpus()
+	pols, err := s.store.List()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "store list failed: %v", err)
 		return
@@ -156,12 +130,17 @@ func (s *Server) handleCorpusStats(w http.ResponseWriter, r *http.Request) {
 	reg := s.pipeline.Obs()
 	reg.Counter("quagmire_corpus_stats_total").Inc()
 
-	resp := corpusStatsResponse{Policies: len(items)}
-	for _, it := range items {
-		resp.Versions += it.meta.Versions
-		resp.Segments += it.cell.stats.Segments
-		resp.Practices += it.cell.stats.Practices
-		resp.Edges += it.cell.stats.Edges
+	resp := corpusStatsResponse{Policies: len(pols)}
+	for _, p := range pols {
+		v, err := s.store.Version(p.ID, p.Versions)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "store read failed: %v", err)
+			return
+		}
+		resp.Versions += p.Versions
+		resp.Segments += v.Stats.Segments
+		resp.Practices += v.Stats.Practices
+		resp.Edges += v.Stats.Edges
 	}
 
 	// Vocabulary aggregation needs decoded analyses; build them through
@@ -172,8 +151,8 @@ func (s *Server) handleCorpusStats(w http.ResponseWriter, r *http.Request) {
 	vagueOccurrences := map[string]int{}
 	dataTypePolicies := map[string]int{}
 	entities := map[string]bool{}
-	s.forEachPolicy(r.Context(), items, func(it corpusItem) {
-		a, err := it.cell.get(s, "corpus")
+	s.forEachPolicy(r.Context(), pols, func(p store.Policy) {
+		a, err := s.engine(p, p.Versions, "corpus")
 		if err != nil {
 			mu.Lock()
 			resp.Quarantined++
@@ -279,7 +258,7 @@ func (s *Server) handleCorpusQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "query is required")
 		return
 	}
-	items, err := s.snapshotCorpus()
+	pols, err := s.store.List()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "store list failed: %v", err)
 		return
@@ -292,17 +271,28 @@ func (s *Server) handleCorpusQuery(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	rc := http.NewResponseController(w)
 
+	ctx, cancel := context.WithCancel(r.Context())
 	lines := make(chan corpusQueryLine, s.corpus.Workers)
 	var dispatched int
 	go func() {
 		defer close(lines)
-		dispatched = s.forEachPolicy(r.Context(), items, func(it corpusItem) {
-			lines <- s.corpusAsk(r.Context(), it, req.Query)
+		dispatched = s.forEachPolicy(ctx, pols, func(p store.Policy) {
+			select {
+			case lines <- s.corpusAsk(ctx, p, req.Query):
+			case <-ctx.Done():
+			}
 		})
+	}()
+	// However the handler returns, it stops the sweep and waits for the
+	// sweep's goroutines to exit.
+	defer func() {
+		cancel()
+		for range lines {
+		}
 	}()
 
 	var sum corpusQuerySummary
-	sum.Policies = len(items)
+	sum.Policies = len(pols)
 	for line := range lines {
 		switch line.Verdict {
 		case query.Valid:
@@ -315,11 +305,11 @@ func (s *Server) handleCorpusQuery(w http.ResponseWriter, r *http.Request) {
 			sum.Errors++
 		}
 		if err := enc.Encode(line); err != nil {
-			return // client went away; workers already drained via lines
+			return // client went away
 		}
 		_ = rc.Flush()
 	}
-	sum.Incomplete = dispatched < len(items)
+	sum.Incomplete = dispatched < len(pols)
 	sum.Elapsed = time.Since(start).Milliseconds()
 	reg.Histogram("quagmire_corpus_sweep_seconds", obs.TimeBuckets, "op", "query").ObserveSince(start)
 	_ = enc.Encode(struct {
@@ -330,8 +320,8 @@ func (s *Server) handleCorpusQuery(w http.ResponseWriter, r *http.Request) {
 
 // corpusAsk answers the query for one policy under the per-policy
 // deadline and renders the result (or failure) as a stream line.
-func (s *Server) corpusAsk(ctx context.Context, it corpusItem, q string) corpusQueryLine {
-	line := corpusQueryLine{ID: it.meta.ID, Name: it.meta.Name, Company: it.meta.Company}
+func (s *Server) corpusAsk(ctx context.Context, p store.Policy, q string) corpusQueryLine {
+	line := corpusQueryLine{ID: p.ID, Name: p.Name, Company: p.Company}
 	reg := s.pipeline.Obs()
 	pstart := time.Now()
 	if s.corpus.PolicyTimeout > 0 {
@@ -339,7 +329,7 @@ func (s *Server) corpusAsk(ctx context.Context, it corpusItem, q string) corpusQ
 		ctx, cancel = context.WithTimeout(ctx, s.corpus.PolicyTimeout)
 		defer cancel()
 	}
-	a, err := it.cell.get(s, "corpus")
+	a, err := s.engine(p, p.Versions, "corpus")
 	if err != nil {
 		line.Error = err.Error()
 		reg.Counter("quagmire_corpus_policy_errors_total", "reason", "quarantined").Inc()

@@ -20,7 +20,7 @@ import (
 // create handler does.
 func mkStoreVersion(a *core.Analysis, payload []byte) store.Version {
 	return store.Version{
-		VersionMeta: store.VersionMeta{Company: a.Extraction.Company, Stats: versionStats(a)},
+		VersionMeta: store.VersionMeta{Company: a.Extraction.Company, Stats: a.VersionStats()},
 		Payload:     payload,
 	}
 }
@@ -65,7 +65,7 @@ func BenchmarkCorpusQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.live[pol.ID] = newReadyCell(pol.ID, pol.Versions, a)
+		s.engines.install(&engineCell{id: pol.ID, n: pol.Versions, built: true, analysis: a})
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

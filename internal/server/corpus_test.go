@@ -3,13 +3,20 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime/pprof"
+	"strings"
 	"testing"
+	"time"
 
+	"github.com/privacy-quagmire/quagmire/internal/core"
 	"github.com/privacy-quagmire/quagmire/internal/corpus"
+	"github.com/privacy-quagmire/quagmire/internal/store"
 )
 
 // seedCorpus registers n small distinct policies through the public API.
@@ -230,5 +237,80 @@ func TestListPoliciesPagination(t *testing.T) {
 		if walked[i] != all[i]["id"] {
 			t.Errorf("walked[%d] = %v, want %v", i, walked[i], all[i]["id"])
 		}
+	}
+}
+
+// goneWriter is a ResponseWriter whose client has gone: every body write
+// fails once a short write timeout expires, and meanwhile the sweep's
+// workers run ahead of the stream.
+type goneWriter struct{ header http.Header }
+
+func (w *goneWriter) Header() http.Header { return w.header }
+func (w *goneWriter) WriteHeader(int)     {}
+func (w *goneWriter) Write([]byte) (int, error) {
+	time.Sleep(20 * time.Millisecond)
+	return 0, errors.New("client gone")
+}
+
+// sweepGoroutines counts the goroutines running inside a corpus sweep.
+func sweepGoroutines(t *testing.T) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 2); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, g := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(g, "server.(*Server).forEachPolicy") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCorpusQueryAbortStopsSweep is the regression test for a leak: when
+// the client went away mid-stream, handleCorpusQuery returned while its
+// workers still sent into the result channel, so they and the dispatcher
+// waiting for them blocked forever. Every sweep goroutine must now exit
+// by the time an aborted request has returned.
+func TestCorpusQueryAbortStopsSweep(t *testing.T) {
+	p, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Analyze(context.Background(), corpus.Mini())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := core.EncodeAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.NewMem(store.Options{})
+	for i := 0; i < 40; i++ {
+		if _, err := st.Create(fmt.Sprintf("mini-%d", i), mkStoreVersion(a, payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Options{Pipeline: p, Store: st, Corpus: CorpusConfig{Workers: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+
+	for i := 0; i < 5; i++ {
+		body := strings.NewReader(`{"query":"Does Acme share my email address with advertising partners?"}`)
+		ctx, cancel := context.WithCancel(context.Background())
+		req := httptest.NewRequest(http.MethodPost, "/v1/corpus/query", body).WithContext(ctx)
+		req.Header.Set("Content-Type", "application/json")
+		s.handleCorpusQuery(&goneWriter{header: http.Header{}}, req)
+		cancel() // as net/http does once the handler returns
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := sweepGoroutines(t); n > 0; n = sweepGoroutines(t) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sweep goroutines still running after 5 aborted corpus queries", n)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -10,10 +10,13 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/privacy-quagmire/quagmire/internal/core"
@@ -73,7 +76,7 @@ func seedStoreDirect(t testing.TB, dir string, n int, corrupt bool) (ids []strin
 	}
 	for i := 0; i < n; i++ {
 		pol, err := st.Create(fmt.Sprintf("mini-%d", i), store.Version{
-			VersionMeta: store.VersionMeta{Company: a.Extraction.Company, Stats: versionStats(a)},
+			VersionMeta: store.VersionMeta{Company: a.Extraction.Company, Stats: a.VersionStats()},
 			Payload:     payload,
 		})
 		if err != nil {
@@ -314,5 +317,234 @@ func TestCheckPinnedVersionUsesEngineCache(t *testing.T) {
 	hits := p.Obs().Counter(metricVersionHits).Value()
 	if misses != 1 || hits != 1 {
 		t.Errorf("version cache misses=%d hits=%d, want 1/1 (one decode, one reuse)", misses, hits)
+	}
+}
+
+// TestCheckPinnedVersionIgnoresQuarantinedLatest is the regression test
+// for a pinned check that resolved the latest version first: with a
+// healthy version 1 and a corrupt version 2, a check pinned to version 1
+// answered 503 for version 2's quarantine. The pinned check must now
+// answer on version 1 alone, loading no other payload; only the unpinned
+// check reports the quarantine.
+func TestCheckPinnedVersionIgnoresQuarantinedLatest(t *testing.T) {
+	p, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Analyze(context.Background(), corpus.Mini())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := core.EncodeAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.NewMem(store.Options{Obs: p.Obs()})
+	pol, err := st.Create("mini", mkStoreVersion(a, payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(pol.ID, 1, store.Version{
+		VersionMeta: store.VersionMeta{Company: "Acme"},
+		Payload:     []byte("not an analysis payload"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Pipeline: p, Store: st, Recovery: RecoveryOptions{WarmWorkers: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	suite := `suite "pin" {
+  scenario "collection disclosed" {
+    ask "Does Acme collect my device identifiers?"
+    expect VALID
+  }
+}`
+	var pinned struct {
+		Version int             `json:"version"`
+		Report  scenario.Report `json:"report"`
+	}
+	resp := doJSON(t, "POST", ts.URL+"/v1/policies/"+pol.ID+"/check",
+		map[string]any{"suite": suite, "version": 1}, &pinned)
+	if resp.StatusCode != http.StatusOK || pinned.Version != 1 || !pinned.Report.OK {
+		t.Fatalf("check pinned to healthy version 1 = %d %+v", resp.StatusCode, pinned)
+	}
+	if loads := p.Obs().Counter("quagmire_store_ops_total", "op", "load_payload").Value(); loads != 1 {
+		t.Errorf("pinned check loaded %d payloads, want 1 (version 1 only)", loads)
+	}
+	if g := p.Obs().Gauge(metricQuarantined).Value(); g != 0 {
+		t.Errorf("pinned check quarantined version 2: %s = %v", metricQuarantined, g)
+	}
+
+	resp = doJSON(t, "POST", ts.URL+"/v1/policies/"+pol.ID+"/check", map[string]any{"suite": suite}, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("unpinned check on corrupt version 2 = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestEngineCacheConcurrentVersions races readers of a policy's recent
+// versions against a writer that appends versions and releases the ones
+// they supersede, as a follower's apply hook does (run under -race). Every
+// third version's payload is corrupt. Every reader must get the engine of
+// the version it asked for, or that version's quarantine; once a healthy
+// newest version holds the latest slot, the gauges must count nothing.
+func TestEngineCacheConcurrentVersions(t *testing.T) {
+	p, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [2][]byte
+	var companies [2]string
+	for i, text := range []string{corpus.Mini(), corpus.Generate(corpus.Config{
+		Company: "Globex", Seed: 7, PracticeStatements: 6, DataRichness: 8, EntityRichness: 8,
+	})} {
+		a, err := p.Analyze(context.Background(), text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payloads[i], err = core.EncodeAnalysis(a); err != nil {
+			t.Fatal(err)
+		}
+		companies[i] = a.Extraction.Company
+	}
+	version := func(n int) store.Version {
+		if n%3 == 0 {
+			return store.Version{Payload: []byte("not an analysis payload")}
+		}
+		return store.Version{Payload: payloads[n%2]}
+	}
+	const last = 10 // healthy, so the final latest slot quarantines nothing
+	st := store.NewMem(store.Options{})
+	pol, err := st.Create("churn", version(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Pipeline: p, Store: st, Recovery: RecoveryOptions{WarmWorkers: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				meta, err := st.Get(pol.ID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n := max(1, meta.Versions-rng.Intn(3))
+				a, err := s.engine(meta, n, "query")
+				switch {
+				case n%3 == 0 && err == nil:
+					t.Errorf("version %d: corrupt payload served an engine", n)
+				case n%3 != 0 && err != nil:
+					t.Errorf("version %d: %v", n, err)
+				case n%3 != 0 && a.Extraction.Company != companies[n%2]:
+					t.Errorf("version %d: engine of %s, want %s", n, a.Extraction.Company, companies[n%2])
+				}
+				s.engines.quarantined(pol.ID, meta.Versions)
+				reads.Add(1)
+			}
+		}(g)
+	}
+	for n := 2; n <= last; n++ {
+		if _, err := st.Append(pol.ID, n-1, version(n)); err != nil {
+			t.Fatal(err)
+		}
+		s.ApplyReplicated(store.Record{ID: pol.ID, Version: store.Version{VersionMeta: store.VersionMeta{N: n}}})
+		for target := reads.Load() + 16; reads.Load() < target; {
+			runtime.Gosched() // let the readers meet this version
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	meta, err := st.Get(pol.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.engine(meta, last, "query"); err != nil {
+		t.Fatal(err)
+	}
+	if g := p.Obs().Gauge(metricQuarantined).Value(); g != 0 {
+		t.Errorf("%s = %v with healthy version %d latest, want 0", metricQuarantined, g, last)
+	}
+	if g := p.Obs().Gauge(metricWarmPending).Value(); g != 0 {
+		t.Errorf("%s = %v after the recovered version was superseded, want 0", metricWarmPending, g)
+	}
+}
+
+// closedStore fails LoadPayload with store.ErrClosed while closed is set,
+// as a follower's store does between closing for a re-bootstrap and
+// reopening.
+type closedStore struct {
+	store.PolicyStore
+	closed atomic.Bool
+}
+
+func (c *closedStore) LoadPayload(id string, n int) ([]byte, error) {
+	if c.closed.Load() {
+		return nil, store.ErrClosed
+	}
+	return c.PolicyStore.LoadPayload(id, n)
+}
+
+// TestEngineBuildRetriesAfterClosedStore: a build that finds the store
+// closed is not a corrupt payload, so it must latch nothing. A follower
+// whose re-bootstrap fails reopens its old store without a reload, and a
+// latched error would refuse the policy until its next version.
+func TestEngineBuildRetriesAfterClosedStore(t *testing.T) {
+	p, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Analyze(context.Background(), corpus.Mini())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := core.EncodeAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &closedStore{PolicyStore: store.NewMem(store.Options{})}
+	pol, err := st.Create("mini", mkStoreVersion(a, payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Pipeline: p, Store: st, Recovery: RecoveryOptions{WarmWorkers: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	ask := func() int {
+		return doJSON(t, "POST", ts.URL+"/v1/policies/"+pol.ID+"/query",
+			map[string]string{"question": "Does Acme collect my device identifiers?"}, nil).StatusCode
+	}
+
+	st.closed.Store(true)
+	if code := ask(); code != http.StatusServiceUnavailable {
+		t.Fatalf("query with the store closed = %d, want 503", code)
+	}
+	if g := p.Obs().Gauge(metricQuarantined).Value(); g != 0 {
+		t.Errorf("a closed store quarantined the policy: %s = %v", metricQuarantined, g)
+	}
+	st.closed.Store(false)
+	if code := ask(); code != http.StatusOK {
+		t.Errorf("query once the store reopened = %d, want 200", code)
 	}
 }

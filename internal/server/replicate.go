@@ -17,12 +17,14 @@ package server
 // A server constructed with Options.Replica serves the full read surface
 // off the replicated store but refuses writes with 403 plus an
 // X-Quagmire-Primary pointer, and reports replication status in /healthz.
-// The replica client (internal/replica) feeds applied records back
-// through ApplyReplicated so live engine cells track replicated state.
+// Every read starts from the store, so a follower serves each record as
+// soon as the record is applied and its watermark advances. The replica
+// client's hooks only manage engine memory: ApplyReplicated frees the
+// engine a record supersedes, and ReloadReplicated empties the engine
+// cache after a re-bootstrap.
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 
@@ -189,66 +191,22 @@ func (s *Server) writeGuard(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// dropCellAccounting unwinds the gauges a replaced cell contributed to:
-// a quarantined cell leaves the quarantine gauge, an unbuilt recovered
-// cell leaves the warm-pending gauge. Called when replication replaces or
-// discards live cells outside the create/update paths.
-func (s *Server) dropCellAccounting(c *engineCell) {
-	c.mu.Lock()
-	quarantined := c.built && c.err != nil && !c.transient
-	pending := c.recovered && !c.built
-	c.mu.Unlock()
-	reg := s.pipeline.Obs()
-	if quarantined {
-		reg.Gauge(metricQuarantined).Add(-1)
-	}
-	if pending {
-		reg.Gauge(metricWarmPending).Add(-1)
-	}
-}
-
-// ApplyReplicated installs the live engine cell for one replicated record:
-// the policy's latest version becomes a lazy cell over the already-durable
-// store state, so the first read decodes the replicated payload through
-// the exact state machine local recovery uses. The replica client calls
-// this after every ApplyRecord.
+// ApplyReplicated frees the engine of the version one replicated record
+// supersedes. Reads need nothing from it: the replica client calls it
+// after ApplyRecord, which already made the record visible in the store.
 func (s *Server) ApplyReplicated(rec store.Record) {
-	cell := newStatsCell(rec.ID, rec.Version.N, rec.Version.Stats)
-	s.mu.Lock()
-	old := s.live[rec.ID]
-	s.live[rec.ID] = cell
-	s.mu.Unlock()
-	if old != nil {
-		s.dropCellAccounting(old)
-	}
+	s.engines.supersede(rec.ID, rec.Version.N)
 }
 
-// ReloadReplicated rebuilds the whole live map from the store — the
-// follower calls it after a snapshot re-bootstrap replaced store state
-// wholesale (the incremental ApplyReplicated path covers everything
-// else). Engine cells rebuild lazily on first read, same as recovery.
+// ReloadReplicated empties the engine cache. The follower calls it after
+// a snapshot re-bootstrap replaced store state wholesale: a primary with a
+// different history can store different bytes under the same (policy,
+// version), so no engine built before it may serve after it. The error is
+// always nil.
 func (s *Server) ReloadReplicated() error {
-	pols, err := s.store.List()
-	if err != nil {
-		return fmt.Errorf("server: reload replicated: %w", err)
-	}
-	fresh := make(map[string]*engineCell, len(pols))
-	for _, p := range pols {
-		metas, err := s.store.Versions(p.ID)
-		if err != nil || len(metas) == 0 {
-			return fmt.Errorf("server: reload replicated %s: %w", p.ID, err)
-		}
-		fresh[p.ID] = newStatsCell(p.ID, p.Versions, metas[len(metas)-1].Stats)
-	}
-	s.mu.Lock()
-	old := s.live
-	s.live = fresh
-	s.mu.Unlock()
-	for _, c := range old {
-		s.dropCellAccounting(c)
-	}
+	s.engines.reset()
 	if s.logger != nil {
-		s.logger.Printf("server: reloaded %d policies from re-bootstrapped store", len(fresh))
+		s.logger.Printf("server: engine cache emptied after re-bootstrap")
 	}
 	return nil
 }

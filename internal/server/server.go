@@ -63,15 +63,9 @@ type Server struct {
 	// leaves it nil.
 	testHookSolverAdmitted func(r *http.Request)
 
-	// mu orders store mutations with live-cell installs: writers hold it
-	// across the store write and the live-map swap, readers across the
-	// store read and the live lookup, so the pair is always consistent.
-	// Cells themselves build outside this lock (see lazy.go).
-	mu   sync.RWMutex
-	live map[string]*engineCell
-
-	// versions caches engines for historical stored versions (lazy.go).
-	versions *versionEngines
+	// engines caches query engines by (policy, version) (lazy.go). Reads
+	// learn which versions exist from the store, never from the cache.
+	engines *engineCache
 
 	// Background warmer lifecycle (lazy.go): warmStop cancels it, warmDone
 	// closes when it exits, Close is idempotent through closeOnce.
@@ -109,10 +103,11 @@ type Options struct {
 }
 
 // New constructs a server. When the store already holds policies (a
-// disk-backed store after a restart) they are indexed into lazy engine
-// cells: boot touches only metadata, each policy's engine builds on first
-// query (or via the background warmer), and a payload that fails to
-// decode quarantines that one policy instead of refusing boot.
+// disk-backed store after a restart) their latest versions are indexed as
+// unbuilt engine cells: boot touches only metadata, each policy's engine
+// builds on first query (or via the background warmer), and a payload
+// that fails to decode quarantines that one policy instead of refusing
+// boot.
 func New(opts Options) (*Server, error) {
 	if opts.Pipeline == nil {
 		return nil, fmt.Errorf("server: Options.Pipeline is required")
@@ -129,23 +124,22 @@ func New(opts Options) (*Server, error) {
 		corpus:   opts.Corpus.withDefaults(),
 		replica:  opts.Replica,
 		adm:      newAdmission(opts.Admission, opts.Pipeline.Obs()),
-		live:     map[string]*engineCell{},
-		versions: newVersionEngines(versionEngineCacheSize),
+		engines:  newEngineCache(opts.Pipeline.Obs()),
 	}
-	if err := srv.recoverLive(opts.Recovery); err != nil {
+	if err := srv.recoverEngines(opts.Recovery); err != nil {
 		return nil, err
 	}
 	return srv, nil
 }
 
-// recoverLive rebuilds the live map from the store. Store recovery proper
-// (snapshot load + WAL replay) already happened when the store was
-// opened; this layer indexes each policy's latest version into an
-// engineCell — metadata only, no payload decode — and hands the ID list
-// to the background warmer. A payload that fails to decode quarantines
-// that one policy when its cell builds; recovery itself only fails when
-// the store cannot be read at all.
-func (s *Server) recoverLive(rec RecoveryOptions) error {
+// recoverEngines indexes the store's policies for the engine cache. Store
+// recovery proper (snapshot load + WAL replay) already happened when the
+// store was opened; this layer installs an unbuilt cell for each policy's
+// latest version — metadata only, no payload decode — and hands the ID
+// list to the background warmer. A payload that fails to decode
+// quarantines that one policy when its cell builds; recovery itself only
+// fails when the store cannot be read at all.
+func (s *Server) recoverEngines(rec RecoveryOptions) error {
 	start := time.Now()
 	pols, err := s.store.List()
 	if err != nil {
@@ -157,11 +151,7 @@ func (s *Server) recoverLive(rec RecoveryOptions) error {
 	reg.SetHelp(metricColdStart, "Time to decode a stored payload and build its engine, by trigger source.")
 	ids := make([]string, 0, len(pols))
 	for _, p := range pols {
-		metas, err := s.store.Versions(p.ID)
-		if err != nil || len(metas) == 0 {
-			return fmt.Errorf("server: recover %s: %w", p.ID, err)
-		}
-		s.live[p.ID] = newLazyCell(p.ID, p.Versions, metas[len(metas)-1].Stats)
+		s.engines.install(&engineCell{id: p.ID, n: p.Versions, pending: true})
 		ids = append(ids, p.ID)
 	}
 	if len(pols) == 0 {
@@ -406,9 +396,9 @@ type createPolicyRequest struct {
 }
 
 // policyResponse is the common policy summary payload. Quarantined marks
-// a policy whose stored payload failed to decode: metadata and stats
-// still render (they come from the store's version metadata), but the
-// analysis endpoints answer 503 until it is repaired.
+// a policy whose latest stored payload failed to decode: metadata and
+// stats still render (they come from the store's version metadata), but
+// the analysis endpoints answer 503 until it is repaired.
 type policyResponse struct {
 	ID          string    `json:"id"`
 	Name        string    `json:"name"`
@@ -424,9 +414,9 @@ type policyResponse struct {
 	Quarantined bool      `json:"quarantined,omitempty"`
 }
 
-// policyStatsJSON renders policy metadata plus stored version stats —
-// the form that needs no decoded analysis, so listing a corpus never
-// forces engine builds.
+// policyStatsJSON renders policy metadata plus the stored stats of the
+// version it names — the form that needs no decoded analysis, so listing
+// a corpus never forces engine builds.
 func policyStatsJSON(p store.Policy, st store.VersionStats) policyResponse {
 	return policyResponse{
 		ID: p.ID, Name: p.Name, Company: p.Company,
@@ -436,36 +426,17 @@ func policyStatsJSON(p store.Policy, st store.VersionStats) policyResponse {
 	}
 }
 
-// policyJSON renders policy metadata plus the latest analysis's stats.
-// Identical to policyStatsJSON over versionStats(a) — the stored stats
-// were computed from the same analysis — so a cold cell and a built one
-// render byte-identical listings.
-func policyJSON(p store.Policy, a *core.Analysis) policyResponse {
-	return policyStatsJSON(p, versionStats(a))
-}
-
-// cellPolicyJSON renders one policy from whatever its cell has: the built
-// analysis when available, the stored stats (never a forced build) when
-// cold, and the stored stats plus the quarantined marker when poisoned.
-func cellPolicyJSON(p store.Policy, cell *engineCell) policyResponse {
-	a, qerr := cell.peek()
-	if a != nil {
-		return policyJSON(p, a)
+// renderPolicy renders a policy for list and get: the stored stats of the
+// latest version its metadata names, marked quarantined when that
+// version's engine failed to build.
+func (s *Server) renderPolicy(p store.Policy) (policyResponse, error) {
+	v, err := s.store.Version(p.ID, p.Versions)
+	if err != nil {
+		return policyResponse{}, err
 	}
-	resp := policyStatsJSON(p, cell.stats)
-	resp.Quarantined = qerr != nil
-	return resp
-}
-
-// versionStats pins an analysis's shape into store metadata.
-func versionStats(a *core.Analysis) store.VersionStats {
-	st := a.Stats()
-	return store.VersionStats{
-		Nodes: st.Nodes, Edges: st.Edges, Entities: st.Entities,
-		DataTypes: st.DataTypes,
-		Segments:  len(a.Extraction.Segments),
-		Practices: len(a.Extraction.Practices),
-	}
+	resp := policyStatsJSON(p, v.Stats)
+	resp.Quarantined = s.engines.quarantined(p.ID, p.Versions)
+	return resp, nil
 }
 
 func (s *Server) handleCreatePolicy(w http.ResponseWriter, r *http.Request) {
@@ -488,20 +459,16 @@ func (s *Server) handleCreatePolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := store.Version{
-		VersionMeta: store.VersionMeta{Company: a.Extraction.Company, Stats: versionStats(a)},
+		VersionMeta: store.VersionMeta{Company: a.Extraction.Company, Stats: a.VersionStats()},
 		Payload:     payload,
 	}
-	s.mu.Lock()
 	pol, err := s.store.Create(req.Name, v)
-	if err == nil {
-		s.live[pol.ID] = newReadyCell(pol.ID, pol.Versions, a)
-	}
-	s.mu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "store rejected policy: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, policyJSON(pol, a))
+	s.engines.install(&engineCell{id: pol.ID, n: pol.Versions, built: true, analysis: a})
+	writeJSON(w, http.StatusCreated, policyStatsJSON(pol, v.Stats))
 }
 
 // pageParams parses ?offset=&limit= (both optional, limit 0 = all).
@@ -530,20 +497,18 @@ func pageParams(w http.ResponseWriter, r *http.Request) (offset, limit int, ok b
 
 // handleListPolicies lists the corpus in deterministic store order with
 // optional ?offset=&limit= pagination; X-Total-Count always carries the
-// full corpus size. Only the (metadata, cell) snapshot happens under the
-// read lock — response rendering, which at corpus scale dwarfs the
-// snapshot, runs outside it so a big list never stalls writers.
+// full corpus size.
 func (s *Server) handleListPolicies(w http.ResponseWriter, r *http.Request) {
 	offset, limit, ok := pageParams(w, r)
 	if !ok {
 		return
 	}
-	items, err := s.snapshotCorpus()
+	pols, err := s.store.List()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "store list failed: %v", err)
 		return
 	}
-	total := len(items)
+	total := len(pols)
 	if offset > total {
 		offset = total
 	}
@@ -552,68 +517,70 @@ func (s *Server) handleListPolicies(w http.ResponseWriter, r *http.Request) {
 		end = offset + limit
 	}
 	out := make([]policyResponse, 0, end-offset)
-	for _, it := range items[offset:end] {
-		out = append(out, cellPolicyJSON(it.meta, it.cell))
+	for _, p := range pols[offset:end] {
+		resp, err := s.renderPolicy(p)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "store read failed: %v", err)
+			return
+		}
+		out = append(out, resp)
 	}
 	w.Header().Set("X-Total-Count", strconv.Itoa(total))
 	writeJSON(w, http.StatusOK, out)
 }
 
 // policySnapshot is a consistent read of one policy: store metadata plus
-// the live analysis and the version count it was decoded from.
+// the analysis of the latest version it names.
 type policySnapshot struct {
 	meta     store.Policy
-	version  int
 	analysis *core.Analysis
 }
 
-// lookupCell finds the (metadata, cell) pair under the read lock — the
-// consistent unit every per-policy handler starts from — without
-// triggering an engine build. Writes the 404 itself when absent.
-func (s *Server) lookupCell(w http.ResponseWriter, r *http.Request) (store.Policy, *engineCell, bool) {
+// lookupMeta reads the policy's metadata from the store — where every
+// per-policy handler starts — without triggering an engine build. Writes
+// the 404 itself when absent.
+func (s *Server) lookupMeta(w http.ResponseWriter, r *http.Request) (store.Policy, bool) {
 	id := r.PathValue("id")
-	s.mu.RLock()
-	cell := s.live[id]
-	var meta store.Policy
-	var err error
-	if cell != nil {
-		meta, err = s.store.Get(id)
-	}
-	s.mu.RUnlock()
-	if cell == nil || err != nil {
+	meta, err := s.store.Get(id)
+	if err != nil {
 		writeError(w, http.StatusNotFound, "policy %q not found", id)
-		return store.Policy{}, nil, false
+		return store.Policy{}, false
 	}
-	return meta, cell, true
+	return meta, true
 }
 
 // lookup returns a consistent snapshot for handlers that need the
-// analysis, building the cell on first demand (the lazy-recovery cold
-// path). Handlers work on the snapshot only: a concurrent update installs
-// a new cell, but never mutates a published analysis, so snapshot reads
-// are race-free without holding the lock. A quarantined policy answers
-// 503 with the decode failure as the reason.
+// analysis, building the engine on first demand (the lazy-recovery cold
+// path). A published analysis is never mutated, so handlers read the
+// snapshot without a lock while a concurrent update stores the next
+// version. A quarantined policy answers 503 with the decode failure as
+// the reason.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (policySnapshot, bool) {
-	meta, cell, ok := s.lookupCell(w, r)
+	meta, ok := s.lookupMeta(w, r)
 	if !ok {
 		return policySnapshot{}, false
 	}
-	a, err := cell.get(s, "query")
+	a, err := s.engine(meta, meta.Versions, "query")
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return policySnapshot{}, false
 	}
-	return policySnapshot{meta: meta, version: cell.version, analysis: a}, true
+	return policySnapshot{meta: meta, analysis: a}, true
 }
 
 // handleGetPolicy serves metadata + stats; like the list, it never forces
-// a cold cell to build and renders quarantined policies with the marker.
+// an engine to build and renders quarantined policies with the marker.
 func (s *Server) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
-	meta, cell, ok := s.lookupCell(w, r)
+	meta, ok := s.lookupMeta(w, r)
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, cellPolicyJSON(meta, cell))
+	resp, err := s.renderPolicy(meta)
+	if err != nil {
+		storeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // updatePolicyRequest is the PUT /v1/policies/{id} body.
@@ -633,7 +600,7 @@ type updatePolicyResponse struct {
 }
 
 func (s *Server) handleUpdatePolicy(w http.ResponseWriter, r *http.Request) {
-	meta, cell, ok := s.lookupCell(w, r)
+	meta, ok := s.lookupMeta(w, r)
 	if !ok {
 		return
 	}
@@ -645,18 +612,17 @@ func (s *Server) handleUpdatePolicy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "text is required")
 		return
 	}
-	// Re-analysis runs outside the lock: Update never mutates the previous
-	// analysis, so concurrent readers keep querying the old version while
-	// the new one is built. The lock is held only for the store append and
-	// live-map swap; the store's compare-and-swap (against the version this
-	// update was computed from) rejects concurrent updates rather than
-	// silently dropping edits.
+	// Update never mutates the previous analysis, so concurrent readers
+	// keep querying the old version while the new one is built. The
+	// store's compare-and-swap (against the version this update was
+	// computed from) rejects concurrent updates rather than silently
+	// dropping edits.
 	//
 	// PUT is also the repair path for a quarantined policy: with no
 	// decodable previous analysis to diff against, the text is re-analyzed
-	// from scratch (diff stats zero) and a healthy cell replaces the
-	// poisoned one.
-	prev, qerr := cell.get(s, "query")
+	// from scratch (diff stats zero) and the healthy new version
+	// supersedes the poisoned one.
+	prev, qerr := s.engine(meta, meta.Versions, "query")
 	var (
 		a    *core.Analysis
 		diff segment.Diff
@@ -680,7 +646,7 @@ func (s *Server) handleUpdatePolicy(w http.ResponseWriter, r *http.Request) {
 	v := store.Version{
 		VersionMeta: store.VersionMeta{
 			Company: a.Extraction.Company,
-			Stats:   versionStats(a),
+			Stats:   a.VersionStats(),
 			Diff: store.DiffStats{
 				SegmentsKept:    len(diff.Kept),
 				SegmentsAdded:   len(diff.Added),
@@ -692,12 +658,7 @@ func (s *Server) handleUpdatePolicy(w http.ResponseWriter, r *http.Request) {
 		},
 		Payload: payload,
 	}
-	s.mu.Lock()
-	pol, serr := s.store.Append(meta.ID, cell.version, v)
-	if serr == nil {
-		s.live[pol.ID] = newReadyCell(pol.ID, pol.Versions, a)
-	}
-	s.mu.Unlock()
+	pol, serr := s.store.Append(meta.ID, meta.Versions, v)
 	switch {
 	case errors.Is(serr, store.ErrConflict):
 		writeError(w, http.StatusConflict, "policy %q was updated concurrently; retry", meta.ID)
@@ -709,15 +670,14 @@ func (s *Server) handleUpdatePolicy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "store rejected update: %v", serr)
 		return
 	}
-	if qerr != nil {
-		// The poisoned cell is gone; the policy is healthy again.
-		s.pipeline.Obs().Gauge(metricQuarantined).Add(-1)
-		if s.logger != nil {
-			s.logger.Printf("server: policy %s repaired by update (version %d)", pol.ID, pol.Versions)
-		}
+	// Installing the new version releases the one it supersedes, and with
+	// it any quarantine that version counted.
+	s.engines.install(&engineCell{id: pol.ID, n: pol.Versions, built: true, analysis: a})
+	if qerr != nil && s.logger != nil {
+		s.logger.Printf("server: policy %s repaired by update (version %d)", pol.ID, pol.Versions)
 	}
 	writeJSON(w, http.StatusOK, updatePolicyResponse{
-		Policy:          policyJSON(pol, a),
+		Policy:          policyStatsJSON(pol, v.Stats),
 		SegmentsKept:    len(diff.Kept),
 		SegmentsAdded:   len(diff.Added),
 		SegmentsRemoved: len(diff.Removed),

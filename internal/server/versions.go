@@ -1,8 +1,8 @@
 package server
 
-// Version-history endpoints. These read the store directly — version
-// metadata and payloads are immutable once written, so no coordination
-// with the live map is needed: a version that exists never changes.
+// Version-history endpoints. These read the store directly, like every
+// other read — version metadata and payloads are immutable once written:
+// a version that exists never changes.
 
 import (
 	"errors"
