@@ -15,7 +15,6 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/corpus"
 	"github.com/privacy-quagmire/quagmire/internal/query"
 	"github.com/privacy-quagmire/quagmire/internal/scenario"
-	"github.com/privacy-quagmire/quagmire/internal/smt"
 	"github.com/privacy-quagmire/quagmire/internal/store"
 )
 
@@ -36,7 +35,7 @@ import (
 // Engines are cached per policy reference, so a multi-suite run analyzes
 // each distinct policy once. They answer exactly as the server's engines
 // do: each question is solved on its own subgraph.
-func runCheck(ctx context.Context, args []string, maxInst, workers int) error {
+func runCheck(ctx context.Context, args []string, p *core.Pipeline, workers int) error {
 	fs := flag.NewFlagSet("quagmire check", flag.ContinueOnError)
 	suitePath := fs.String("suite", "", "scenario suite file or directory of *.qq files (required)")
 	policyRef := fs.String("policy", "", "stored policy id[@version] to check (requires -data)")
@@ -61,13 +60,6 @@ func runCheck(ctx context.Context, args []string, maxInst, workers int) error {
 	}
 
 	files, err := suiteFiles(*suitePath)
-	if err != nil {
-		return err
-	}
-	p, err := core.New(core.Options{
-		Limits:  smt.Limits{MaxInstantiations: maxInst},
-		Workers: workers,
-	})
 	if err != nil {
 		return err
 	}
@@ -191,13 +183,15 @@ type checkRunner struct {
 	ctx      context.Context
 	pipeline *core.Pipeline
 	dataDir  string
-	st       store.PolicyStore
+	st       *store.Disk
 	engines  map[string]*query.Engine
 }
 
+// close releases the store without compacting it: check only reads, and
+// the directory may be one a running quagmired appends to.
 func (r *checkRunner) close() {
 	if r.st != nil {
-		r.st.Close()
+		r.st.CloseWithoutSnapshot()
 	}
 }
 
@@ -268,6 +262,11 @@ func (r *checkRunner) storeEngine(arg string) (*query.Engine, error) {
 		return nil, fmt.Errorf("store:%s requires -data <store directory>", arg)
 	}
 	if r.st == nil {
+		// Opening creates a missing directory; check must not leave a new
+		// empty store behind a mistyped path.
+		if _, err := os.Stat(r.dataDir); err != nil {
+			return nil, err
+		}
 		st, err := store.OpenDisk(r.dataDir, store.Options{})
 		if err != nil {
 			return nil, err

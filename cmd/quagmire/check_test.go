@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,6 +208,75 @@ func TestCheckStoredPolicy(t *testing.T) {
 	}
 	if !strings.Contains(out, "policy store:"+pol.ID+"@1") {
 		t.Errorf("output should label the store reference:\n%s", out)
+	}
+}
+
+// TestCheckLeavesStoreUntouched: checking a version that lives only in
+// the WAL reads the store without compacting it, so every file in the
+// directory keeps its name and size; a missing store directory stays
+// missing.
+func TestCheckLeavesStoreUntouched(t *testing.T) {
+	dataDir := t.TempDir()
+	pipe, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := pipe.Analyze(context.Background(), corpus.Mini())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := core.EncodeAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenDisk(dataDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := st.Create("acme", store.Version{VersionMeta: store.VersionMeta{Company: a.KG.Company}, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CloseWithoutSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() map[string]int64 {
+		entries, err := os.ReadDir(dataDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := map[string]int64{}
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[e.Name()] = info.Size()
+		}
+		return sizes
+	}
+	before := listing()
+
+	p := writeSuite(t, "stored.qq", `suite "stored" {
+  scenario "s" { ask "Does Acme sell my personal information?" expect INVALID }
+}`)
+	if out, err := capture(t, func() error {
+		return run([]string{"check", "-suite", p, "-policy", pol.ID, "-data", dataDir})
+	}); err != nil {
+		t.Fatalf("check failed: %v\n%s", err, out)
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Errorf("check changed the store directory:\nbefore %v\nafter  %v", before, after)
+	}
+
+	missing := filepath.Join(t.TempDir(), "missing")
+	if _, err := capture(t, func() error {
+		return run([]string{"check", "-suite", p, "-policy", pol.ID, "-data", missing})
+	}); err == nil {
+		t.Error("check against a missing store directory passed")
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("check created the missing store directory: %v", err)
 	}
 }
 

@@ -67,57 +67,71 @@ func run(args []string) error {
 		return fmt.Errorf("missing subcommand (analyze|edges|ask|diff|vague|report|check|solve|corpus)")
 	}
 	ctx := context.Background()
-	cfg := quagmire.Config{
-		SolverLimits: quagmire.SolverLimits{MaxInstantiations: *maxInst},
-		Workers:      *workers,
+	var p *core.Pipeline
+	if pipelineCommands[rest[0]] {
+		var err error
+		p, err = core.New(core.Options{
+			Limits:  smt.Limits{MaxInstantiations: *maxInst},
+			Workers: *workers,
+		})
+		if err != nil {
+			return err
+		}
+		if *stats {
+			// stderr keeps the table out of piped stdout consumers.
+			defer func() { fmt.Fprint(os.Stderr, p.Metrics().Table()) }()
+		}
 	}
 
 	switch rest[0] {
 	case "analyze":
-		an, a, err := analyzeFileWith(ctx, cfg, rest[1:])
+		a, err := analyzeFile(ctx, p, rest[1:])
 		if err != nil {
 			return err
 		}
 		st := a.Stats()
-		fmt.Printf("company:     %s\n", a.Company())
+		fmt.Printf("company:     %s\n", a.Extraction.Company)
 		fmt.Printf("total nodes: %d\ntotal edges: %d\nentities:    %d\ndata types:  %d\npractices:   %d\n",
-			st.Nodes, st.Edges, st.Entities, st.DataTypes, a.Practices())
-		printStats(*stats, an)
+			st.Nodes, st.Edges, st.Entities, st.DataTypes, len(a.Extraction.Practices))
 		return nil
 
 	case "edges":
-		an, a, err := analyzeFileWith(ctx, cfg, rest[1:])
+		a, err := analyzeFile(ctx, p, rest[1:])
 		if err != nil {
 			return err
 		}
-		for _, e := range a.Edges() {
+		for _, e := range a.KG.ED.Edges() {
 			fmt.Println(e)
 		}
-		printStats(*stats, an)
 		return nil
 
 	case "vague":
-		an, a, err := analyzeFileWith(ctx, cfg, rest[1:])
+		a, err := analyzeFile(ctx, p, rest[1:])
 		if err != nil {
 			return err
 		}
-		for _, v := range a.VagueConditions() {
-			fmt.Println(v)
+		seen := map[string]bool{}
+		for _, pr := range a.Extraction.Practices {
+			for _, v := range pr.VagueTerms {
+				if !seen[v] {
+					seen[v] = true
+					fmt.Println(v)
+				}
+			}
 		}
-		printStats(*stats, an)
 		return nil
 
 	case "ask":
 		if len(rest) < 3 {
 			return fmt.Errorf("usage: quagmire ask <policy.txt> \"<query>\" [\"<query>\" ...]")
 		}
-		an, a, err := analyzeFileWith(ctx, cfg, rest[1:2])
+		a, err := analyzeFile(ctx, p, rest[1:2])
 		if err != nil {
 			return err
 		}
 		queries := rest[2:]
 		if len(queries) == 1 {
-			res, err := a.Ask(ctx, queries[0])
+			res, err := a.Engine.Ask(ctx, queries[0])
 			if err != nil {
 				return err
 			}
@@ -134,11 +148,10 @@ func run(args []string) error {
 			for _, e := range res.MatchedEdges {
 				fmt.Printf("evidence: %s\n", e)
 			}
-			printStats(*stats, an)
 			return nil
 		}
 		// Multi-query mode: verify the batch concurrently.
-		items, err := a.AskBatch(ctx, queries)
+		items, err := a.Engine.AskBatch(ctx, queries)
 		if err != nil {
 			return err
 		}
@@ -151,9 +164,8 @@ func run(args []string) error {
 			}
 			fmt.Printf("%-8s %s\n", it.Result.Verdict, it.Query)
 		}
-		cs := an.SMTCacheStats()
+		cs := p.SMTCacheStats()
 		fmt.Printf("smt cache: %d hits / %d misses (%d stampedes suppressed)\n", cs.Hits, cs.Misses, cs.Suppressed)
-		printStats(*stats, an)
 		if failed > 0 {
 			return fmt.Errorf("%d quer(ies) failed", failed)
 		}
@@ -208,15 +220,7 @@ func run(args []string) error {
 		if len(rest) < 2 {
 			return fmt.Errorf("usage: quagmire dot <policy.txt> [graph|data|entity]")
 		}
-		text, err := readPolicy(rest[1])
-		if err != nil {
-			return err
-		}
-		p, err := core.New(core.Options{})
-		if err != nil {
-			return err
-		}
-		a, err := p.Analyze(ctx, text)
+		a, err := analyzeFile(ctx, p, rest[1:2])
 		if err != nil {
 			return err
 		}
@@ -240,15 +244,7 @@ func run(args []string) error {
 		if len(rest) < 2 {
 			return fmt.Errorf("usage: quagmire report <policy.txt>")
 		}
-		text, err := readPolicy(rest[1])
-		if err != nil {
-			return err
-		}
-		p, err := core.New(core.Options{})
-		if err != nil {
-			return err
-		}
-		a, err := p.Analyze(ctx, text)
+		a, err := analyzeFile(ctx, p, rest[1:2])
 		if err != nil {
 			return err
 		}
@@ -256,13 +252,13 @@ func run(args []string) error {
 		return nil
 
 	case "check":
-		return runCheck(ctx, rest[1:], *maxInst, *workers)
+		return runCheck(ctx, rest[1:], p, *workers)
 
 	case "explore":
 		if len(rest) < 3 {
 			return fmt.Errorf("usage: quagmire explore <policy.txt> \"<query>\"")
 		}
-		a, err := analyzeCore(ctx, *maxInst, rest[1])
+		a, err := analyzeFile(ctx, p, rest[1:2])
 		if err != nil {
 			return err
 		}
@@ -287,7 +283,7 @@ func run(args []string) error {
 		if len(rest) < 3 {
 			return fmt.Errorf("usage: quagmire explain <policy.txt> \"<query>\"")
 		}
-		a, err := analyzeCore(ctx, *maxInst, rest[1])
+		a, err := analyzeFile(ctx, p, rest[1:2])
 		if err != nil {
 			return err
 		}
@@ -310,10 +306,6 @@ func run(args []string) error {
 			return err
 		}
 		textB, err := readPolicy(rest[2])
-		if err != nil {
-			return err
-		}
-		p, err := core.New(core.Options{})
 		if err != nil {
 			return err
 		}
@@ -387,54 +379,24 @@ func run(args []string) error {
 	}
 }
 
-// printStats renders the per-phase metrics table to stderr when -stats is
-// set; stderr keeps the table out of piped stdout consumers.
-func printStats(enabled bool, an *quagmire.Analyzer) {
-	if enabled && an != nil {
-		fmt.Fprint(os.Stderr, an.Metrics().Table())
-	}
+// pipelineCommands are the subcommands that run the analysis pipeline.
+// Each runs on one pipeline built from the global flags, and -stats
+// prints that pipeline's metrics after any of them.
+var pipelineCommands = map[string]bool{
+	"analyze": true, "edges": true, "vague": true, "ask": true, "dot": true, "report": true,
+	"check": true, "explore": true, "explain": true, "compare": true,
 }
 
-// analyzeCore analyzes a policy file through the internal pipeline,
-// exposing the raw Analysis for engine-level subcommands.
-func analyzeCore(ctx context.Context, maxInst int, path string) (*core.Analysis, error) {
-	text, err := readPolicy(path)
-	if err != nil {
-		return nil, err
+// analyzeFile analyzes the policy file args[0] names on p.
+func analyzeFile(ctx context.Context, p *core.Pipeline, args []string) (*core.Analysis, error) {
+	if len(args) < 1 {
+		return nil, fmt.Errorf("missing policy file")
 	}
-	p, err := core.New(core.Options{
-		Limits: smt.Limits{MaxInstantiations: maxInst},
-	})
+	text, err := readPolicy(args[0])
 	if err != nil {
 		return nil, err
 	}
 	return p.Analyze(ctx, text)
-}
-
-func analyzeFile(ctx context.Context, cfg quagmire.Config, args []string) (*quagmire.Analysis, error) {
-	_, a, err := analyzeFileWith(ctx, cfg, args)
-	return a, err
-}
-
-// analyzeFileWith also returns the analyzer, for subcommands that report
-// analyzer-level instrumentation (e.g. SMT cache counters).
-func analyzeFileWith(ctx context.Context, cfg quagmire.Config, args []string) (*quagmire.Analyzer, *quagmire.Analysis, error) {
-	if len(args) < 1 {
-		return nil, nil, fmt.Errorf("missing policy file")
-	}
-	text, err := readPolicy(args[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	an, err := quagmire.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := an.Analyze(ctx, text)
-	if err != nil {
-		return nil, nil, err
-	}
-	return an, a, nil
 }
 
 // readPolicy loads a policy file, converting HTML pages to pipeline text.

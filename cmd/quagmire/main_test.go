@@ -13,21 +13,30 @@ import (
 // capture redirects stdout around fn and returns what was printed.
 func capture(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	var err error
+	out := redirect(t, &os.Stdout, func() { err = fn() })
+	return out, err
+}
+
+// redirect runs fn with *f replaced by a pipe and returns what fn wrote
+// to it.
+func redirect(t *testing.T, f **os.File, fn func()) string {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	done := make(chan string, 1)
 	go func() {
 		data, _ := io.ReadAll(r)
 		done <- string(data)
 	}()
-	runErr := fn()
+	fn()
 	w.Close()
-	os.Stdout = old
-	return <-done, runErr
+	*f = old
+	return <-done
 }
 
 func writePolicy(t *testing.T, text string) string {
@@ -210,6 +219,44 @@ func TestExploreSubcommand(t *testing.T) {
 	}
 	if !strings.Contains(out, "VALID") || !strings.Contains(out, "always valid: false") {
 		t.Errorf("explore output:\n%s", out)
+	}
+}
+
+// TestStatsForEveryPipelineCommand: -stats writes the pipeline's metrics
+// table to stderr after each subcommand that analyzes a policy, with the
+// question phases of those that ask one.
+func TestStatsForEveryPipelineCommand(t *testing.T) {
+	p := writePolicy(t, corpus.Mini())
+	q := "Does Acme collect my device identifiers?"
+	suite := writeSuite(t, "green.qq", greenSuite)
+	for _, c := range []struct {
+		args []string
+		asks bool
+	}{
+		{[]string{"ask", p, q}, true},
+		{[]string{"explain", p, q}, true},
+		{[]string{"explore", p, q}, true},
+		{[]string{"check", "-suite", suite}, true},
+		{[]string{"dot", p}, false},
+		{[]string{"report", p}, false},
+		{[]string{"compare", p, p}, false},
+	} {
+		stderr := redirect(t, &os.Stderr, func() {
+			if out, err := capture(t, func() error {
+				return run(append([]string{"-stats", "-workers", "2"}, c.args...))
+			}); err != nil {
+				t.Errorf("%s: %v\n%s", c.args[0], err, out)
+			}
+		})
+		want := []string{"stage", `quagmire_pipeline_phase_seconds{phase="extract"}`}
+		if c.asks {
+			want = append(want, `quagmire_query_phase_seconds{phase="solve"}`)
+		}
+		for _, w := range want {
+			if !strings.Contains(stderr, w) {
+				t.Errorf("-stats %s: stderr lacks %q:\n%s", c.args[0], w, stderr)
+			}
+		}
 	}
 }
 

@@ -4,21 +4,17 @@
 //   - PolicyLint-style contradiction detection (allow/deny pairs on the
 //     same practice), which flags exception patterns as apparent
 //     contradictions;
-//   - PoliGraph-style knowledge-graph matching, which answers queries by
-//     graph lookup without conditions or formal semantics;
-//   - Polisis-style fixed-taxonomy classification over OPP-115, which
-//     cannot place novel data types.
+//   - a Polisis-style fixed data-type taxonomy, which cannot place novel
+//     data types;
+//   - MAPS-style fleet statistics over many policies.
 package baseline
 
 import (
 	"sort"
 	"strings"
 
-	"github.com/privacy-quagmire/quagmire/internal/corpus"
 	"github.com/privacy-quagmire/quagmire/internal/extract"
-	"github.com/privacy-quagmire/quagmire/internal/graph"
 	"github.com/privacy-quagmire/quagmire/internal/nlp"
-	"github.com/privacy-quagmire/quagmire/internal/segment"
 )
 
 // Contradiction is one allow/deny pair flagged by the PolicyLint-style
@@ -86,72 +82,12 @@ func Lint(practices []extract.Practice) LintReport {
 	return report
 }
 
+// firstWord returns an action phrase's first word, its verb.
 func firstWord(s string) string {
 	if i := strings.IndexByte(s, ' '); i > 0 {
 		return s[:i]
 	}
 	return s
-}
-
-// PoliGraph is the baseline knowledge graph: triples without conditions,
-// permissions or formal semantics.
-type PoliGraph struct {
-	g *graph.Graph
-}
-
-// BuildPoliGraph constructs the baseline graph from extracted practices,
-// discarding conditions and permissions (the information PoliGraph's
-// representation does not model).
-func BuildPoliGraph(practices []extract.Practice) *PoliGraph {
-	g := graph.New()
-	for _, p := range practices {
-		if p.DataType == "" || p.Sender == "" {
-			continue
-		}
-		g.AddEdge(graph.Edge{
-			From:  nlp.CanonicalTerm(p.Sender),
-			To:    nlp.CanonicalTerm(p.DataType),
-			Label: nlp.VerbBase(firstWord(p.Action)),
-		})
-	}
-	return &PoliGraph{g: g}
-}
-
-// NumEdges returns the triple count.
-func (p *PoliGraph) NumEdges() int { return p.g.NumEdges() }
-
-// Answer reports whether the graph contains a matching triple. Unlike the
-// full pipeline it cannot express conditions: a conditional practice and an
-// unconditional one answer identically, and deny statements are
-// indistinguishable from allows — the precision loss the paper's design
-// avoids.
-func (p *PoliGraph) Answer(actor, action, data string) bool {
-	actor = nlp.CanonicalTerm(actor)
-	action = nlp.VerbBase(firstWord(action))
-	data = nlp.CanonicalTerm(data)
-	for _, e := range p.g.Out(actor) {
-		if e.Label == action && e.To == data {
-			return true
-		}
-	}
-	return false
-}
-
-// Classification is the Polisis-style per-segment OPP-115 labeling.
-type Classification struct {
-	// Segment is the statement classified.
-	Segment segment.Segment
-	// Categories are the OPP-115 labels.
-	Categories []string
-}
-
-// Classify labels each segment with OPP-115 categories by keyword cueing.
-func Classify(segs []segment.Segment) []Classification {
-	out := make([]Classification, len(segs))
-	for i, s := range segs {
-		out[i] = Classification{Segment: s, Categories: corpus.MatchOPP115(s.Text)}
-	}
-	return out
 }
 
 // fixedDataCategories is the closed data-type vocabulary of a

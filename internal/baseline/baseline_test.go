@@ -6,7 +6,6 @@ import (
 
 	"github.com/privacy-quagmire/quagmire/internal/extract"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
-	"github.com/privacy-quagmire/quagmire/internal/segment"
 )
 
 func practice(action, data, perm, cond string) extract.Practice {
@@ -61,46 +60,6 @@ func TestLintNormalizesActionForms(t *testing.T) {
 	}
 	if rep := Lint(ps); len(rep.Apparent) != 1 {
 		t.Errorf("inflection defeated matching: %+v", rep)
-	}
-}
-
-func TestPoliGraphAnswer(t *testing.T) {
-	ps := []extract.Practice{
-		practice("share", "email address", "allow", ""),
-		practice("share", "usage data", "allow", "legitimate business purposes"),
-		practice("sell", "personal information", "deny", ""),
-	}
-	pg := BuildPoliGraph(ps)
-	if pg.NumEdges() != 3 {
-		t.Fatalf("edges = %d", pg.NumEdges())
-	}
-	if !pg.Answer("Acme", "share", "email address") {
-		t.Error("direct triple not found")
-	}
-	if pg.Answer("Acme", "share", "medical records") {
-		t.Error("phantom triple")
-	}
-	// The precision losses: conditions invisible, denials look like
-	// practices.
-	if !pg.Answer("Acme", "share", "usage data") {
-		t.Error("conditional practice should match indistinguishably")
-	}
-	if !pg.Answer("Acme", "sell", "personal information") {
-		t.Error("denied practice matches as if allowed — the baseline's documented flaw")
-	}
-}
-
-func TestClassify(t *testing.T) {
-	segs := segment.Split("We collect your email. We share data with third party partners. You can opt out.")
-	cs := Classify(segs)
-	if len(cs) != 3 {
-		t.Fatalf("classified %d", len(cs))
-	}
-	if cs[0].Categories[0] != "First Party Collection/Use" {
-		t.Errorf("seg 0 = %v", cs[0].Categories)
-	}
-	if cs[1].Categories[0] != "Third Party Sharing/Collection" {
-		t.Errorf("seg 1 = %v", cs[1].Categories)
 	}
 }
 

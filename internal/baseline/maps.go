@@ -71,7 +71,7 @@ func AnalyzeFleet(ctx context.Context, policies []string) (FleetStats, error) {
 					shared[cat] = true
 				}
 			}
-			if p.Permission == "deny" && nlp.VerbBase(firstWordOfAction(p.Action)) == "sell" {
+			if p.Permission == "deny" && nlp.VerbBase(firstWord(p.Action)) == "sell" {
 				sawDenySale = true
 			}
 		}
@@ -99,13 +99,6 @@ func AnalyzeFleet(ctx context.Context, policies []string) (FleetStats, error) {
 	return stats, nil
 }
 
-func firstWordOfAction(a string) string {
-	if i := strings.IndexByte(a, ' '); i > 0 {
-		return a[:i]
-	}
-	return a
-}
-
 // fleetCategory buckets a data type into a MAPS category keyword.
 func fleetCategory(dataType string) string {
 	lower := strings.ToLower(dataType)
@@ -129,7 +122,7 @@ func fleetCategory(dataType string) string {
 
 // classifyVerb reduces an action to collect/share/other.
 func classifyVerb(action string) string {
-	base := nlp.VerbBase(firstWordOfAction(action))
+	base := nlp.VerbBase(firstWord(action))
 	switch base {
 	case "collect", "receive", "obtain", "gather", "record", "access", "capture", "track", "infer", "derive", "scan", "read":
 		return "collect"

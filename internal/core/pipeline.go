@@ -27,8 +27,6 @@ import (
 type Options struct {
 	// Client is the language model; defaults to a cached SimLLM.
 	Client llm.Client
-	// EmbedModel is the embedding model; defaults to "text-embedding-sim".
-	EmbedModel *embed.Model
 	// TaxonomyFilter enables the SciBERT-style similarity filter with the
 	// given threshold (0 disables).
 	TaxonomyFilterThreshold float64
@@ -65,10 +63,7 @@ func New(opts Options) (*Pipeline, error) {
 	if client == nil {
 		client = llm.NewCachingClient(llm.NewSim())
 	}
-	model := opts.EmbedModel
-	if model == nil {
-		model = embed.NewModel("text-embedding-sim")
-	}
+	model := embed.NewModel("text-embedding-sim")
 	reg := opts.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -207,15 +202,4 @@ func (p *Pipeline) Update(ctx context.Context, prev *Analysis, newPolicy string)
 	a := &Analysis{Extraction: ex, KG: k}
 	a.Engine = p.newEngine(k)
 	return a, diff, st, nil
-}
-
-// Ask answers a natural-language query against an analysis (Phase 3).
-func (p *Pipeline) Ask(ctx context.Context, a *Analysis, q string) (*query.Result, error) {
-	return a.Engine.Ask(ctx, q)
-}
-
-// AskBatch verifies many queries concurrently against an analysis over the
-// pipeline's worker pool and shared SMT result cache (Phase 3, batched).
-func (p *Pipeline) AskBatch(ctx context.Context, a *Analysis, queries []string) ([]query.BatchItem, error) {
-	return a.Engine.AskBatch(ctx, queries)
 }

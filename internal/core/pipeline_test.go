@@ -25,7 +25,7 @@ func TestAnalyzeMiniPolicy(t *testing.T) {
 	if st.Edges == 0 || st.Entities == 0 || st.DataTypes == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	res, err := p.Ask(context.Background(), a, "Does Acme share my email address with advertising partners?")
+	res, err := a.Engine.Ask(context.Background(), "Does Acme share my email address with advertising partners?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestIncrementalUpdatePipeline(t *testing.T) {
 		t.Error("new node missing after update")
 	}
 	// Queries still work after an update.
-	res, err := p.Ask(context.Background(), a2, "Does Acme collect my browsing history?")
+	res, err := a2.Engine.Ask(context.Background(), "Does Acme collect my browsing history?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPipelineAskBatchSharesCache(t *testing.T) {
 		"Does Acme collect my device identifiers?",
 		"Does Acme share my email address with advertising partners?",
 	}
-	items, err := p.AskBatch(context.Background(), a, qs)
+	items, err := a.Engine.AskBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,8 +71,7 @@ type Extractor struct {
 	Client llm.Client
 	// Workers is the number of segments extracted in parallel; 0 selects
 	// runtime.GOMAXPROCS(0), 1 forces sequential extraction. The model
-	// client must be safe for concurrent use (SimLLM and all middleware
-	// are).
+	// client must be safe for concurrent use (every llm client is).
 	Workers int
 	// FailFast aborts the whole extraction on the first segment error,
 	// cancelling in-flight siblings, instead of skipping failed segments
@@ -80,8 +79,8 @@ type Extractor struct {
 	// observed before the cancellation took effect.
 	FailFast bool
 	// Stats accumulates counters across calls. Mutations are guarded by an
-	// internal mutex so extractions may run concurrently; read it directly
-	// only when no call is in flight, or use StatsSnapshot.
+	// internal mutex so extractions may run concurrently; read it only when
+	// no call is in flight.
 	Stats Stats
 	// Obs, when non-nil, receives extraction metrics (segment throughput,
 	// LLM-call latency, coreference passes, per-policy wall time). A nil
@@ -104,13 +103,6 @@ func (e *Extractor) addStats(d Stats) {
 	e.Obs.Counter("quagmire_extract_practices_total").Add(uint64(d.Practices))
 	e.Obs.Counter("quagmire_extract_llm_calls_total").Add(uint64(d.LLMCalls))
 	e.Obs.Counter("quagmire_extract_errors_total").Add(uint64(d.Errors))
-}
-
-// StatsSnapshot returns a race-free copy of the accumulated counters.
-func (e *Extractor) StatsSnapshot() Stats {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.Stats
 }
 
 // New returns an extractor over the given client.

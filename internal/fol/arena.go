@@ -40,9 +40,6 @@ func (l ILit) Atom() AtomID { return AtomID(l >> 1) }
 // Neg reports whether the literal is negated.
 func (l ILit) Neg() bool { return l&1 == 1 }
 
-// Negate returns the complementary literal.
-func (l ILit) Negate() ILit { return l ^ 1 }
-
 // IClause is an interned ground-or-nonground clause: a disjunction of
 // interned literals, sorted ascending for canonical identity.
 type IClause []ILit
@@ -329,9 +326,6 @@ func (a *Arena) AtomEq(id AtomID) bool { return a.atoms[id].eq }
 // AtomPred returns the atom's predicate symbol (meaningless for
 // equalities).
 func (a *Arena) AtomPred(id AtomID) Sym { return a.atoms[id].pred }
-
-// AtomUninterpreted reports whether the atom is an ambiguity placeholder.
-func (a *Arena) AtomUninterpreted(id AtomID) bool { return a.atoms[id].uninterpreted }
 
 // AtomArgs returns the atom's argument term IDs (arena-owned).
 func (a *Arena) AtomArgs(id AtomID) []TermID { return a.atoms[id].args }

@@ -335,27 +335,6 @@ func (f *Formula) Size() int {
 	return n
 }
 
-// Atoms returns the distinct predicate symbols occurring in f, sorted.
-func (f *Formula) Atoms() []string {
-	set := map[string]bool{}
-	var walk func(g *Formula)
-	walk = func(g *Formula) {
-		if g.Op == OpPred {
-			set[g.Pred] = true
-		}
-		for _, s := range g.Sub {
-			walk(s)
-		}
-	}
-	walk(f)
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // UninterpretedAtoms returns the distinct predicate symbols tagged as
 // ambiguity placeholders, sorted. These are the terms the paper says must be
 // surfaced for human interpretation.

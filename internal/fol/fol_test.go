@@ -125,7 +125,7 @@ func TestPrenex(t *testing.T) {
 func TestSkolemize(t *testing.T) {
 	// ∀x ∃y p(x,y) -> ∀x p(x, sk_1(x))
 	f := Forall("x", Exists("y", Pred("p", Var("x"), Var("y"))))
-	g := Skolemize(f)
+	g := SkolemizeTagged(f, "")
 	if g.Op != OpForall {
 		t.Fatalf("Skolemize = %s", g)
 	}
@@ -134,7 +134,7 @@ func TestSkolemize(t *testing.T) {
 		t.Errorf("expected Skolem function of x, got %s", atom)
 	}
 	// Outer existential becomes a constant.
-	h := Skolemize(Exists("y", Pred("q", Var("y"))))
+	h := SkolemizeTagged(Exists("y", Pred("q", Var("y"))), "")
 	if h.Terms[0].Kind != TermConst {
 		t.Errorf("expected Skolem constant, got %s", h)
 	}
@@ -166,7 +166,7 @@ func TestCNFFalseTrue(t *testing.T) {
 func TestClausesOfEndToEnd(t *testing.T) {
 	// ∀x (p(x) -> ∃y q(x,y)) yields a single two-literal clause.
 	f := Forall("x", Implies(Pred("p", Var("x")), Exists("y", Pred("q", Var("x"), Var("y")))))
-	cs, err := ClausesOf(f)
+	cs, err := ClausesOfTagged(f, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,13 +393,5 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if f.Size() != 3 {
 		t.Errorf("Size = %d", f.Size())
-	}
-}
-
-func TestAtoms(t *testing.T) {
-	f := And(Pred("b"), Or(Pred("a"), Pred("b")))
-	got := f.Atoms()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Atoms = %v", got)
 	}
 }

@@ -135,16 +135,13 @@ func pullQuantifiers(f *Formula) ([]quant, *Formula) {
 	}
 }
 
-// Skolemize removes existential quantifiers from a prenex NNF formula by
-// introducing Skolem constants/functions named sk_N. The result has only
-// universal quantifiers.
-func Skolemize(f *Formula) *Formula { return SkolemizeTagged(f, "") }
-
-// SkolemizeTagged is Skolemize with a tag mixed into every Skolem symbol
-// (sk<tag>_N). Distinct tags keep the Skolem constants of independently
-// clausified formulas apart when their clauses later share one arena or
-// solver — without a tag, two clausifications both emit sk_1 and the
-// shared problem would wrongly conflate their witnesses.
+// SkolemizeTagged removes existential quantifiers from a prenex NNF
+// formula by introducing Skolem constants/functions named sk<tag>_N. The
+// result has only universal quantifiers. Distinct tags keep the Skolem
+// constants of independently clausified formulas apart when their clauses
+// later share one arena or solver — without a tag, two clausifications
+// both emit sk_1 and the shared problem would wrongly conflate their
+// witnesses.
 func SkolemizeTagged(f *Formula, tag string) *Formula {
 	counter := 0
 	var universals []string
@@ -259,12 +256,8 @@ func cnfMatrix(f *Formula) ([]Clause, error) {
 	}
 }
 
-// ClausesOf runs the full pipeline NNF -> Prenex -> Skolemize -> CNF.
-func ClausesOf(f *Formula) ([]Clause, error) {
-	return CNF(Skolemize(Prenex(NNF(f))))
-}
-
-// ClausesOfTagged is ClausesOf with a Skolem tag (see SkolemizeTagged).
+// ClausesOfTagged runs the full pipeline NNF -> Prenex -> Skolemize -> CNF,
+// with a Skolem tag (see SkolemizeTagged).
 func ClausesOfTagged(f *Formula, tag string) ([]Clause, error) {
 	return CNF(SkolemizeTagged(Prenex(NNF(f)), tag))
 }

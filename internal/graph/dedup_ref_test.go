@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -17,13 +16,13 @@ func refKey(e Edge) string {
 // the source node's out-edges for the stored duplicate. Nodes are left
 // out; Graph's node handling did not change.
 type refGraph struct {
-	out, in map[string][]*Edge
+	out     map[string][]*Edge
 	edges   []*Edge
 	edgeSet map[string]bool
 }
 
 func newRefGraph() *refGraph {
-	return &refGraph{out: map[string][]*Edge{}, in: map[string][]*Edge{}, edgeSet: map[string]bool{}}
+	return &refGraph{out: map[string][]*Edge{}, edgeSet: map[string]bool{}}
 }
 
 func (g *refGraph) AddEdge(e Edge) *Edge {
@@ -40,7 +39,6 @@ func (g *refGraph) AddEdge(e Edge) *Edge {
 	g.edges = append(g.edges, stored)
 	g.edgeSet[dedupeKey] = true
 	g.out[e.From] = append(g.out[e.From], stored)
-	g.in[e.To] = append(g.in[e.To], stored)
 	return stored
 }
 
@@ -60,10 +58,8 @@ func (g *refGraph) RemoveSegment(segID string) int {
 	}
 	g.edges = kept
 	g.out = map[string][]*Edge{}
-	g.in = map[string][]*Edge{}
 	for _, e := range g.edges {
 		g.out[e.From] = append(g.out[e.From], e)
-		g.in[e.To] = append(g.in[e.To], e)
 	}
 	return removed
 }
@@ -77,20 +73,10 @@ func positions(edges []*Edge) map[*Edge]int {
 	return pos
 }
 
-// indexes returns the insertion positions of edges.
-func indexes(pos map[*Edge]int, edges []*Edge) []int {
-	out := make([]int, len(edges))
-	for i, e := range edges {
-		out[i] = pos[e]
-	}
-	return out
-}
-
 // TestEdgeSetMatchesReference: over random edge sequences full of exact
 // and near duplicates, with segments removed between them, Graph stores
-// the edges the reference stores, in the same order, indexes them under
-// the same endpoints, and AddEdge returns the stored edge at the same
-// position.
+// the edges the reference stores, in the same order, and AddEdge returns
+// the stored edge at the same position.
 func TestEdgeSetMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	pick := func(vals ...string) string { return vals[r.Intn(len(vals))] }
@@ -114,21 +100,12 @@ func TestEdgeSetMatchesReference(t *testing.T) {
 					t.Fatalf("iter %d: AddEdge(%+v) returned edge %d, reference %d", iter, e, gp, wp)
 				}
 			}
-			gp, wp := positions(g.Edges()), positions(ref.edges)
 			if len(g.Edges()) != len(ref.edges) {
 				t.Fatalf("iter %d: %d edges, reference %d", iter, len(g.Edges()), len(ref.edges))
 			}
 			for i, e := range g.Edges() {
 				if *e != *ref.edges[i] {
 					t.Fatalf("iter %d: edge %d = %+v, reference %+v", iter, i, *e, *ref.edges[i])
-				}
-			}
-			for _, n := range nodes {
-				if got, want := indexes(gp, g.Out(n)), indexes(wp, ref.out[n]); !reflect.DeepEqual(got, want) {
-					t.Fatalf("iter %d: Out(%q) = %v, reference %v", iter, n, got, want)
-				}
-				if got, want := indexes(gp, g.In(n)), indexes(wp, ref.in[n]); !reflect.DeepEqual(got, want) {
-					t.Fatalf("iter %d: In(%q) = %v, reference %v", iter, n, got, want)
 				}
 			}
 		}

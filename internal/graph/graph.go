@@ -58,9 +58,6 @@ func (e Edge) String() string {
 // use New.
 type Graph struct {
 	nodes map[string]*Node
-	// out and in index edges by endpoint.
-	out map[string][]*Edge
-	in  map[string][]*Edge
 	// edges stores all edges in insertion order; edgeSet maps each stored
 	// edge's content, segment included, to it, so a duplicate is found in
 	// one lookup.
@@ -72,8 +69,6 @@ type Graph struct {
 func New() *Graph {
 	return &Graph{
 		nodes:   map[string]*Node{},
-		out:     map[string][]*Edge{},
-		in:      map[string][]*Edge{},
 		edgeSet: map[Edge]*Edge{},
 	}
 }
@@ -134,8 +129,6 @@ func (g *Graph) AddEdge(e Edge) *Edge {
 	stored := &e
 	g.edges = append(g.edges, stored)
 	g.edgeSet[e] = stored
-	g.out[e.From] = append(g.out[e.From], stored)
-	g.in[e.To] = append(g.in[e.To], stored)
 	return stored
 }
 
@@ -151,12 +144,6 @@ func (g *Graph) Nodes() []*Node {
 
 // Edges returns all edges in insertion order.
 func (g *Graph) Edges() []*Edge { return g.edges }
-
-// Out returns edges leaving node id.
-func (g *Graph) Out(id string) []*Edge { return g.out[id] }
-
-// In returns edges entering node id.
-func (g *Graph) In(id string) []*Edge { return g.in[id] }
 
 // NumNodes and NumEdges report sizes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
@@ -181,13 +168,8 @@ func (g *Graph) RemoveSegment(segID string) int {
 		return 0
 	}
 	g.edges = kept
-	// Rebuild endpoint indexes.
-	g.out = map[string][]*Edge{}
-	g.in = map[string][]*Edge{}
 	touched := map[string]bool{}
 	for _, e := range g.edges {
-		g.out[e.From] = append(g.out[e.From], e)
-		g.in[e.To] = append(g.in[e.To], e)
 		touched[e.From] = true
 		touched[e.To] = true
 	}
@@ -227,24 +209,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Subgraph returns a new graph containing only the given nodes and the
-// edges among them.
-func (g *Graph) Subgraph(keep map[string]bool) *Graph {
-	sub := New()
-	for id := range keep {
-		if n := g.nodes[id]; n != nil {
-			node := sub.AddNode(n.ID, n.Kind)
-			node.Attrs = n.Attrs
-		}
-	}
-	for _, e := range g.edges {
-		if keep[e.From] && keep[e.To] {
-			sub.AddEdge(*e)
-		}
-	}
-	return sub
-}
-
 // Wire is the serialized form of a Graph: its nodes sorted by ID, then
 // its edges in insertion order. A decoder that holds a Wire in a larger
 // document, as the analysis codec does, restores the graph with
@@ -271,8 +235,6 @@ func (g *Graph) Wire() *Wire {
 func (w *Wire) Graph() (*Graph, error) {
 	g := &Graph{
 		nodes:   make(map[string]*Node, len(w.Nodes)),
-		out:     make(map[string][]*Edge, len(w.Nodes)),
-		in:      make(map[string][]*Edge, len(w.Nodes)),
 		edges:   make([]*Edge, 0, len(w.Edges)),
 		edgeSet: make(map[Edge]*Edge, len(w.Edges)),
 	}

@@ -1,11 +1,10 @@
 // Package llm provides the language-model substrate of the pipeline: a
 // provider-neutral Client interface, a prompt library with the few-shot
-// templates described in the paper, client middleware (caching, retry,
-// rate-limiting, failure injection), and SimLLM — a deterministic
-// rule-grounded model that implements every prompt task the pipeline
-// issues (company-name identification, coreference resolution, semantic
-// role extraction, Chain-of-Layer taxonomy induction and semantic
-// equivalence judging).
+// templates described in the paper, a caching client, a failure-injecting
+// client for tests, and SimLLM — a deterministic rule-grounded model that
+// implements every prompt task the pipeline issues (company-name
+// identification, coreference resolution, semantic role extraction,
+// Chain-of-Layer taxonomy induction and semantic equivalence judging).
 //
 // SimLLM substitutes for GPT-4o-mini: the pipeline only ever consumes
 // structured JSON answers to a fixed family of prompts, and SimLLM produces
@@ -66,8 +65,8 @@ type Response struct {
 	Usage Usage
 }
 
-// Client is the minimal completion interface; SimLLM, middleware and (in a
-// networked deployment) an HTTP client all implement it.
+// Client is the minimal completion interface; SimLLM, the caching client
+// and (in a networked deployment) an HTTP client all implement it.
 type Client interface {
 	// Complete runs one request. Implementations must be safe for
 	// concurrent use.

@@ -52,7 +52,7 @@ Output: [{"sender":"user","receiver":"Acme","subject":"user","data_type":"name",
 //
 // The prompts are built by concatenation, with strconv.Quote where a value
 // is quoted (the bytes fmt's %q writes): a prompt's bytes are its cache
-// and transcript key.
+// key.
 func CompanyNamePrompt(policyPrefix string) Request {
 	if len(policyPrefix) > 1000 {
 		policyPrefix = policyPrefix[:1000]

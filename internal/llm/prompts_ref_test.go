@@ -12,8 +12,8 @@ import (
 )
 
 // The fmt-based prompt builders the concatenating ones replaced: prompt
-// bytes are cache and transcript keys, so every builder must render the
-// reference's bytes.
+// bytes are cache keys, so every builder must render the reference's
+// bytes.
 func referenceCompanyNamePrompt(policyPrefix string) Request {
 	if len(policyPrefix) > 1000 {
 		policyPrefix = policyPrefix[:1000]
@@ -94,6 +94,12 @@ func referenceCacheKey(req Request) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// hexDigest is the cache's digest of req in hex, the reference key's form.
+func hexDigest(req Request) string {
+	d := digest(req)
+	return hex.EncodeToString(d[:])
+}
+
 // randomPromptText draws a company, segment or term: words, quotes,
 // backslashes, newlines, tabs, control bytes, non-ASCII letters, an emoji,
 // invalid UTF-8, and now and then more than 1000 bytes.
@@ -139,7 +145,7 @@ func TestPromptsMatchReference(t *testing.T) {
 			if !reflect.DeepEqual(p.got, p.want) {
 				t.Fatalf("%s(%q, %q): prompt\n%q\nwant\n%q", p.name, a, b, p.got.Prompt, p.want.Prompt)
 			}
-			if got, want := cacheKey(p.got), referenceCacheKey(p.want); got != want {
+			if got, want := hexDigest(p.got), referenceCacheKey(p.want); got != want {
 				t.Fatalf("%s: cache key %s, reference %s", p.name, got, want)
 			}
 		}
@@ -158,7 +164,7 @@ func TestCacheKeyMatchesReference(t *testing.T) {
 			task = TaskSemanticEquiv
 		}
 		req := Request{Task: task, Prompt: string(prompt)}
-		if got, want := cacheKey(req), referenceCacheKey(req); got != want {
+		if got, want := hexDigest(req), referenceCacheKey(req); got != want {
 			t.Fatalf("request %d (task %q, %d-byte prompt): key %s, reference %s", i, task, len(prompt), got, want)
 		}
 	}

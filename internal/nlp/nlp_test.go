@@ -226,26 +226,6 @@ func TestSplitListOrAndTwoItems(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	got := NGrams("we share your email", 2)
-	want := []string{"we share", "share your", "your email"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("NGrams = %v", got)
-	}
-	if NGrams("one", 2) != nil {
-		t.Error("short input should yield nil")
-	}
-	if NGrams("a b", 0) != nil {
-		t.Error("n=0 should yield nil")
-	}
-}
-
-func TestTitleCase(t *testing.T) {
-	if got := TitleCase("email address"); got != "Email Address" {
-		t.Errorf("TitleCase = %q", got)
-	}
-}
-
 // Property: tokenization never loses word characters and offsets are
 // monotonically increasing.
 func TestTokenizeProperty(t *testing.T) {

@@ -135,15 +135,3 @@ func SplitList(s string) []string {
 	}
 	return out
 }
-
-// TitleCase uppercases the first letter of each word, used only for display.
-func TitleCase(s string) string {
-	fields := strings.Fields(s)
-	for i, f := range fields {
-		if f == "" {
-			continue
-		}
-		fields[i] = strings.ToUpper(f[:1]) + f[1:]
-	}
-	return strings.Join(fields, " ")
-}

@@ -210,17 +210,3 @@ func endsWithAbbreviation(s string) bool {
 	last := strings.ToLower(s[j+1:])
 	return abbreviations[last]
 }
-
-// NGrams returns the n-grams (as joined strings) over the word tokens of s.
-// It returns nil when s has fewer than n words.
-func NGrams(s string, n int) []string {
-	w := Words(s)
-	if n <= 0 || len(w) < n {
-		return nil
-	}
-	out := make([]string, 0, len(w)-n+1)
-	for i := 0; i+n <= len(w); i++ {
-		out = append(out, strings.Join(w[i:i+n], " "))
-	}
-	return out
-}

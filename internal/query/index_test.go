@@ -241,7 +241,7 @@ func TestVocabSearchMatchesDenseRanking(t *testing.T) {
 				}
 				return want[a].Key < want[b].Key
 			})
-			for _, k := range []int{e.TopK, len(keys)} {
+			for _, k := range []int{topK, len(keys)} {
 				got := ix.Search(q, k)
 				if !slices.Equal(got, want[:min(k, len(want))]) {
 					t.Fatalf("policy %d, query %q, k=%d:\ngot  %v\nwant %v", i, q, k, got, want[:min(k, len(want))])

@@ -85,6 +85,10 @@ type Result struct {
 // self-contradictory policy rather than from the solver's budget.
 const CauseContradiction = "contradiction"
 
+// topK is the number of embedding candidates whose equivalence the model
+// checks per term (the paper's k).
+const topK = 10
+
 // Engine answers queries against one knowledge graph.
 type Engine struct {
 	// KG is the policy's knowledge graph; required.
@@ -93,9 +97,6 @@ type Engine struct {
 	Client llm.Client
 	// Model is the embedding model for vocabulary translation; required.
 	Model *embed.Model
-	// TopK is the number of embedding candidates LLM-verified per term
-	// (the paper uses k=10).
-	TopK int
 	// SubgraphDepth bounds graph traversal around matched nodes.
 	SubgraphDepth int
 	// Limits bounds the SMT solver.
@@ -161,7 +162,7 @@ func (e *Engine) observeSolve(results []smt.Result) {
 func NewEngine(k *kg.KnowledgeGraph, client llm.Client, model *embed.Model) *Engine {
 	return &Engine{
 		KG: k, Client: client, Model: model,
-		TopK: 10, SubgraphDepth: 2, SimplifyFOL: true,
+		SubgraphDepth: 2, SimplifyFOL: true,
 	}
 }
 
@@ -464,11 +465,7 @@ func (e *Engine) translate(ctx context.Context, term string, record map[string]s
 		record[term] = n.ID
 		return n.ID, nil
 	}
-	k := e.TopK
-	if k <= 0 {
-		k = 10
-	}
-	for _, m := range e.vocabIndex().Search(term, k) {
+	for _, m := range e.vocabIndex().Search(term, topK) {
 		if !strings.HasPrefix(m.Key, "node:") {
 			continue
 		}

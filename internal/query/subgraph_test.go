@@ -27,14 +27,12 @@ func referenceNeighborhood(g *graph.Graph, start string, depth int) map[string]b
 	for d := 0; d < depth; d++ {
 		var next []string
 		for _, id := range frontier {
-			for _, e := range g.Out(id) {
-				if !seen[e.To] {
+			for _, e := range g.Edges() {
+				if e.From == id && !seen[e.To] {
 					seen[e.To] = true
 					next = append(next, e.To)
 				}
-			}
-			for _, e := range g.In(id) {
-				if !seen[e.From] {
+				if e.To == id && !seen[e.From] {
 					seen[e.From] = true
 					next = append(next, e.From)
 				}

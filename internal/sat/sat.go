@@ -14,7 +14,6 @@
 package sat
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -73,10 +72,6 @@ func (s Status) String() string {
 		return "unknown"
 	}
 }
-
-// ErrBudget is returned (wrapped in Unknown status) when the step budget is
-// exhausted.
-var ErrBudget = errors.New("sat: resource budget exhausted")
 
 // Stats reports solver effort counters.
 type Stats struct {
@@ -153,9 +148,6 @@ func New() *Solver {
 // per question, so Budget bounds each question's work rather than the
 // solver's lifetime.
 func (s *Solver) ResetSteps() { s.steps = 0 }
-
-// NumVars returns the highest variable index seen.
-func (s *Solver) NumVars() int { return len(s.assign) - 1 }
 
 func (s *Solver) ensureVar(v int) {
 	for len(s.assign) <= v {

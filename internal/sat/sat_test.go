@@ -1,10 +1,8 @@
 package sat
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -243,44 +241,6 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 					t.Fatalf("iter %d: model violates %v", iter, c)
 				}
 			}
-		}
-	}
-}
-
-func TestDIMACSRoundTrip(t *testing.T) {
-	src := `c example
-p cnf 3 2
-1 -2 0
-2 3 0
-`
-	s, err := ParseDIMACS(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("solve: %v", got)
-	}
-	var buf bytes.Buffer
-	if err := s.WriteDIMACS(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := ParseDIMACS(&buf)
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, buf.String())
-	}
-	if got := s2.Solve(); got != Sat {
-		t.Fatalf("reparsed solve: %v", got)
-	}
-}
-
-func TestDIMACSErrors(t *testing.T) {
-	for _, src := range []string{
-		"p cnf x 2\n1 0\n2 0\n",
-		"p cnf 2 5\n1 0\n",
-		"1 a 0\n",
-	} {
-		if _, err := ParseDIMACS(strings.NewReader(src)); err == nil {
-			t.Errorf("ParseDIMACS(%q) should fail", src)
 		}
 	}
 }

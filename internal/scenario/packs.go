@@ -93,17 +93,6 @@ var builtinPacks = map[string]*Pack{
 	},
 }
 
-// Packs lists the built-in rule packs sorted by name (for docs and error
-// suggestions).
-func Packs() []*Pack {
-	out := make([]*Pack, 0, len(builtinPacks))
-	for _, p := range builtinPacks {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // expandUse instantiates a pack for one use directive: validates the
 // parameters and returns the pack's scenarios with the parameter
 // environment attached (substitution happens at compile time, layered over

@@ -6,11 +6,13 @@ import (
 )
 
 func TestBuiltinPacksParse(t *testing.T) {
-	packs := Packs()
-	if len(packs) < 3 {
-		t.Fatalf("expected >= 3 built-in packs, got %d", len(packs))
+	if len(builtinPacks) < 3 {
+		t.Fatalf("expected >= 3 built-in packs, got %d", len(builtinPacks))
 	}
-	for _, p := range packs {
+	for name, p := range builtinPacks {
+		if p.Name != name {
+			t.Errorf("pack %q is registered as %q", p.Name, name)
+		}
 		scs, err := p.scenarios()
 		if err != nil {
 			t.Errorf("pack %q: %v", p.Name, err)
@@ -26,12 +28,6 @@ func TestBuiltinPacksParse(t *testing.T) {
 		}
 		if p.Doc == "" {
 			t.Errorf("pack %q has no doc line", p.Name)
-		}
-	}
-	// Packs() must be sorted for stable docs output.
-	for i := 1; i < len(packs); i++ {
-		if packs[i-1].Name >= packs[i].Name {
-			t.Errorf("Packs() not sorted: %q before %q", packs[i-1].Name, packs[i].Name)
 		}
 	}
 }

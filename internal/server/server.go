@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/privacy-quagmire/quagmire/internal/core"
@@ -169,17 +168,6 @@ func (s *Server) recoverEngines(rec RecoveryOptions) error {
 	return nil
 }
 
-// expvarRegistry is the registry the process-global "quagmire" expvar
-// reads; expvar.Publish is global and panics on duplicates, so the var is
-// published once and re-pointed at the most recent server's registry.
-var expvarRegistry atomic.Pointer[obs.Registry]
-
-var publishExpvar = sync.OnceFunc(func() {
-	expvar.Publish("quagmire", expvar.Func(func() any {
-		return expvarRegistry.Load().Snapshot()
-	}))
-})
-
 // Handler returns the routed HTTP handler with middleware applied. The
 // observability routes — Prometheus text on /metrics, expvar JSON on
 // /debug/vars, the pprof suite under /debug/pprof/ — are mounted here on
@@ -193,11 +181,9 @@ var publishExpvar = sync.OnceFunc(func() {
 // would truncate profiles, and operators must be able to scrape a server
 // that is saturated or wedged.
 func (s *Server) Handler() http.Handler {
-	expvarRegistry.Store(s.pipeline.Obs())
-	publishExpvar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
+	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -270,6 +256,24 @@ func (s *Server) withMiddleware(next http.Handler) http.Handler {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.pipeline.Obs().WritePrometheus(w)
+}
+
+// handleVars serves expvar's JSON: the variables the process publishes
+// (cmdline, memstats) and this server's registry under "quagmire". The
+// registry is read from the server, not published process-wide, so two
+// servers in one process each show their own.
+func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
+	snap, err := json.Marshal(s.pipeline.Obs().Snapshot())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	io.WriteString(w, "{\n")
+	expvar.Do(func(kv expvar.KeyValue) {
+		fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value)
+	})
+	fmt.Fprintf(w, "%q: %s\n}\n", "quagmire", snap)
 }
 
 // statusRecorder captures the response code for logging/metrics and

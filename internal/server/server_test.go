@@ -649,3 +649,40 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Errorf("/debug/pprof/cmdline = %d", pprofResp.StatusCode)
 	}
 }
+
+// TestDebugVarsPerServer: two servers in one process each serve their own
+// registry on /debug/vars, whichever was built last, next to the
+// process-wide variables expvar publishes.
+func TestDebugVarsPerServer(t *testing.T) {
+	tsA, pA := newPipelineServer(t, Options{})
+	tsB, pB := newPipelineServer(t, Options{})
+	pA.Obs().Counter("quagmire_test_server_total").Add(1)
+	pB.Obs().Counter("quagmire_test_server_total").Add(2)
+	for _, c := range []struct {
+		name string
+		url  string
+		want float64
+	}{{"A", tsA.URL, 1}, {"B", tsB.URL, 2}} {
+		resp, err := http.Get(c.url + "/debug/vars")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vars struct {
+			Cmdline  []string `json:"cmdline"`
+			Quagmire struct {
+				Counters map[string]float64 `json:"counters"`
+			} `json:"quagmire"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&vars)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("server %s: decode /debug/vars: %v", c.name, err)
+		}
+		if got := vars.Quagmire.Counters["quagmire_test_server_total"]; got != c.want {
+			t.Errorf("server %s: /debug/vars counter = %v, want %v", c.name, got, c.want)
+		}
+		if len(vars.Cmdline) == 0 {
+			t.Errorf("server %s: /debug/vars lacks expvar's cmdline", c.name)
+		}
+	}
+}

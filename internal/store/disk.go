@@ -325,18 +325,17 @@ func (d *Disk) registerMetrics() {
 // d.mu.
 func (d *Disk) walBytesLocked() int64 { return d.retained.size + d.live.size }
 
-// log frames op, appends it to the WAL and syncs (unless NoSync). The
-// caller holds d.mu.
+// log frames op, appends it to the WAL and syncs. The caller holds d.mu.
 func (d *Disk) log(op walOp) error {
 	return d.logBatch([]walOp{op})
 }
 
 // logBatch frames every op with consecutive sequence numbers, appends
-// them to the WAL and syncs once for the whole batch (unless NoSync) —
-// the fsync amortization that makes AppendBatch cheap at corpus scale.
-// The batch is atomic: a failed write or sync rolls the log back to the
-// pre-batch boundary, so no prefix of an unacknowledged batch can
-// survive into recovery. The caller holds d.mu.
+// them to the WAL and syncs once for the whole batch — the fsync
+// amortization that makes AppendBatch cheap at corpus scale. The batch is
+// atomic: a failed write or sync rolls the log back to the pre-batch
+// boundary, so no prefix of an unacknowledged batch can survive into
+// recovery. The caller holds d.mu.
 func (d *Disk) logBatch(ops []walOp) error {
 	if d.failed != nil {
 		return fmt.Errorf("store: wal unusable, writes disabled: %w", d.failed)
@@ -354,7 +353,7 @@ func (d *Disk) logBatch(ops []walOp) error {
 		}
 		written += int64(n)
 	}
-	if err == nil && !d.opts.NoSync {
+	if err == nil {
 		if err = d.wal.Sync(); err == nil {
 			d.opts.Obs.Counter("quagmire_store_wal_syncs_total").Inc()
 		}

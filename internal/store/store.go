@@ -186,9 +186,6 @@ type Options struct {
 	// background, when the live log exceeds this many bytes (disk only);
 	// 0 selects 4 MiB, negative disables automatic compaction.
 	SnapshotThreshold int64
-	// NoSync skips fsync after each WAL append (disk only). Faster, but a
-	// host crash can lose the last records; process crashes cannot.
-	NoSync bool
 }
 
 func (o Options) clock() func() time.Time {

@@ -121,8 +121,7 @@ type Metrics = obs.Snapshot
 func (a *Analyzer) Metrics() Metrics { return a.p.Metrics() }
 
 // SimulatedModel returns the deterministic built-in language model,
-// wrapped with response caching. Use it as Config.Model when composing
-// with middleware from this module's internals is not needed.
+// wrapped with response caching, for use as Config.Model.
 func SimulatedModel() llm.Client { return llm.NewCachingClient(llm.NewSim()) }
 
 // EmbeddingModel returns the deterministic embedding model used for
