@@ -43,7 +43,6 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/htmltext"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
 	"github.com/privacy-quagmire/quagmire/internal/report"
-	"github.com/privacy-quagmire/quagmire/internal/segment"
 	"github.com/privacy-quagmire/quagmire/internal/smt"
 )
 
@@ -175,7 +174,7 @@ func run(args []string) error {
 		if len(rest) != 3 {
 			return fmt.Errorf("usage: quagmire diff <old.txt> <new.txt>")
 		}
-		oldText, err := readPolicy(rest[1])
+		oldA, err := analyzeFile(ctx, p, rest[1:2])
 		if err != nil {
 			return err
 		}
@@ -183,7 +182,12 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		d := segment.Compare(segment.Split(oldText), segment.Split(newText))
+		// The new version is the old one updated, as a stored policy's
+		// next version is: only changed segments are re-extracted.
+		newA, d, _, err := p.Update(ctx, oldA, newText)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("kept: %d  added: %d  removed: %d  (%.1f%% changed)\n",
 			len(d.Kept), len(d.Added), len(d.Removed), 100*d.ChangedFraction())
 		for _, s := range d.Added {
@@ -193,16 +197,7 @@ func run(args []string) error {
 			fmt.Printf("- %s\n", s.Text)
 		}
 		// Practice-level semantic diff: what a text diff cannot classify.
-		ext := extract.New(llm.NewCachingClient(llm.NewSim()))
-		oldEx, err := ext.ExtractPolicy(ctx, oldText)
-		if err != nil {
-			return err
-		}
-		newEx, err := ext.ExtractPolicy(ctx, newText)
-		if err != nil {
-			return err
-		}
-		rep := extract.CompareVersions(oldEx, newEx)
+		rep := extract.CompareVersions(oldA.Extraction, newA.Extraction)
 		if len(rep.Changes) > 0 {
 			fmt.Printf("\npractice-level changes (%d, %d permission flips):\n", len(rep.Changes), rep.PermissionFlips)
 			for _, c := range rep.Changes {
@@ -384,7 +379,7 @@ func run(args []string) error {
 // prints that pipeline's metrics after any of them.
 var pipelineCommands = map[string]bool{
 	"analyze": true, "edges": true, "vague": true, "ask": true, "dot": true, "report": true,
-	"check": true, "explore": true, "explain": true, "compare": true,
+	"check": true, "explore": true, "explain": true, "compare": true, "diff": true,
 }
 
 // analyzeFile analyzes the policy file args[0] names on p.

@@ -227,6 +227,7 @@ func TestExploreSubcommand(t *testing.T) {
 // question phases of those that ask one.
 func TestStatsForEveryPipelineCommand(t *testing.T) {
 	p := writePolicy(t, corpus.Mini())
+	edited := writePolicy(t, strings.Replace(corpus.Mini(), "device identifiers", "browsing history", 1))
 	q := "Does Acme collect my device identifiers?"
 	suite := writeSuite(t, "green.qq", greenSuite)
 	for _, c := range []struct {
@@ -240,6 +241,7 @@ func TestStatsForEveryPipelineCommand(t *testing.T) {
 		{[]string{"dot", p}, false},
 		{[]string{"report", p}, false},
 		{[]string{"compare", p, p}, false},
+		{[]string{"diff", p, edited}, false},
 	} {
 		stderr := redirect(t, &os.Stderr, func() {
 			if out, err := capture(t, func() error {

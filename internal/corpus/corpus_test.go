@@ -91,6 +91,13 @@ func TestMatchOPP115(t *testing.T) {
 	}
 }
 
+// vagueConditionSet marks which of conditions are vague.
+var vagueConditionSet = map[string]bool{
+	"legitimate business purposes": true, "business operations": true,
+	"security purposes": true, "legitimate interests apply": true,
+	"the public interest requires it": true, "required by law": true,
+}
+
 func TestVagueConditionsMarked(t *testing.T) {
 	n := 0
 	for _, c := range conditions {

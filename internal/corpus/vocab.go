@@ -95,13 +95,6 @@ var conditions = []string{
 	"you participate in promotional programs", "technical maintenance demands it",
 }
 
-// vagueConditionSet marks which of conditions are vague (for analyses).
-var vagueConditionSet = map[string]bool{
-	"legitimate business purposes": true, "business operations": true,
-	"security purposes": true, "legitimate interests apply": true,
-	"the public interest requires it": true, "required by law": true,
-}
-
 // boilerplate sentences carry no data practices; they pad policies to
 // realistic length and exercise the extractor's rejection path.
 var boilerplate = []string{

@@ -152,7 +152,8 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // RemoveSegment deletes every edge contributed by the given segment and
-// any nodes left isolated, implementing branch-local incremental updates.
+// any nodes no remaining edge names as its From, To or Other, implementing
+// branch-local incremental updates.
 func (g *Graph) RemoveSegment(segID string) int {
 	removed := 0
 	var kept []*Edge
@@ -172,6 +173,7 @@ func (g *Graph) RemoveSegment(segID string) int {
 	for _, e := range g.edges {
 		touched[e.From] = true
 		touched[e.To] = true
+		touched[e.Other] = true
 	}
 	var survivors []*Node
 	for id, n := range g.nodes {

@@ -79,7 +79,8 @@ func TestEdgeString(t *testing.T) {
 func TestRemoveSegment(t *testing.T) {
 	g := New()
 	g.AddEdge(Edge{From: "a", To: "b", Label: "x", SegmentID: "s1"})
-	g.AddEdge(Edge{From: "a", To: "c", Label: "y", SegmentID: "s2"})
+	g.AddEdge(Edge{From: "a", To: "c", Label: "y", Other: "r", SegmentID: "s2"})
+	g.AddNode("r", "entity")
 	removed := g.RemoveSegment("s1")
 	if removed != 1 {
 		t.Fatalf("removed = %d", removed)
@@ -87,7 +88,7 @@ func TestRemoveSegment(t *testing.T) {
 	if g.HasNode("b") {
 		t.Error("isolated node b not removed")
 	}
-	if !g.HasNode("a") || !g.HasNode("c") {
+	if !g.HasNode("a") || !g.HasNode("c") || !g.HasNode("r") {
 		t.Error("shared nodes lost")
 	}
 	if g.RemoveSegment("missing") != 0 {

@@ -33,7 +33,7 @@ func paperAxioms() []*fol.Formula {
 // ground subtype facts over terms, and paperAxioms.
 func paperFacts(e *Engine, edges []*graph.Edge, terms []string, placeholderSet map[string]bool) []*fol.Formula {
 	facts := e.practiceFacts(edges, placeholderSet)
-	facts = append(facts, e.subtypeFacts(terms)...)
+	facts = append(facts, e.referenceSubtypeFacts(terms)...)
 	return append(facts, paperAxioms()...)
 }
 
@@ -53,12 +53,12 @@ func paperScriptResults(t *testing.T, e *Engine, q *resolved) []smt.Result {
 		placeholders = append(placeholders, p)
 	}
 	sort.Strings(placeholders)
-	goals, _ := askGoals(placeholders)
-	script, err := smtlib.CompileQuery(policy, negGoal, goals, smtlib.CompileOptions{})
+	checks, _ := askGoals(len(placeholders))
+	script, err := referenceCompile(policy, negGoal, referenceGoals(placeholders, checks))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runScript(t, script.String(), e.Limits)
+	return runScript(t, script, e.Limits)
 }
 
 func runScript(t *testing.T, script string, lim smt.Limits) []smt.Result {
@@ -185,8 +185,8 @@ func replay(prob *smtlib.Problem, strategy smt.InstStrategy, lim smt.Limits) []s
 // TestRelevantGroundingMatchesFullOnGrid is the differential test for the
 // default strategy's skip rule on the pipeline's own scripts. Over the
 // question grid of 50 corpus policies plus the contradiction fixture, the
-// commands decoded from each compiled script equal those parsed from its
-// text, and every check (main, assuming the placeholders, policy alone)
+// problem built for each script equals the one parsed from its text, and
+// every check (main, assuming the placeholders, policy alone)
 // answers with the same status, reason and model under the default
 // strategy as under FullGrounding; only the instances differ.
 func TestRelevantGroundingMatchesFullOnGrid(t *testing.T) {
@@ -218,16 +218,13 @@ func TestRelevantGroundingMatchesFullOnGrid(t *testing.T) {
 			if enc.script != res.Script {
 				t.Fatalf("%q: re-encoded script differs from the served one", text)
 			}
-			compiled, err := smtlib.Decode(enc.compiled.Commands)
-			if err != nil {
-				t.Fatal(err)
-			}
+			compiled := enc.problem()
 			parsed, err := smtlib.DecodeScript(enc.script)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(compiled, parsed) {
-				t.Fatalf("%q: the compiled script's commands decode unlike its text", text)
+				t.Fatalf("%q: the problem built for the script differs from its text's", text)
 			}
 			full := replay(parsed, smt.FullGrounding, e.Limits)
 			relevant := replay(compiled, smt.RelevantGrounding, e.Limits)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/privacy-quagmire/quagmire/internal/fol"
 	"github.com/privacy-quagmire/quagmire/internal/graph"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
 	"github.com/privacy-quagmire/quagmire/internal/smt"
@@ -79,7 +78,7 @@ func (e *Engine) ExplainValid(ctx context.Context, p llm.ParamSet) (*Explanation
 
 // mainGoal is the main check alone: does the goal follow with no
 // condition assumed?
-func mainGoal([]string) ([][]*fol.Formula, error) { return [][]*fol.Formula{nil}, nil }
+func mainGoal(int) ([]goalCheck, error) { return []goalCheck{{}}, nil }
 
 // ExplainQuestion parses a natural-language query and runs ExplainValid.
 func (e *Engine) ExplainQuestion(ctx context.Context, question string) (*Explanation, error) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/privacy-quagmire/quagmire/internal/fol"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
 	"github.com/privacy-quagmire/quagmire/internal/smt"
 )
@@ -84,13 +83,13 @@ func (e *Engine) ExploreConditions(ctx context.Context, p llm.ParamSet) (*Explor
 
 // scenarioGoals are Explore's goal checks: one per interpretation of the
 // placeholders, the scenario's index as its mask.
-func scenarioGoals(placeholders []string) ([][]*fol.Formula, error) {
-	if len(placeholders) > MaxExplorePlaceholders {
-		return nil, fmt.Errorf("query: %d placeholders exceed exploration cap %d", len(placeholders), MaxExplorePlaceholders)
+func scenarioGoals(n int) ([]goalCheck, error) {
+	if n > MaxExplorePlaceholders {
+		return nil, fmt.Errorf("query: %d placeholders exceed exploration cap %d", n, MaxExplorePlaceholders)
 	}
-	goals := make([][]*fol.Formula, 1<<len(placeholders))
+	goals := make([]goalCheck, 1<<n)
 	for mask := range goals {
-		goals[mask] = scenario(placeholders, mask)
+		goals[mask] = goalCheck{assume: true, mask: mask}
 	}
 	return goals, nil
 }

@@ -12,21 +12,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/privacy-quagmire/quagmire/internal/embed"
-	"github.com/privacy-quagmire/quagmire/internal/fol"
 	"github.com/privacy-quagmire/quagmire/internal/graph"
 	"github.com/privacy-quagmire/quagmire/internal/kg"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
 	"github.com/privacy-quagmire/quagmire/internal/nlp"
 	"github.com/privacy-quagmire/quagmire/internal/obs"
 	"github.com/privacy-quagmire/quagmire/internal/smt"
-	"github.com/privacy-quagmire/quagmire/internal/smtlib"
 )
 
 // Verdict is the paper's three-valued query outcome.
@@ -126,6 +123,11 @@ type Engine struct {
 
 	subgraph     *subgraphIndex
 	subgraphOnce sync.Once
+
+	// foldIDs are the node IDs, sorted, that can equal a lowercase ASCII
+	// term under case folding without being equal to it (see nodeFold).
+	foldIDs  []string
+	foldOnce sync.Once
 }
 
 // phaseTimer observes one Phase 3 stage's latency on the engine's
@@ -232,12 +234,7 @@ func (e *Engine) AskParams(ctx context.Context, p llm.ParamSet) (*Result, error)
 	for _, ed := range q.edges {
 		res.MatchedEdges = append(res.MatchedEdges, ed.String())
 	}
-	formula := fol.And(enc.policy, enc.negGoal)
-	if e.SimplifyFOL {
-		formula = conjoin(enc.policy, enc.negGoal)
-	}
-	res.Formula = formula.String()
-	res.FormulaSize = formula.Size()
+	res.Formula, res.FormulaSize = enc.formula()
 	res.Placeholders = enc.placeholders
 	res.Script = enc.script
 	res.SMT = results[0]
@@ -288,50 +285,22 @@ func (e *Engine) resolve(ctx context.Context, p llm.ParamSet, translations map[s
 	return q, nil
 }
 
-// goalsFunc lists the goal checks a path asks of a question, as sets of
-// assumed placeholder literals (see smtlib.CompileQuery), given the
-// question's sorted placeholders.
-type goalsFunc func(placeholders []string) ([][]*fol.Formula, error)
-
 // askGoals are Ask's goal checks: the main check, and when there are
 // vague placeholders, the check assuming all of them hold, which refines a
 // sat main check.
-func askGoals(placeholders []string) ([][]*fol.Formula, error) {
-	if len(placeholders) == 0 {
-		return [][]*fol.Formula{nil}, nil
+func askGoals(n int) ([]goalCheck, error) {
+	if n == 0 {
+		return []goalCheck{{}}, nil
 	}
-	return [][]*fol.Formula{nil, scenario(placeholders, 1<<len(placeholders)-1)}, nil
+	return []goalCheck{{}, {assume: true, mask: 1<<n - 1}}, nil
 }
 
-// scenario assumes each placeholder, or its negation where its bit in mask
-// (bit i for placeholders[i]) is clear.
-func scenario(placeholders []string, mask int) []*fol.Formula {
-	lits := make([]*fol.Formula, len(placeholders))
-	for i, ph := range placeholders {
-		lits[i] = fol.UninterpretedPred(ph)
-		if mask&(1<<i) == 0 {
-			lits[i] = fol.Not(lits[i])
-		}
-	}
-	return lits
-}
-
-// encoding is a question's encoded parts and the script compiled from
-// them, with its text.
-type encoding struct {
-	policy, negGoal *fol.Formula
-	placeholders    []string
-	compiled        *smtlib.Script
-	script          string
-	checks          int // the script's check commands
-}
-
-// check encodes the question (see encode) and runs the compiled script on
-// one ground core through the engine's result cache: one result per
-// check. The context is checked before and after encoding, which does not
-// poll it, so a done context runs nothing and a cached verdict never
-// outlives its caller's deadline; once solving, RunScriptCachedCtx returns
-// when the context ends.
+// check writes the question's script (see encode) and answers it on one
+// ground core through the engine's result cache: one result per check.
+// The context is checked before and after encoding, which does not poll
+// it, so a done context runs nothing and a cached verdict never outlives
+// its caller's deadline; once solving, RunCachedCtx returns when the
+// context ends.
 func (e *Engine) check(ctx context.Context, q *resolved, edges []*graph.Edge, goals goalsFunc) (*encoding, []smt.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -348,40 +317,15 @@ func (e *Engine) check(ctx context.Context, q *resolved, edges []*graph.Edge, go
 
 	stopSolve := e.phaseTimer("solve")
 	defer stopSolve()
-	results, err := smt.RunScriptCachedCtx(ctx, e.Cache, enc.compiled, enc.script, e.Limits)
+	results, err := smt.RunCachedCtx(ctx, e.Cache, enc.script, enc.problem, e.Limits)
 	if err != nil {
 		return nil, nil, fmt.Errorf("query: solve: %w", err)
 	}
-	if len(results) != enc.checks {
-		return nil, nil, fmt.Errorf("query: solve: script gave %d results, want %d", len(results), enc.checks)
+	if want := len(enc.goalChecks) + 1; len(results) != want {
+		return nil, nil, fmt.Errorf("query: solve: script gave %d results, want %d", len(results), want)
 	}
 	e.observeSolve(results)
 	return enc, results, nil
-}
-
-// encode encodes the question over edges (buildParts, then simplification
-// when the engine simplifies) and compiles the goal checks goals lists
-// into one script with the policy-alone check last.
-func (e *Engine) encode(q *resolved, edges []*graph.Edge, goals goalsFunc) (*encoding, error) {
-	policy, goal, placeholders := e.buildParts(edges, q.actor, q.action, q.data, q.other)
-	negGoal := fol.Not(goal)
-	if e.SimplifyFOL {
-		policy, negGoal = fol.Simplify(policy), fol.Simplify(negGoal)
-	}
-	checks, err := goals(placeholders)
-	if err != nil {
-		return nil, err
-	}
-	script, err := smtlib.CompileQuery(policy, negGoal, checks, smtlib.CompileOptions{
-		Comment: "privacy query verification",
-	})
-	if err != nil {
-		return nil, fmt.Errorf("query: compile: %w", err)
-	}
-	return &encoding{
-		policy: policy, negGoal: negGoal, placeholders: placeholders,
-		compiled: script, script: script.String(), checks: len(checks) + 1,
-	}, nil
 }
 
 // Decide is the one rule from a question's check results to its verdict.
@@ -408,23 +352,6 @@ func Decide(results []smt.Result) (v Verdict, cause string, conditional bool) {
 		return Invalid, "", false
 	}
 	return Unknown, goal.Reason, false
-}
-
-// conjoin returns policy ∧ negGoal for simplified parts, flattened as
-// fol.Simplify flattens a conjunction: a true policy drops out and a false
-// one absorbs the goal. The negated goal never repeats or contradicts a
-// policy statement, so this equals fol.Simplify of the whole formula
-// without simplifying the policy a second time.
-func conjoin(policy, negGoal *fol.Formula) *fol.Formula {
-	switch policy.Op {
-	case fol.OpTrue:
-		return negGoal
-	case fol.OpFalse:
-		return policy
-	case fol.OpAnd:
-		return fol.And(append(append([]*fol.Formula(nil), policy.Sub...), negGoal)...)
-	}
-	return fol.And(policy, negGoal)
 }
 
 // parseQuery extracts semantic roles from the query text, reusing the
@@ -461,9 +388,9 @@ func (e *Engine) translate(ctx context.Context, term string, record map[string]s
 		return term, nil
 	}
 	// Proper-cased nodes (company name) match case-insensitively.
-	if n := e.KG.ED.NodeFold(term); n != nil {
-		record[term] = n.ID
-		return n.ID, nil
+	if id := e.nodeFold(term); id != "" {
+		record[term] = id
+		return id, nil
 	}
 	for _, m := range e.vocabIndex().Search(term, topK) {
 		if !strings.HasPrefix(m.Key, "node:") {
@@ -491,157 +418,4 @@ func (e *Engine) translate(ctx context.Context, term string, record map[string]s
 	// policy, making incompleteness explicit).
 	record[term] = term
 	return term, nil
-}
-
-// sym sanitizes a term into an SMT-LIB-friendly symbol.
-func sym(s string) string {
-	if s == "" {
-		return "unknown"
-	}
-	var b strings.Builder
-	for _, r := range strings.ToLower(s) {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
-		case r == ' ' || r == '-' || r == '\'' || r == '/':
-			b.WriteByte('_')
-		}
-	}
-	out := b.String()
-	if out == "" || out[0] >= '0' && out[0] <= '9' {
-		out = "t_" + out
-	}
-	return out
-}
-
-// condSym builds the uninterpreted predicate name for a condition.
-func condSym(cond string) string { return "cond_" + sym(cond) }
-
-// buildParts encodes the subgraph and query per §3: policy statements
-// become implications/facts over a practice predicate, the hierarchy
-// contributes ground subtype facts plus reflexivity, conditions become
-// boolean predicates (vague ones uninterpreted, returned sorted as
-// placeholders), and the query becomes an existentially quantified goal.
-//
-// There is no transitivity axiom. subtypeFacts already emits every
-// ancestor pair among the encoded data terms, and the ancestor pairs of a
-// tree are transitive. subtype occurs positively only in those facts and
-// in reflexivity, negatively only in ¬goal, and under no equality, so any
-// model can shrink subtype to identity plus the emitted pairs: asserting
-// transitivity changes no status, while full grounding instantiates it
-// over every constant cubed.
-func (e *Engine) buildParts(edges []*graph.Edge, actor, action, data, other string) (policy, goal *fol.Formula, placeholders []string) {
-	placeholderSet := map[string]bool{}
-	axioms := e.practiceFacts(edges, placeholderSet)
-	axioms = append(axioms, e.subtypeFacts(dataTermList(edges, data))...)
-	axioms = append(axioms, subtypeAxioms()...)
-
-	placeholders = make([]string, 0, len(placeholderSet))
-	for p := range placeholderSet {
-		placeholders = append(placeholders, p)
-	}
-	sort.Strings(placeholders)
-	return fol.And(axioms...), queryGoal(actor, action, data, other), placeholders
-}
-
-// practiceFacts encodes the edges' policy statements as
-// practice(actor, action, data, other) facts, negated for denials and
-// guarded by uninterpreted condition predicates (recorded in
-// placeholderSet) when vague.
-func (e *Engine) practiceFacts(edges []*graph.Edge, placeholderSet map[string]bool) []*fol.Formula {
-	var facts []*fol.Formula
-	for _, ed := range edges {
-		otherTerm := ed.Other
-		if otherTerm == "" {
-			otherTerm = ed.From
-		}
-		atom := fol.Pred("practice",
-			fol.Const(sym(ed.From)),
-			fol.Const(sym(ed.Label)),
-			fol.Const(sym(ed.To)),
-			fol.Const(sym(otherTerm)),
-		)
-		var fact *fol.Formula = atom
-		if ed.Permission == "deny" {
-			fact = fol.Not(atom)
-		}
-		if ed.Condition != "" {
-			cond := fol.UninterpretedPred(condSym(ed.Condition))
-			placeholderSet[condSym(ed.Condition)] = true
-			fact = fol.Implies(cond, fact)
-		}
-		facts = append(facts, fact)
-	}
-	return facts
-}
-
-// dataTermList collects the data types seen in the subgraph plus the query
-// data term, sorted.
-func dataTermList(edges []*graph.Edge, data string) []string {
-	terms := map[string]bool{}
-	if data != "" {
-		terms[data] = true
-	}
-	for _, ed := range edges {
-		terms[ed.To] = true
-	}
-	termList := make([]string, 0, len(terms))
-	for t := range terms {
-		termList = append(termList, t)
-	}
-	sort.Strings(termList)
-	return termList
-}
-
-// subtypeFacts emits a ground subtype(a, b) fact for every term a of the
-// sorted term list and each ancestor b of a in the list, in list order
-// (empty under NoHierarchy — ablation A1). The hierarchy is a tree, so a's
-// ancestors are exactly the terms that subsume it; walking them, instead
-// of testing every pair of the list, keeps a whole-policy encoding from
-// going quadratic in its data terms.
-func (e *Engine) subtypeFacts(termList []string) []*fol.Formula {
-	if e.NoHierarchy {
-		return nil
-	}
-	var facts []*fol.Formula
-	for _, a := range termList {
-		var above []string
-		for b, ok := e.KG.DataH.Parent(a); ok; b, ok = e.KG.DataH.Parent(b) {
-			if i := sort.SearchStrings(termList, b); i < len(termList) && termList[i] == b {
-				above = append(above, b)
-			}
-		}
-		sort.Strings(above)
-		for _, b := range above {
-			facts = append(facts, fol.Pred("subtype", fol.Const(sym(a)), fol.Const(sym(b))))
-		}
-	}
-	return facts
-}
-
-// subtypeAxioms returns reflexivity of subtype, the one quantified axiom
-// of the encoding. It must stay: ¬goal instantiated at d = data refutes a
-// practice on the queried term itself only through subtype(data, data).
-// Transitivity is left out (see buildParts).
-func subtypeAxioms() []*fol.Formula {
-	return []*fol.Formula{
-		fol.Forall("x", fol.Pred("subtype", fol.Var("x"), fol.Var("x"))),
-	}
-}
-
-// queryGoal is the query encoding:
-// ∃d. subtype(d, data) ∧ practice(actor, action, d, other').
-// When the query names a receiver, it must match; otherwise any
-// counterparty witnesses the practice.
-func queryGoal(actor, action, data, other string) *fol.Formula {
-	goalPractice := func(d fol.Term) *fol.Formula {
-		if other != "" {
-			return fol.Pred("practice", fol.Const(sym(actor)), fol.Const(sym(action)), d, fol.Const(sym(other)))
-		}
-		return fol.Exists("o", fol.Pred("practice", fol.Const(sym(actor)), fol.Const(sym(action)), d, fol.Var("o")))
-	}
-	return fol.Exists("d", fol.And(
-		fol.Pred("subtype", fol.Var("d"), fol.Const(sym(data))),
-		goalPractice(fol.Var("d")),
-	))
 }

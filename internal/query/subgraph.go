@@ -2,6 +2,7 @@ package query
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"github.com/privacy-quagmire/quagmire/internal/graph"
 	"github.com/privacy-quagmire/quagmire/internal/nlp"
@@ -67,6 +68,53 @@ func newSubgraphIndex(g *graph.Graph) *subgraphIndex {
 func (e *Engine) subgraphData() *subgraphIndex {
 	e.subgraphOnce.Do(func() { e.subgraph = newSubgraphIndex(e.KG.ED) })
 	return e.subgraph
+}
+
+// nodeFold returns the ID of the node that graph.Graph.NodeFold returns
+// for term, or "" when none matches. A term with no uppercase ASCII letter
+// and no byte past ASCII matches under case folding only itself and IDs
+// outside that class (uppercase letters, or characters such as the Kelvin
+// sign that fold to ASCII ones), so for such a term only those IDs are
+// scanned, collected once per engine at its first such lookup (never by
+// Warm); any other term scans every node.
+func (e *Engine) nodeFold(term string) string {
+	if !lowerASCII(term) {
+		if n := e.KG.ED.NodeFold(term); n != nil {
+			return n.ID
+		}
+		return ""
+	}
+	e.foldOnce.Do(func() {
+		for _, n := range e.KG.ED.Nodes() {
+			if !lowerASCII(n.ID) {
+				e.foldIDs = append(e.foldIDs, n.ID)
+			}
+		}
+	})
+	best := ""
+	if e.KG.ED.HasNode(term) {
+		best = term
+	}
+	for _, id := range e.foldIDs { // sorted, so the first match is the smallest
+		if strings.EqualFold(id, term) {
+			if best == "" || id < best {
+				best = id
+			}
+			break
+		}
+	}
+	return best
+}
+
+// lowerASCII reports whether s has no uppercase ASCII letter and no byte
+// past ASCII.
+func lowerASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= 'A' && c <= 'Z' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // baseID returns the index in bases of verb base b, or -1 when no edge

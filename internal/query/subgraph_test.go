@@ -273,3 +273,80 @@ func TestSubgraphConcurrentFirstQuestions(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeFoldMatchesFullScan: over random graphs whose IDs mix ASCII
+// case, the Kelvin sign (which folds to k) and long s (to s), nodeFold
+// returns what a scan of every node (graph.Graph.NodeFold) returns, for
+// lowercase ASCII terms and any others, node IDs or not.
+func TestNodeFoldMatchesFullScan(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	alphabet := []string{"a", "k", "s", "K", "S", "K", "ſ", " ", "é", "É", "1"}
+	word := func() string {
+		var b strings.Builder
+		for n := 1 + r.Intn(4); n > 0; n-- {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	for trial := 0; trial < 300; trial++ {
+		g := graph.New()
+		var ids []string
+		for n := r.Intn(30); n > 0; n-- {
+			id := word()
+			g.AddNode(id, "")
+			ids = append(ids, id)
+		}
+		e := &Engine{KG: &kg.KnowledgeGraph{ED: g}}
+		for i := 0; i < 40; i++ {
+			term := word()
+			if len(ids) > 0 && r.Intn(2) == 0 {
+				term = ids[r.Intn(len(ids))]
+			}
+			if r.Intn(2) == 0 {
+				term = strings.ToLower(term)
+			}
+			want := ""
+			if n := g.NodeFold(term); n != nil {
+				want = n.ID
+			}
+			if got := e.nodeFold(term); got != want {
+				t.Fatalf("nodeFold(%q) = %q, full scan %q (nodes %q)", term, got, want, ids)
+			}
+		}
+	}
+}
+
+// TestNodeFoldConcurrentFirstLookups: the case-fold candidates are
+// collected once however many first lookups race, and every racer gets
+// the full scan's answer.
+func TestNodeFoldConcurrentFirstLookups(t *testing.T) {
+	const lookups = 16
+	g := graph.New()
+	for _, id := range []string{"Acme", "ACME corp", "acme", "Kelvin", "data broker"} {
+		g.AddNode(id, "")
+	}
+	terms := []string{"acme corp", "kelvin", "acme", "data broker", "nobody"}
+	e := &Engine{KG: &kg.KnowledgeGraph{ED: g}}
+	start := make(chan struct{})
+	got := make([]string, lookups)
+	var wg sync.WaitGroup
+	for i := 0; i < lookups; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = e.nodeFold(terms[i%len(terms)])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, id := range got {
+		want := ""
+		if n := g.NodeFold(terms[i%len(terms)]); n != nil {
+			want = n.ID
+		}
+		if id != want {
+			t.Errorf("lookup %d of %q = %q, full scan %q", i, terms[i%len(terms)], id, want)
+		}
+	}
+}

@@ -7,7 +7,7 @@ package server
 // computation; this file is what keeps one pathological formula from
 // pinning the whole process. Deadlines propagate through r.Context() into
 // the existing solver cancellation plumbing (CheckSatCtx, RunScriptCtx
-// and RunScriptCachedCtx poll the context inside the instantiation and
+// and RunCachedCtx poll the context inside the instantiation and
 // DPLL(T) loops), so an expired request stops burning CPU promptly.
 
 import (

@@ -230,36 +230,29 @@ func (c *ResultCache) waitersOf(key string) int {
 	return 0
 }
 
-// RunScriptCachedCtx runs a compiled script as RunScriptCtx runs its text,
-// memoized by that text (src, which must be script.String()) + limits. A
-// fresh solve decodes the script's commands and never parses src. A nil
-// cache degrades to a plain run. A cancelled run is returned as an error
-// (never cached), so a later lookup with a live context re-solves.
-// Decoding and clausifying a large script do not poll the context, so a
-// fresh solve runs on its own goroutine and the caller returns as soon as
-// ctx ends, no longer reading res or err; the abandoned solve stops at its
-// next poll.
-func RunScriptCachedCtx(ctx context.Context, c *ResultCache, script *smtlib.Script, src string, limits Limits) ([]Result, error) {
+// RunCachedCtx answers a script's checks through the cache, as RunScriptCtx
+// answers its text src: memoized by src + limits, and on a miss by solving
+// the problem that problem builds, which must be what src decodes to, so a
+// hit builds nothing and a miss never parses src. A nil cache degrades to a
+// plain run. A cancelled run is returned as an error (never cached), so a
+// later lookup with a live context re-solves. Building and clausifying a
+// large problem do not poll the context, so a fresh solve runs on its own
+// goroutine and the caller returns as soon as ctx ends, no longer reading
+// res; the abandoned solve stops at its next poll.
+func RunCachedCtx(ctx context.Context, c *ResultCache, src string, problem func() *smtlib.Problem, limits Limits) ([]Result, error) {
 	return c.MemoCtx(ctx, CacheKey(src, limits), func() ([]Result, error) {
 		var res []Result
-		var err error
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			var prob *smtlib.Problem
-			if prob, err = smtlib.Decode(script.Commands); err == nil {
-				res = runProblem(ctx, prob, limits)
-			}
+			res = runProblem(ctx, problem(), limits)
 		}()
 		select {
 		case <-done:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if err == nil {
-			err = ctx.Err()
-		}
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return res, nil

@@ -25,14 +25,14 @@ const unsatScript = `(declare-fun p () Bool)
 (assert (not p))
 (check-sat)`
 
-// runCached parses src into a Script and runs it through the cache, as a
-// query runs the script it compiled.
+// runCached decodes src and runs it through the cache, as a query runs
+// the script it wrote.
 func runCached(ctx context.Context, c *ResultCache, src string, limits Limits) ([]Result, error) {
-	cmds, err := smtlib.Parse(src)
+	prob, err := smtlib.DecodeScript(src)
 	if err != nil {
 		return nil, err
 	}
-	return RunScriptCachedCtx(ctx, c, &smtlib.Script{Commands: cmds}, src, limits)
+	return RunCachedCtx(ctx, c, src, func() *smtlib.Problem { return prob }, limits)
 }
 
 // solveCached runs a one-check script through the cache and returns its

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/privacy-quagmire/quagmire/internal/fol"
-	"github.com/privacy-quagmire/quagmire/internal/smtlib"
 )
 
 // ccNodes interns ground terms into a fresh arena and the solver's
@@ -248,16 +247,23 @@ func TestIncompleteFragmentReportsUnknownNotSat(t *testing.T) {
 }
 
 func TestRunScriptEndToEnd(t *testing.T) {
-	policy := fol.And(
-		fol.Forall("x", fol.Implies(fol.Pred("user", fol.Var("x")), fol.Pred("share", fol.Const("tiktok"), fol.Var("x")))),
-		fol.Pred("user", fol.Const("alice")),
-	)
-	negGoal := fol.Not(fol.Pred("share", fol.Const("tiktok"), fol.Const("alice")))
-	script, err := smtlib.CompileQuery(policy, negGoal, [][]*fol.Formula{nil}, smtlib.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := RunScript(script.String(), Limits{})
+	// A question's script: ∀x. user(x) → share(tiktok, x) and user(alice)
+	// entail share(tiktok, alice).
+	script := `(set-logic UF)
+(set-option :produce-models true)
+(declare-sort U 0)
+(declare-const alice U)
+(declare-const tiktok U)
+(declare-fun share (U U) Bool)
+(declare-fun user (U) Bool)
+(assert (and (forall ((x U)) (=> (user x) (share tiktok x))) (user alice)))
+(push 1)
+(assert (not (share tiktok alice)))
+(check-sat)
+(pop 1)
+(check-sat)
+`
+	results, err := RunScript(script, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

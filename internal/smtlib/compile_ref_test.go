@@ -19,10 +19,10 @@ func referenceCompileQuery(policy, negGoal *fol.Formula, goals [][]*fol.Formula,
 		all = append(all, lits...)
 	}
 	f := fol.And(all...)
-	if fv := fol.FreeVars(f); len(fv) > 0 {
+	if fv := freeVars(f); len(fv) > 0 {
 		return nil, fmt.Errorf("smtlib: formula has free variables %v", fv)
 	}
-	sig, err := fol.SignatureOf(f)
+	sig, err := signatureOf(f)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,11 @@ import (
 	"github.com/privacy-quagmire/quagmire/internal/fol"
 )
 
+// USort is the single uninterpreted sort over which all pipeline formulas
+// are typed, matching the paper's encoding of entities and data types as an
+// uninterpreted domain.
+const USort = "U"
+
 // Problem is the logical content decoded from an SMT-LIB script: the symbol
 // declarations and the asserted formulas, ready to hand to a solver.
 type Problem struct {
@@ -66,9 +71,9 @@ func DecodeScript(src string) (*Problem, error) {
 }
 
 // Decode reconstructs the Problem of a script's parsed commands: the
-// commands Parse reads from its text, or a compiled Script's Commands,
-// which then need no printing and parsing. Only the command subset
-// CompileQuery emits is understood; other commands are ignored. As in the
+// commands Parse reads from its text. Only the command subset a question's
+// script uses is understood, plus distinct and boolean =; other commands
+// are ignored. As in the
 // standard, popping more scopes than are open is an error, and so is
 // opening more than MaxScopeDepth. A script may use one declared sort,
 // plus Bool as the result sort of a declaration; any other sort is an

@@ -1,8 +1,9 @@
 // Package smtlib implements the SMT-LIB v2 surface syntax used to exchange
-// problems with SMT solvers: an s-expression reader/printer, a script model
-// (declarations, assertions, check-sat), and a compiler from the pipeline's
-// FOL representation to a complete SMT-LIB script over an uninterpreted
-// "U" sort — mirroring the paper's custom FOL -> SMT-LIB compiler.
+// problems with SMT solvers: an s-expression reader/printer and a decoder
+// from a script to its Problem (declarations and the solver commands) over
+// one uninterpreted sort. The paper's FOL -> SMT-LIB compiler is the query
+// package's script writer, which writes each question's script and builds
+// the Problem its text decodes to.
 package smtlib
 
 import (
@@ -26,14 +27,6 @@ type SExpr struct {
 // A returns an atom expression.
 func A(atom string) *SExpr { return &SExpr{Atom: atom} }
 
-// L returns a list expression.
-func L(items ...*SExpr) *SExpr {
-	if items == nil {
-		items = []*SExpr{}
-	}
-	return &SExpr{List: items}
-}
-
 // IsAtom reports whether e is an atom.
 func (e *SExpr) IsAtom() bool { return e.List == nil }
 
@@ -53,19 +46,6 @@ func (e *SExpr) String() string {
 	var b strings.Builder
 	e.write(&b)
 	return b.String()
-}
-
-// printedLen is the length of e's printed form when none of its atoms is
-// quoted or escaped, which each lengthen it by a few bytes: a size hint.
-func (e *SExpr) printedLen() int {
-	if e.IsAtom() {
-		return len(e.Atom)
-	}
-	n := 1 + max(len(e.List), 1) // the parentheses and the spaces between items
-	for _, it := range e.List {
-		n += it.printedLen()
-	}
-	return n
 }
 
 func (e *SExpr) write(b *strings.Builder) {
