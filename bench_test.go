@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/privacy-quagmire/quagmire/internal/core"
 	"github.com/privacy-quagmire/quagmire/internal/corpus"
@@ -156,6 +157,45 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkUpdateChain: 800 one-sentence edits of Mini, each an Update of
+// the version before that replaces the sentence the last edit added with
+// one naming a new data type and a new recipient. A version's hierarchies
+// hold only its own terms, so the cost of an edit stays flat in the
+// chain's length: it reports the mean over edits 1–100 and over edits
+// 701–800.
+func BenchmarkUpdateChain(b *testing.B) {
+	const edits, window = 800, 100
+	ctx := context.Background()
+	var early, late time.Duration
+	for i := 0; i < b.N; i++ {
+		an, err := New(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		prev, err := an.Analyze(ctx, corpus.Mini())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for e := 1; e <= edits; e++ {
+			text := fmt.Sprintf("%s\nWe share your term%d records with vendor%d partners.\n", corpus.Mini(), e, e)
+			start := time.Now()
+			next, _, _, err := an.Update(ctx, prev, text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			switch took := time.Since(start); {
+			case e <= window:
+				early += took
+			case e > edits-window:
+				late += took
+			}
+			prev = next
+		}
+	}
+	b.ReportMetric(float64(early.Nanoseconds())/float64(window*b.N), "ns/edit-1-100")
+	b.ReportMetric(float64(late.Nanoseconds())/float64(window*b.N), "ns/edit-701-800")
 }
 
 // E5 — PolicyLint-style contradiction analysis over a policy fleet.

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -65,21 +66,31 @@ type pathServer struct {
 
 func (s pathServer) post(t *testing.T, path string, body, out any) {
 	t.Helper()
+	s.send(t, http.MethodPost, path, body, out)
+}
+
+func (s pathServer) send(t *testing.T, method, path string, body, out any) {
+	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(s.url+path, "application/json", bytes.NewReader(data))
+	req, err := http.NewRequest(method, s.url+path, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode/100 != 2 {
-		t.Fatalf("%s POST %s: %d %s", s.name, path, resp.StatusCode, raw)
+		t.Fatalf("%s %s %s: %d %s", s.name, method, path, resp.StatusCode, raw)
 	}
 	if err := json.Unmarshal(raw, out); err != nil {
-		t.Fatalf("%s POST %s: %v (%s)", s.name, path, err, raw)
+		t.Fatalf("%s %s %s: %v (%s)", s.name, method, path, err, raw)
 	}
 }
 
@@ -146,22 +157,58 @@ func pathPipeline(t *testing.T) *core.Pipeline {
 }
 
 // startPrimaryAndFollower wires a disk-backed primary and a follower
-// server the way cmd/quagmired does.
-func startPrimaryAndFollower(t *testing.T) (primary, follower pathServer, seq func() uint64, fol *replica.Follower) {
+// server the way cmd/quagmired does. restart closes the primary's server
+// and store and opens both again on the same directory behind the same
+// URL, so the primary reads every policy back from its store.
+func startPrimaryAndFollower(t *testing.T) (primary, follower pathServer, seq func() uint64, fol *replica.Follower, restart func()) {
 	t.Helper()
-	disk, err := store.OpenDisk(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	var (
+		mu      sync.Mutex
+		disk    *store.Disk
+		psrv    *server.Server
+		handler http.Handler
+	)
+	open := func() {
+		d, err := store.OpenDisk(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Options{Pipeline: pathPipeline(t), Store: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		disk, psrv, handler = d, srv, srv.Handler()
+		mu.Unlock()
 	}
-	psrv, err := server.New(server.Options{Pipeline: pathPipeline(t), Store: disk})
-	if err != nil {
-		t.Fatal(err)
+	current := func() (*store.Disk, *server.Server, http.Handler) {
+		mu.Lock()
+		defer mu.Unlock()
+		return disk, psrv, handler
 	}
-	pts := httptest.NewServer(psrv.Handler())
-	t.Cleanup(func() { pts.Close(); psrv.Close(); disk.Close() })
+	shut := func() {
+		d, srv, _ := current()
+		srv.Close()
+		d.Close()
+	}
+	open()
+	pts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _, h := current()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { pts.Close(); shut() })
+	seq = func() uint64 {
+		d, _, _ := current()
+		return d.Seq()
+	}
+	restart = func() {
+		shut()
+		open()
+	}
 
 	pipeline := pathPipeline(t)
-	fol, err = replica.New(replica.Options{
+	fol, err := replica.New(replica.Options{
 		Primary:    pts.URL,
 		Dir:        t.TempDir(),
 		Store:      store.Options{Obs: pipeline.Obs()},
@@ -182,7 +229,7 @@ func startPrimaryAndFollower(t *testing.T) (primary, follower pathServer, seq fu
 	fol.Start(replica.Hooks{OnApply: fsrv.ApplyReplicated, OnReload: fsrv.ReloadReplicated})
 	fts := httptest.NewServer(fsrv.Handler())
 	t.Cleanup(func() { fts.CloseClientConnections(); fts.Close(); fsrv.Close(); fol.Close() })
-	return pathServer{"primary", pts.URL}, pathServer{"follower", fts.URL}, disk.Seq, fol
+	return pathServer{"primary", pts.URL}, pathServer{"follower", fts.URL}, seq, fol, restart
 }
 
 // TestEveryPathSameVerdict runs each bundled suite through every path a
@@ -192,10 +239,12 @@ func startPrimaryAndFollower(t *testing.T) (primary, follower pathServer, seq fu
 // give every case the same verdict, cause, conditions and contradiction
 // flag. /explore on both agrees too: it is always valid exactly when the
 // verdict is an unconditional VALID, and its scenario assuming every
-// vague condition has the verdict and cause. The contradiction fixture
-// covers a contradiction inside one question's subgraph and outside the
-// others'; the sample suite covers plain, conditional and unsupported
-// flows.
+// vague condition has the verdict and cause. Each suite's policy is served
+// twice: created with its text, and stored by a PUT of its text over a
+// policy created with the other suite's text, which the primary read back
+// from its store after a restart. The contradiction fixture covers a
+// contradiction inside one question's subgraph and outside the others';
+// the sample suite covers plain, conditional and unsupported flows.
 func TestEveryPathSameVerdict(t *testing.T) {
 	fixtureText, err := os.ReadFile("../../examples/suites/contradiction_policy.txt")
 	if err != nil {
@@ -208,14 +257,29 @@ func TestEveryPathSameVerdict(t *testing.T) {
 		{"../../docs/sample-suite.qq", corpus.Mini()},
 	}
 
-	primary, follower, seq, fol := startPrimaryAndFollower(t)
-	ids := make([]string, len(suites))
-	for i, s := range suites {
+	primary, follower, seq, fol, restart := startPrimaryAndFollower(t)
+	create := func(name, text string) string {
 		var created struct {
 			ID string `json:"id"`
 		}
-		primary.post(t, "/v1/policies", map[string]string{"name": filepath.Base(s.file), "text": s.policy}, &created)
-		ids[i] = created.ID
+		primary.post(t, "/v1/policies", map[string]string{"name": name, "text": text}, &created)
+		return created.ID
+	}
+	// ids[i] are suite i's created and PUT-built policies.
+	ids := make([][2]string, len(suites))
+	for i, s := range suites {
+		ids[i][0] = create(filepath.Base(s.file), s.policy)
+		ids[i][1] = create(filepath.Base(s.file)+" (put)", suites[(i+1)%len(suites)].policy)
+	}
+	restart()
+	for i, s := range suites {
+		var updated struct {
+			SegmentsAdded int `json:"segments_added"`
+		}
+		primary.send(t, http.MethodPut, "/v1/policies/"+ids[i][1], map[string]string{"text": s.policy}, &updated)
+		if updated.SegmentsAdded == 0 {
+			t.Fatalf("%s: the PUT added no statement; the other suite's text is no different first text", s.file)
+		}
 	}
 	// The follower's store can reach a seq before its server swaps in the
 	// policy's engine, so wait until it serves each policy as the primary
@@ -225,17 +289,19 @@ func TestEveryPathSameVerdict(t *testing.T) {
 	if err := fol.WaitFor(ctx, seq()); err != nil {
 		t.Fatalf("follower never caught up: %v", err)
 	}
-	for _, id := range ids {
-		_, want := primary.get(t, "/v1/policies/"+id)
-		for {
-			code, got := follower.get(t, "/v1/policies/"+id)
-			if code == http.StatusOK && got == want {
-				break
+	for _, pair := range ids {
+		for _, id := range pair {
+			_, want := primary.get(t, "/v1/policies/"+id)
+			for {
+				code, got := follower.get(t, "/v1/policies/"+id)
+				if code == http.StatusOK && got == want {
+					break
+				}
+				if ctx.Err() != nil {
+					t.Fatalf("follower never served %s like the primary: %d %s, want %s", id, code, got, want)
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
-			if ctx.Err() != nil {
-				t.Fatalf("follower never served %s like the primary: %d %s, want %s", id, code, got, want)
-			}
-			time.Sleep(5 * time.Millisecond)
 		}
 	}
 
@@ -271,31 +337,34 @@ func TestEveryPathSameVerdict(t *testing.T) {
 		paths["quagmire check"] = reportOutcomes(t, "quagmire check", cliReport)
 
 		for _, srv := range []pathServer{primary, follower} {
-			var checked struct {
-				Report scenario.Report `json:"report"`
-			}
-			srv.post(t, "/v1/policies/"+ids[i]+"/check", map[string]string{"suite": string(src)}, &checked)
-			name := srv.name + " /check"
-			paths[name] = reportOutcomes(t, name, checked.Report)
-
-			asked, swept := map[string]caseOutcome{}, map[string]caseOutcome{}
-			explored := map[string]query.Exploration{}
-			for _, c := range cs.Cases {
-				var res struct {
-					Verdict       query.Verdict `json:"verdict"`
-					Cause         string        `json:"cause"`
-					ConditionalOn []string      `json:"conditional_on"`
+			for k, id := range ids[i] {
+				version := [2]string{"created", "PUT"}[k]
+				var checked struct {
+					Report scenario.Report `json:"report"`
 				}
-				srv.post(t, "/v1/policies/"+ids[i]+"/query", map[string]string{"question": c.Question}, &res)
-				asked[c.Name] = outcome(res.Verdict, res.Cause, res.ConditionalOn)
-				swept[c.Name] = srv.corpusRow(t, ids[i], c.Question)
-				var exp query.Exploration
-				srv.post(t, "/v1/policies/"+ids[i]+"/explore", map[string]string{"question": c.Question}, &exp)
-				explored[c.Name] = exp
+				srv.post(t, "/v1/policies/"+id+"/check", map[string]string{"suite": string(src)}, &checked)
+				name := srv.name + " /check, " + version
+				paths[name] = reportOutcomes(t, name, checked.Report)
+
+				asked, swept := map[string]caseOutcome{}, map[string]caseOutcome{}
+				explored := map[string]query.Exploration{}
+				for _, c := range cs.Cases {
+					var res struct {
+						Verdict       query.Verdict `json:"verdict"`
+						Cause         string        `json:"cause"`
+						ConditionalOn []string      `json:"conditional_on"`
+					}
+					srv.post(t, "/v1/policies/"+id+"/query", map[string]string{"question": c.Question}, &res)
+					asked[c.Name] = outcome(res.Verdict, res.Cause, res.ConditionalOn)
+					swept[c.Name] = srv.corpusRow(t, id, c.Question)
+					var exp query.Exploration
+					srv.post(t, "/v1/policies/"+id+"/explore", map[string]string{"question": c.Question}, &exp)
+					explored[c.Name] = exp
+				}
+				paths[srv.name+" /query, "+version] = asked
+				paths[srv.name+" /corpus/query, "+version] = swept
+				explorations[srv.name+" /explore, "+version] = explored
 			}
-			paths[srv.name+" /query"] = asked
-			paths[srv.name+" /corpus/query"] = swept
-			explorations[srv.name+" /explore"] = explored
 		}
 
 		want := paths["quagmire check"]

@@ -1,6 +1,6 @@
 // Policy diff: the policy-author scenario from §5 — track changes between
 // policy versions with content-hashed segments, re-extract only the
-// modified statements, and update only the affected graph branches.
+// modified statements, and report what the new version's graph changed.
 package main
 
 import (

@@ -30,7 +30,7 @@ const CodecVersion = 2
 type analysisEnvelope struct {
 	// Codec is the schema version of this payload.
 	Codec int `json:"codec"`
-	// Extraction is the Phase 1 output (BySegment is rebuilt on decode).
+	// Extraction is the Phase 1 output.
 	Extraction *extract.Extraction `json:"extraction"`
 	// Company plus the three graph components are the Phase 2 output.
 	Company string               `json:"company"`
@@ -80,29 +80,17 @@ func decodeEnvelope(data []byte) (*extract.Extraction, *kg.KnowledgeGraph, error
 	if k.EntityH, err = env.EntityH.Hierarchy(); err != nil {
 		return nil, nil, fmt.Errorf("core: decode analysis: %w", err)
 	}
-	rebuildBySegment(env.Extraction)
 	return env.Extraction, k, nil
 }
 
-// rebuildBySegment restores the non-serialized practice index.
-func rebuildBySegment(ex *extract.Extraction) {
-	ex.BySegment = map[string][]extract.Practice{}
-	for _, seg := range ex.Segments {
-		ex.BySegment[seg.ID] = nil
-	}
-	for _, pr := range ex.Practices {
-		ex.BySegment[pr.SegmentID] = append(ex.BySegment[pr.SegmentID], pr)
-	}
-}
-
 // DecodeAnalysisEnvelope restores an encoded analysis up to but not
-// including the query engine: the envelope is parsed and validated, the
-// practice index rebuilt, and the knowledge graph reassembled. The
-// returned Analysis has a nil Engine — callers that only need metadata
-// (version diffing, warm-order planning) stop here; callers that will
-// serve queries attach an engine with Pipeline.BuildEngine. The split is
-// what makes lazy recovery cheap: the store can be indexed and triaged
-// without paying engine construction per policy.
+// including the query engine: the envelope is parsed and validated and
+// the knowledge graph reassembled. The returned Analysis has a nil Engine
+// — callers that only need metadata (version diffing, warm-order
+// planning) stop here; callers that will serve queries attach an engine
+// with Pipeline.BuildEngine. The split is what makes lazy recovery cheap:
+// the store can be indexed and triaged without paying engine construction
+// per policy.
 func DecodeAnalysisEnvelope(data []byte) (*Analysis, error) {
 	ex, k, err := decodeEnvelope(data)
 	if err != nil {
@@ -124,10 +112,10 @@ func (p *Pipeline) BuildEngine(a *Analysis) {
 }
 
 // DecodeAnalysis restores an encoded analysis and rebuilds its derived
-// state — the practice index and a query engine wired to this pipeline's
-// limits, workers, caches and metrics — so a restored policy answers
-// queries exactly like a freshly analyzed one. It is
-// DecodeAnalysisEnvelope followed by BuildEngine.
+// state — a query engine wired to this pipeline's limits, workers, caches
+// and metrics — so a restored policy answers queries exactly like a
+// freshly analyzed one. It is DecodeAnalysisEnvelope followed by
+// BuildEngine.
 func (p *Pipeline) DecodeAnalysis(data []byte) (*Analysis, error) {
 	a, err := DecodeAnalysisEnvelope(data)
 	if err != nil {

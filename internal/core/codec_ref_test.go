@@ -5,15 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"unsafe"
 
-	"github.com/privacy-quagmire/quagmire/internal/corpus"
 	"github.com/privacy-quagmire/quagmire/internal/extract"
 	"github.com/privacy-quagmire/quagmire/internal/graph"
 	"github.com/privacy-quagmire/quagmire/internal/kg"
@@ -45,7 +42,6 @@ func referenceDecodeEnvelope(data []byte) (*extract.Extraction, *kg.KnowledgeGra
 	if k.EntityH, err = env.EntityH.Hierarchy(); err != nil {
 		return nil, nil, fmt.Errorf("core: decode analysis: %w", err)
 	}
-	rebuildBySegment(env.Extraction)
 	return env.Extraction, k, nil
 }
 
@@ -206,27 +202,14 @@ func TestDecoderFieldsMatchTags(t *testing.T) {
 // corpus.WriteCorpus draws from one seed.
 func corpusPayloads(tb testing.TB, n int) [][]byte {
 	tb.Helper()
-	dir := tb.TempDir()
-	names, err := corpus.WriteCorpus(dir, n, 2707)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	p := newPipeline(tb)
 	out := make([][]byte, 0, n)
-	for _, name := range names {
-		text, err := os.ReadFile(filepath.Join(dir, name))
+	for _, text := range generatedPolicies(tb, n, 2707) {
+		a, err := p.Analyze(context.Background(), text)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		a, err := p.Analyze(context.Background(), string(text))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		data, err := EncodeAnalysis(a)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		out = append(out, data)
+		out = append(out, mustEncode(tb, a))
 	}
 	return out
 }

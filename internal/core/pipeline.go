@@ -168,6 +168,32 @@ func (p *Pipeline) Analyze(ctx context.Context, policy string) (*Analysis, error
 		return nil, fmt.Errorf("core: phase 1: %w", err)
 	}
 	p.obs.Histogram("quagmire_pipeline_phase_seconds", obs.TimeBuckets, "phase", "extract").ObserveSince(phase1)
+	return p.build(ctx, ex)
+}
+
+// Update analyzes a new version of prev's policy. Phase 1 re-extracts
+// only the statements the edit changed; Phase 2 builds the graph and
+// hierarchies from the whole new extraction, as Analyze does, so the new
+// version encodes exactly as a fresh analysis of its text. The previous
+// analysis is never mutated, so readers (e.g. concurrent server requests)
+// can keep querying prev while the new version is built. The stats
+// compare the two versions' graphs.
+func (p *Pipeline) Update(ctx context.Context, prev *Analysis, newPolicy string) (*Analysis, segment.Diff, kg.UpdateStats, error) {
+	phase1 := time.Now()
+	ex, diff, err := p.extractor.ReExtract(ctx, prev.Extraction, newPolicy)
+	if err != nil {
+		return nil, diff, kg.UpdateStats{}, fmt.Errorf("core: incremental phase 1: %w", err)
+	}
+	p.obs.Histogram("quagmire_pipeline_phase_seconds", obs.TimeBuckets, "phase", "extract").ObserveSince(phase1)
+	a, err := p.build(ctx, ex)
+	if err != nil {
+		return nil, diff, kg.UpdateStats{}, err
+	}
+	return a, diff, kg.Compare(prev.KG, a.KG, diff), nil
+}
+
+// build runs Phase 2 over an extraction and attaches the query engine.
+func (p *Pipeline) build(ctx context.Context, ex *extract.Extraction) (*Analysis, error) {
 	phase2 := time.Now()
 	k, err := p.kgBuilder.Build(ctx, ex)
 	if err != nil {
@@ -177,29 +203,4 @@ func (p *Pipeline) Analyze(ctx context.Context, policy string) (*Analysis, error
 	a := &Analysis{Extraction: ex, KG: k}
 	a.Engine = p.newEngine(k)
 	return a, nil
-}
-
-// Update applies a new policy version to an existing analysis
-// incrementally: only changed segments are re-extracted and only affected
-// graph branches are touched. The previous analysis is never mutated — the
-// update works on a copy of its graph — so readers (e.g. concurrent server
-// requests) can keep querying prev while the new version is built. As
-// with Analyze, the new engine embeds its vocabulary on its first question.
-func (p *Pipeline) Update(ctx context.Context, prev *Analysis, newPolicy string) (*Analysis, segment.Diff, kg.UpdateStats, error) {
-	phase1 := time.Now()
-	ex, diff, err := p.extractor.ReExtract(ctx, prev.Extraction, newPolicy)
-	if err != nil {
-		return nil, diff, kg.UpdateStats{}, fmt.Errorf("core: incremental phase 1: %w", err)
-	}
-	p.obs.Histogram("quagmire_pipeline_phase_seconds", obs.TimeBuckets, "phase", "extract").ObserveSince(phase1)
-	phase2 := time.Now()
-	k := prev.KG.Clone()
-	st, err := p.kgBuilder.Update(ctx, k, diff, ex)
-	if err != nil {
-		return nil, diff, st, fmt.Errorf("core: incremental phase 2: %w", err)
-	}
-	p.obs.Histogram("quagmire_pipeline_phase_seconds", obs.TimeBuckets, "phase", "graph").ObserveSince(phase2)
-	a := &Analysis{Extraction: ex, KG: k}
-	a.Engine = p.newEngine(k)
-	return a, diff, st, nil
 }

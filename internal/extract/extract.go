@@ -1,8 +1,8 @@
 // Package extract implements Phase 1 of the pipeline: company-name
 // extraction, coreference resolution, segmentation and LLM-based semantic
 // role extraction — Algorithm 1 lines 1–10. Each extracted data practice
-// carries its source segment ID so Phase 2 can update the graph
-// incrementally when the policy changes.
+// carries its source segment ID, so a new policy version re-extracts only
+// the statements it changed.
 package extract
 
 import (
@@ -40,12 +40,13 @@ type Practice struct {
 type Extraction struct {
 	// Company is the extracted organization name.
 	Company string `json:"company"`
-	// Segments are the policy's statements in order.
+	// Segments are the policy's statements whose extraction succeeded, in
+	// order. A statement whose extraction failed is left out, so the next
+	// version's ReExtract retries it.
 	Segments []segment.Segment `json:"segments"`
-	// Practices are all extracted data practices.
+	// Practices are all extracted data practices, in statement order: each
+	// occurrence of a repeated statement contributes its own.
 	Practices []Practice `json:"practices"`
-	// BySegment indexes practices by segment ID.
-	BySegment map[string][]Practice `json:"-"`
 	// SegmentErrors aggregates (errors.Join) the per-segment failures that
 	// were skipped with degradation; nil when every segment extracted
 	// cleanly. Not serialized.
@@ -173,53 +174,11 @@ func (e *Extractor) ExtractSegment(ctx context.Context, company string, seg segm
 }
 
 // ExtractPolicy runs full Phase 1 over a policy text: company name,
-// segmentation, per-segment extraction over the worker pool. Segments whose
-// extraction fails are counted and skipped rather than aborting the run
-// (unless FailFast is set); the joined failures are reported on
-// Extraction.SegmentErrors either way.
+// segmentation, per-segment extraction over the worker pool. It is
+// ReExtract from an empty extraction.
 func (e *Extractor) ExtractPolicy(ctx context.Context, policy string) (*Extraction, error) {
-	defer e.Obs.Histogram("quagmire_extract_policy_seconds", obs.TimeBuckets).ObserveSince(time.Now())
-	company, err := e.CompanyName(ctx, policy)
-	if err != nil {
-		return nil, err
-	}
-	segs := segment.Split(policy)
-	ex := &Extraction{
-		Company:   company,
-		Segments:  segs,
-		BySegment: map[string][]Practice{},
-	}
-	results, errs := e.extractAll(ctx, company, segs)
-	var d Stats
-	defer func() { e.addStats(d) }()
-	d.LLMCalls += len(segs)
-	var segErrs []error
-	for i, seg := range segs {
-		d.Segments++
-		if errs[i] != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			d.Errors++
-			// Sibling aborts from a fail-fast cancellation are not segment
-			// failures in their own right.
-			if !errors.Is(errs[i], context.Canceled) {
-				segErrs = append(segErrs, errs[i])
-			}
-			continue
-		}
-		ps := results[i]
-		d.Practices += len(ps)
-		ex.Practices = append(ex.Practices, ps...)
-		// Record even practice-free segments so incremental re-extraction
-		// recognizes them as already processed.
-		ex.BySegment[seg.ID] = ps
-	}
-	ex.SegmentErrors = errors.Join(segErrs...)
-	if e.FailFast && ex.SegmentErrors != nil {
-		return nil, ex.SegmentErrors
-	}
-	return ex, nil
+	ex, _, err := e.ReExtract(ctx, &Extraction{}, policy)
+	return ex, err
 }
 
 // workerCount resolves the effective pool size.
@@ -303,10 +262,13 @@ func (e *Extractor) extractOne(ctx context.Context, company string, seg segment.
 	return out, nil
 }
 
-// ReExtract updates a previous extraction for a new policy version,
-// re-running the model only on added segments (the paper's diff-based
-// incremental processing) — fanned out over the same worker pool as
-// ExtractPolicy. It returns the new extraction and the diff.
+// ReExtract extracts a new policy version, re-running the model only on
+// the statements prev holds no practices for (the paper's diff-based
+// incremental processing), fanned out over the worker pool. Statements
+// whose extraction fails are counted and skipped rather than aborting the
+// run (unless FailFast is set); the joined failures are reported on
+// Extraction.SegmentErrors either way. It returns the new extraction and
+// the statement diff from prev.
 func (e *Extractor) ReExtract(ctx context.Context, prev *Extraction, newPolicy string) (*Extraction, segment.Diff, error) {
 	defer e.Obs.Histogram("quagmire_extract_policy_seconds", obs.TimeBuckets).ObserveSince(time.Now())
 	company, err := e.CompanyName(ctx, newPolicy)
@@ -315,16 +277,14 @@ func (e *Extractor) ReExtract(ctx context.Context, prev *Extraction, newPolicy s
 	}
 	newSegs := segment.Split(newPolicy)
 	diff := segment.Compare(prev.Segments, newSegs)
-	ex := &Extraction{
-		Company:   company,
-		Segments:  newSegs,
-		BySegment: map[string][]Practice{},
+	var reuse map[string][]Practice
+	if company == prev.Company {
+		reuse = prev.reuseIndex()
 	}
-	reuse := company == prev.Company
 	// Collect the segments that actually need model calls, in order.
 	var todo []segment.Segment
 	for _, seg := range newSegs {
-		if _, ok := prev.BySegment[seg.ID]; !ok || !reuse {
+		if _, ok := reuse[seg.ID]; !ok {
 			todo = append(todo, seg)
 		}
 	}
@@ -332,37 +292,61 @@ func (e *Extractor) ReExtract(ctx context.Context, prev *Extraction, newPolicy s
 	var d Stats
 	defer func() { e.addStats(d) }()
 	d.LLMCalls += len(todo)
+	ex := &Extraction{Company: company}
 	ti := 0
 	var segErrs []error
 	for _, seg := range newSegs {
-		if prevPs, ok := prev.BySegment[seg.ID]; ok && reuse {
-			// Unchanged segment: reuse prior practices without an LLM call.
-			ex.Practices = append(ex.Practices, prevPs...)
-			ex.BySegment[seg.ID] = prevPs
-			continue
-		}
-		d.Segments++
-		ps, segErr := results[ti], errs[ti]
-		ti++
-		if segErr != nil {
-			if ctx.Err() != nil {
-				return nil, diff, ctx.Err()
+		ps, ok := reuse[seg.ID]
+		if !ok {
+			d.Segments++
+			var segErr error
+			ps, segErr = results[ti], errs[ti]
+			ti++
+			if segErr != nil {
+				if ctx.Err() != nil {
+					return nil, diff, ctx.Err()
+				}
+				d.Errors++
+				// Sibling aborts from a fail-fast cancellation are not
+				// segment failures in their own right.
+				if !errors.Is(segErr, context.Canceled) {
+					segErrs = append(segErrs, segErr)
+				}
+				continue
 			}
-			d.Errors++
-			if !errors.Is(segErr, context.Canceled) {
-				segErrs = append(segErrs, segErr)
-			}
-			continue
+			d.Practices += len(ps)
 		}
-		d.Practices += len(ps)
+		ex.Segments = append(ex.Segments, seg)
 		ex.Practices = append(ex.Practices, ps...)
-		ex.BySegment[seg.ID] = ps
 	}
 	ex.SegmentErrors = errors.Join(segErrs...)
 	if e.FailFast && ex.SegmentErrors != nil {
 		return nil, diff, ex.SegmentErrors
 	}
 	return ex, diff, nil
+}
+
+// reuseIndex maps each statement of the extraction to the practices of
+// one of its occurrences, which a later version reuses for the same
+// statement. Practices follow the statement order, and a statement that
+// occurs n times holds n copies of its practices, so one occurrence's are
+// the first 1/n of them.
+func (ex *Extraction) reuseIndex() map[string][]Practice {
+	occurrences := make(map[string]int, len(ex.Segments))
+	bySeg := make(map[string][]Practice, len(ex.Segments))
+	for _, seg := range ex.Segments {
+		occurrences[seg.ID]++
+		bySeg[seg.ID] = nil
+	}
+	for _, p := range ex.Practices {
+		if occurrences[p.SegmentID] > 0 {
+			bySeg[p.SegmentID] = append(bySeg[p.SegmentID], p)
+		}
+	}
+	for id, ps := range bySeg {
+		bySeg[id] = ps[:len(ps)/occurrences[id]]
+	}
+	return bySeg
 }
 
 func shortID(id string) string {

@@ -138,12 +138,13 @@ func TestReExtractOnlyChangedSegments(t *testing.T) {
 		t.Error("re-extraction lost practices")
 	}
 	// Unchanged practices are byte-identical (reused).
-	for id, ps := range ex1.BySegment {
-		if _, stillThere := ex2.BySegment[id]; !stillThere {
+	after := ex2.reuseIndex()
+	for id, ps := range ex1.reuseIndex() {
+		if _, stillThere := after[id]; !stillThere {
 			continue
 		}
 		for i := range ps {
-			if ex2.BySegment[id][i].ParamSet != ps[i].ParamSet {
+			if after[id][i].ParamSet != ps[i].ParamSet {
 				t.Errorf("kept segment %s practices changed", id[:8])
 			}
 		}

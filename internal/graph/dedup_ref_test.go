@@ -42,28 +42,6 @@ func (g *refGraph) AddEdge(e Edge) *Edge {
 	return stored
 }
 
-func (g *refGraph) RemoveSegment(segID string) int {
-	removed := 0
-	var kept []*Edge
-	for _, e := range g.edges {
-		if e.SegmentID == segID {
-			removed++
-			delete(g.edgeSet, refKey(*e)+"\x1f"+e.SegmentID)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if removed == 0 {
-		return 0
-	}
-	g.edges = kept
-	g.out = map[string][]*Edge{}
-	for _, e := range g.edges {
-		g.out[e.From] = append(g.out[e.From], e)
-	}
-	return removed
-}
-
 // positions maps each stored edge to its insertion position.
 func positions(edges []*Edge) map[*Edge]int {
 	pos := make(map[*Edge]int, len(edges))
@@ -74,9 +52,8 @@ func positions(edges []*Edge) map[*Edge]int {
 }
 
 // TestEdgeSetMatchesReference: over random edge sequences full of exact
-// and near duplicates, with segments removed between them, Graph stores
-// the edges the reference stores, in the same order, and AddEdge returns
-// the stored edge at the same position.
+// and near duplicates, Graph stores the edges the reference stores, in the
+// same order, and AddEdge returns the stored edge at the same position.
 func TestEdgeSetMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	pick := func(vals ...string) string { return vals[r.Intn(len(vals))] }
@@ -84,21 +61,14 @@ func TestEdgeSetMatchesReference(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		g, ref := New(), newRefGraph()
 		for step := 0; step < 60; step++ {
-			if r.Intn(8) == 0 {
-				seg := pick("s1", "s2", "s3", "")
-				if got, want := g.RemoveSegment(seg), ref.RemoveSegment(seg); got != want {
-					t.Fatalf("iter %d: RemoveSegment(%q) = %d, reference %d", iter, seg, got, want)
-				}
-			} else {
-				e := Edge{
-					From: pick(nodes...), To: pick(nodes...), Label: pick("share", "sell"),
-					Condition: pick("", "consent"), Permission: pick("", "allow", "deny"),
-					Subject: pick("", "user"), Other: pick("", "partner"), SegmentID: pick("s1", "s2", "s3", ""),
-				}
-				got, want := g.AddEdge(e), ref.AddEdge(e)
-				if gp, wp := positions(g.Edges())[got], positions(ref.edges)[want]; gp != wp || *got != *want {
-					t.Fatalf("iter %d: AddEdge(%+v) returned edge %d, reference %d", iter, e, gp, wp)
-				}
+			e := Edge{
+				From: pick(nodes...), To: pick(nodes...), Label: pick("share", "sell"),
+				Condition: pick("", "consent"), Permission: pick("", "allow", "deny"),
+				Subject: pick("", "user"), Other: pick("", "partner"), SegmentID: pick("s1", "s2", "s3", ""),
+			}
+			got, want := g.AddEdge(e), ref.AddEdge(e)
+			if gp, wp := positions(g.Edges())[got], positions(ref.edges)[want]; gp != wp || *got != *want {
+				t.Fatalf("iter %d: AddEdge(%+v) returned edge %d, reference %d", iter, e, gp, wp)
 			}
 			if len(g.Edges()) != len(ref.edges) {
 				t.Fatalf("iter %d: %d edges, reference %d", iter, len(g.Edges()), len(ref.edges))

@@ -44,8 +44,7 @@ type Edge struct {
 	// not tell the whole story: the receiver of an outbound share, or the
 	// source of an inbound collection.
 	Other string `json:"other,omitempty"`
-	// SegmentID ties the edge back to the policy segment it came from,
-	// enabling branch-local incremental updates.
+	// SegmentID ties the edge back to the policy statement it came from.
 	SegmentID string `json:"segment_id,omitempty"`
 }
 
@@ -106,10 +105,9 @@ func (g *Graph) NodeFold(id string) *Node {
 func (g *Graph) HasNode(id string) bool { return g.nodes[id] != nil }
 
 // Ordinal returns the ordinal of node id and whether the node exists. The
-// graph numbers its nodes 0..NumNodes()-1 in the order they were added,
-// and renumbers the survivors in that order when RemoveSegment drops
-// nodes, so a slice of NumNodes() entries indexed by ordinal stands for a
-// set of nodes.
+// graph numbers its nodes 0..NumNodes()-1 in the order they were added, so
+// a slice of NumNodes() entries indexed by ordinal stands for a set of
+// nodes.
 func (g *Graph) Ordinal(id string) (int32, bool) {
 	if n := g.nodes[id]; n != nil {
 		return n.ord, true
@@ -150,66 +148,6 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the number of stored edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// RemoveSegment deletes every edge contributed by the given segment and
-// any nodes no remaining edge names as its From, To or Other, implementing
-// branch-local incremental updates.
-func (g *Graph) RemoveSegment(segID string) int {
-	removed := 0
-	var kept []*Edge
-	for _, e := range g.edges {
-		if e.SegmentID == segID {
-			removed++
-			delete(g.edgeSet, *e)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if removed == 0 {
-		return 0
-	}
-	g.edges = kept
-	touched := map[string]bool{}
-	for _, e := range g.edges {
-		touched[e.From] = true
-		touched[e.To] = true
-		touched[e.Other] = true
-	}
-	var survivors []*Node
-	for id, n := range g.nodes {
-		if !touched[id] {
-			delete(g.nodes, id)
-			continue
-		}
-		survivors = append(survivors, n)
-	}
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i].ord < survivors[j].ord })
-	for i, n := range survivors {
-		n.ord = int32(i)
-	}
-	return removed
-}
-
-// Clone returns a deep copy of the graph. Mutating the clone (or the
-// original) leaves the other untouched, which is what lets incremental
-// updates produce a fresh graph version while readers keep querying the
-// old one.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, n := range g.Nodes() {
-		node := c.AddNode(n.ID, n.Kind)
-		if n.Attrs != nil {
-			node.Attrs = make(map[string]string, len(n.Attrs))
-			for k, v := range n.Attrs {
-				node.Attrs[k] = v
-			}
-		}
-	}
-	for _, e := range g.edges {
-		c.AddEdge(*e)
-	}
-	return c
-}
 
 // Wire is the serialized form of a Graph: its nodes sorted by ID, then
 // its edges in insertion order. A decoder that holds a Wire in a larger

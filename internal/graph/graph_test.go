@@ -76,35 +76,9 @@ func TestEdgeString(t *testing.T) {
 	}
 }
 
-func TestRemoveSegment(t *testing.T) {
-	g := New()
-	g.AddEdge(Edge{From: "a", To: "b", Label: "x", SegmentID: "s1"})
-	g.AddEdge(Edge{From: "a", To: "c", Label: "y", Other: "r", SegmentID: "s2"})
-	g.AddNode("r", "entity")
-	removed := g.RemoveSegment("s1")
-	if removed != 1 {
-		t.Fatalf("removed = %d", removed)
-	}
-	if g.HasNode("b") {
-		t.Error("isolated node b not removed")
-	}
-	if !g.HasNode("a") || !g.HasNode("c") || !g.HasNode("r") {
-		t.Error("shared nodes lost")
-	}
-	if g.RemoveSegment("missing") != 0 {
-		t.Error("removing missing segment changed graph")
-	}
-	// The removed edge can be re-added (tombstone cleared).
-	g.AddEdge(Edge{From: "a", To: "b", Label: "x", SegmentID: "s1"})
-	if g.NumEdges() != 2 {
-		t.Errorf("re-add after remove: %d edges", g.NumEdges())
-	}
-}
-
 // TestOrdinalsAndSubgraph: the graph numbers its nodes densely in the
-// order they were added and renumbers the survivors in that order when
-// RemoveSegment drops nodes, so the subgraph search can index a set of
-// nodes by ordinal.
+// order they were added, so the subgraph search can index a set of nodes
+// by ordinal.
 func TestOrdinalsAndSubgraph(t *testing.T) {
 	g := New()
 	g.AddEdge(Edge{From: "a", To: "b", Label: "x", SegmentID: "s1"})
@@ -126,14 +100,6 @@ func TestOrdinalsAndSubgraph(t *testing.T) {
 	}
 	if _, ok := g.Ordinal("missing"); ok {
 		t.Error("a missing node has an ordinal")
-	}
-	g.RemoveSegment("s1") // drops a
-	if got, want := ordinals(), map[string]int32{"b": 0, "c": 1, "d": 2}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ordinals after RemoveSegment = %v, want %v", got, want)
-	}
-	g.AddNode("e", "")
-	if v, _ := g.Ordinal("e"); v != 3 {
-		t.Errorf("node added after RemoveSegment has ordinal %d, want 3", v)
 	}
 }
 

@@ -49,18 +49,6 @@ func insertSorted(s []string, v string) []string {
 	return s
 }
 
-// Clone returns a deep copy of the hierarchy.
-func (h *Hierarchy) Clone() *Hierarchy {
-	c := NewHierarchy(h.Root)
-	for child, parent := range h.parent {
-		c.parent[child] = parent
-	}
-	for parent, kids := range h.children {
-		c.children[parent] = append([]string(nil), kids...)
-	}
-	return c
-}
-
 // Has reports whether the term is in the hierarchy (the root always is).
 func (h *Hierarchy) Has(term string) bool {
 	if term == h.Root {

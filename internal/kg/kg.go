@@ -1,9 +1,11 @@
 // Package kg implements Phase 2 of the pipeline: construction of the
 // entity–data knowledge graph (who performs which actions on what data,
 // with conditions as boolean predicates on edges) and the Chain-of-Layer
-// data and entity hierarchies — Algorithm 1 lines 11–17. Graphs persist
-// across policy versions: segment-tracked edges enable branch-local
-// incremental updates.
+// data and entity hierarchies — Algorithm 1 lines 11–17. Every policy
+// version's graph and hierarchies are built from its whole extraction, so
+// a version answers alike however it was stored; each edge keeps its
+// statement's segment ID, which is how Compare tells what a new version
+// changed.
 package kg
 
 import (
@@ -43,17 +45,6 @@ type Stats struct {
 	Entities int
 	// DataTypes is the number of distinct data types.
 	DataTypes int
-}
-
-// Clone returns a deep copy of the knowledge graph, so an incremental
-// update can build a new version while readers keep using the old one.
-func (k *KnowledgeGraph) Clone() *KnowledgeGraph {
-	return &KnowledgeGraph{
-		Company: k.Company,
-		ED:      k.ED.Clone(),
-		DataH:   k.DataH.Clone(),
-		EntityH: k.EntityH.Clone(),
-	}
 }
 
 // Stats computes the Table 1 metrics for the graph.
@@ -121,7 +112,7 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// Builder constructs and updates knowledge graphs.
+// Builder constructs knowledge graphs.
 type Builder struct {
 	// Taxonomy builds the hierarchies; required.
 	Taxonomy *taxonomy.Builder
@@ -195,115 +186,50 @@ func (b *Builder) Build(ctx context.Context, ex *extract.Extraction) (*Knowledge
 	return k, nil
 }
 
-// UpdateStats reports what an incremental update touched.
+// UpdateStats reports what a new policy version changed in the graph.
 type UpdateStats struct {
-	// EdgesRemoved counts edges dropped with removed segments.
+	// EdgesRemoved counts the previous graph's edges from removed
+	// statements.
 	EdgesRemoved int
-	// EdgesAdded counts edges contributed by added segments.
+	// EdgesAdded counts the new graph's edges from added statements.
 	EdgesAdded int
-	// NewTerms counts hierarchy terms introduced by the update.
+	// NewTerms counts the distinct canonical terms of the new graph that
+	// the previous version's hierarchies lack.
 	NewTerms int
 }
 
-// Update applies a policy-version change to an existing graph: edges of
-// removed segments are dropped, practices of added segments are inserted,
-// and only new terms are placed into the (otherwise preserved) hierarchies
-// — the paper's "update just the affected portions of the graph while
-// preserving the rest".
-func (b *Builder) Update(ctx context.Context, k *KnowledgeGraph, diff segment.Diff, newEx *extract.Extraction) (UpdateStats, error) {
-	var st UpdateStats
-	for _, seg := range diff.Removed {
-		st.EdgesRemoved += k.ED.RemoveSegment(seg.ID)
+// Compare reports what the new version's graph changed from the previous
+// version's, given the statement diff between the two.
+func Compare(prev, next *KnowledgeGraph, diff segment.Diff) UpdateStats {
+	return UpdateStats{
+		EdgesRemoved: edgesFrom(prev.ED, diff.Removed),
+		EdgesAdded:   edgesFrom(next.ED, diff.Added),
+		NewTerms:     missingTerms(prev.DataH, next.DataTypes()) + missingTerms(prev.EntityH, next.Entities()),
 	}
-	for _, seg := range diff.Added {
-		for _, p := range newEx.BySegment[seg.ID] {
-			if p.DataType == "" || p.Sender == "" {
-				continue
-			}
-			e := edgeOf(p)
-			k.ED.AddNode(e.From, "entity")
-			k.ED.AddNode(e.To, "data")
-			if e.Other != "" {
-				k.ED.AddNode(e.Other, "entity")
-			}
-			k.ED.AddEdge(e)
-			st.EdgesAdded++
-		}
-	}
-	k.Company = newEx.Company
-	// Place new terms into the existing hierarchies.
-	n, err := b.extendHierarchy(ctx, k.DataH, "data", k.DataTypes())
-	if err != nil {
-		return st, err
-	}
-	st.NewTerms += n
-	n, err = b.extendHierarchy(ctx, k.EntityH, "entity", k.Entities())
-	if err != nil {
-		return st, err
-	}
-	st.NewTerms += n
-	return st, nil
 }
 
-// extendHierarchy adds missing terms to an existing hierarchy by running
-// CoL layer prompts against the hierarchy's current nodes.
-func (b *Builder) extendHierarchy(ctx context.Context, h *graph.Hierarchy, kind string, terms []string) (int, error) {
-	var missing []string
+// edgesFrom counts the graph's edges that came from the given statements.
+func edgesFrom(g *graph.Graph, segs []segment.Segment) int {
+	ids := make(map[string]bool, len(segs))
+	for _, seg := range segs {
+		ids[seg.ID] = true
+	}
+	n := 0
+	for _, e := range g.Edges() {
+		if ids[e.SegmentID] {
+			n++
+		}
+	}
+	return n
+}
+
+// missingTerms counts the distinct canonical forms of terms that h lacks.
+func missingTerms(h *graph.Hierarchy, terms []string) int {
+	missing := map[string]bool{}
 	for _, t := range terms {
-		c := nlp.CanonicalTerm(t)
-		if c != "" && !h.Has(c) {
-			missing = append(missing, c)
+		if c := nlp.CanonicalTerm(t); c != "" && !h.Has(c) {
+			missing[c] = true
 		}
 	}
-	if len(missing) == 0 {
-		return 0, nil
-	}
-	// Build a mini-hierarchy over existing nodes + missing terms, then
-	// graft only the missing terms' placements.
-	tmp, err := b.Taxonomy.Build(ctx, kind, append(h.Terms(), missing...))
-	if err != nil {
-		return 0, err
-	}
-	added := 0
-	// Insert parents before children among the missing set.
-	pending := append([]string(nil), missing...)
-	for len(pending) > 0 {
-		progressed := false
-		var next []string
-		for _, m := range pending {
-			if h.Has(m) {
-				progressed = true
-				continue
-			}
-			parent, ok := tmp.Parent(m)
-			if !ok {
-				parent = h.Root
-			}
-			if parent == tmp.Root {
-				parent = h.Root
-			}
-			if h.Has(parent) {
-				if err := h.Add(parent, m); err == nil {
-					added++
-					progressed = true
-					continue
-				}
-			}
-			next = append(next, m)
-		}
-		if !progressed {
-			// Remaining terms have parents outside the hierarchy; attach
-			// to root to preserve the appears-exactly-once invariant.
-			for _, m := range next {
-				if !h.Has(m) {
-					if err := h.Add(h.Root, m); err == nil {
-						added++
-					}
-				}
-			}
-			break
-		}
-		pending = next
-	}
-	return added, nil
+	return len(missing)
 }

@@ -8,7 +8,6 @@ import (
 
 	"github.com/privacy-quagmire/quagmire/internal/extract"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
-	"github.com/privacy-quagmire/quagmire/internal/segment"
 	"github.com/privacy-quagmire/quagmire/internal/taxonomy"
 )
 
@@ -39,6 +38,21 @@ func buildKG(t *testing.T, text string) (*Builder, *extract.Extraction, *Knowled
 		t.Fatal(err)
 	}
 	return b, ex, k
+}
+
+// updateKG builds the graph of an edited policy from prev's extraction,
+// re-extracting only the changed statements, and compares it with k.
+func updateKG(t *testing.T, b *Builder, prev *extract.Extraction, k *KnowledgeGraph, edited string) (*KnowledgeGraph, UpdateStats) {
+	t.Helper()
+	ex, diff, err := extract.New(llm.NewSim()).ReExtract(context.Background(), prev, edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := b.Build(context.Background(), ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next, Compare(k, next, diff)
 }
 
 func TestBuildGraph(t *testing.T) {
@@ -141,16 +155,8 @@ func TestIncrementalUpdate(t *testing.T) {
 
 	edited := strings.Replace(policy, "We collect device information automatically.",
 		"We collect device information and biometric identifiers automatically.", 1)
-	e := extract.New(llm.NewSim())
-	ex2, diff, err := e.ReExtract(context.Background(), ex1, edited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := b.Update(context.Background(), k, diff, ex2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EdgesRemoved == 0 || st.EdgesAdded == 0 {
+	k, st := updateKG(t, b, ex1, k, edited)
+	if st.EdgesRemoved == 0 || st.EdgesAdded == 0 || st.NewTerms == 0 {
 		t.Errorf("update stats = %+v", st)
 	}
 	after := k.Stats()
@@ -183,15 +189,7 @@ func TestIncrementalUpdate(t *testing.T) {
 func TestUpdateRemovalOnly(t *testing.T) {
 	b, ex1, k := buildKG(t, policy)
 	edited := strings.Replace(policy, "We share usage data with service providers for legitimate business purposes.\n", "", 1)
-	e := extract.New(llm.NewSim())
-	ex2, diff, err := e.ReExtract(context.Background(), ex1, edited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := b.Update(context.Background(), k, diff, ex2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k, st := updateKG(t, b, ex1, k, edited)
 	if st.EdgesRemoved == 0 || st.EdgesAdded != 0 {
 		t.Errorf("removal-only update: %+v", st)
 	}
@@ -224,10 +222,7 @@ func TestEmptyExtraction(t *testing.T) {
 func TestUpdateNoChanges(t *testing.T) {
 	b, ex1, k := buildKG(t, policy)
 	before := k.Stats()
-	st, err := b.Update(context.Background(), k, segment.Diff{}, ex1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k, st := updateKG(t, b, ex1, k, policy)
 	if st.EdgesAdded != 0 || st.EdgesRemoved != 0 || st.NewTerms != 0 {
 		t.Errorf("no-op update changed things: %+v", st)
 	}

@@ -41,10 +41,8 @@ func (c *referenceChecker) Complete(ctx context.Context, req llm.Request) (llm.R
 // TestTaxonomyAnswersMatchReferenceOverCorpus runs whole CoL inductions
 // over the terms the simulated extractor finds in generated corpus
 // policies, and checks the simulated model's answer to every layer prompt
-// against the reference. Each policy is built from scratch (both
-// hierarchies, as a create does), then updated to the next policy's text,
-// which places the new terms through kg's extendHierarchy: the prompt
-// shape of an existing hierarchy's terms plus new ones.
+// against the reference. Each policy's graph is built with both
+// hierarchies, as every create and update does.
 func TestTaxonomyAnswersMatchReferenceOverCorpus(t *testing.T) {
 	policies := 60
 	if testing.Short() {
@@ -59,38 +57,24 @@ func TestTaxonomyAnswersMatchReferenceOverCorpus(t *testing.T) {
 	ex := extract.New(llm.NewSim())
 	checker := &referenceChecker{t: t, sim: llm.NewSim()}
 	kb := kg.NewBuilder(&taxonomy.Builder{Client: checker})
-	var prevEx *extract.Extraction
-	var prev *kg.KnowledgeGraph
-	var newTerms int
 	for _, name := range names {
 		text, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prev != nil {
-			next, diff, err := ex.ReExtract(ctx, prevEx, string(text))
-			if err != nil {
-				t.Fatalf("%s: re-extract: %v", name, err)
-			}
-			st, err := kb.Update(ctx, prev, diff, next)
-			if err != nil {
-				t.Fatalf("%s: update: %v", name, err)
-			}
-			newTerms += st.NewTerms
-		}
-		prevEx, err = ex.ExtractPolicy(ctx, string(text))
+		extracted, err := ex.ExtractPolicy(ctx, string(text))
 		if err != nil {
 			t.Fatalf("%s: extract: %v", name, err)
 		}
-		if prev, err = kb.Build(ctx, prevEx); err != nil {
+		if _, err := kb.Build(ctx, extracted); err != nil {
 			t.Fatalf("%s: build: %v", name, err)
 		}
 		if t.Failed() {
 			t.FailNow()
 		}
 	}
-	if checker.layers.Load() < int64(2*policies) || newTerms == 0 {
-		t.Fatalf("checked %d layer prompts and placed %d terms by update; the corpus no longer exercises CoL", checker.layers.Load(), newTerms)
+	if checker.layers.Load() < int64(2*policies) {
+		t.Fatalf("checked %d layer prompts; the corpus no longer exercises CoL", checker.layers.Load())
 	}
-	t.Logf("%d layer prompts matched the reference; updates placed %d new terms", checker.layers.Load(), newTerms)
+	t.Logf("%d layer prompts matched the reference", checker.layers.Load())
 }

@@ -97,8 +97,7 @@ func referenceRelevantEdges(e *Engine, actor, action, data, other string) []*gra
 // randomKG builds a knowledge graph over a small vocabulary: a data
 // hierarchy over some of the data terms (and over terms no edge names),
 // edges with labels that share verb bases, self-loops, parallel edges and
-// a node with an empty ID, and sometimes a removed segment, so that
-// ordinals are renumbered.
+// a node with an empty ID.
 func randomKG(r *rand.Rand) *kg.KnowledgeGraph {
 	dataTerms := []string{"contact info", "email address", "phone number", "location",
 		"device id", "cookies", "usage data"}
@@ -122,9 +121,6 @@ func randomKG(r *rand.Rand) *kg.KnowledgeGraph {
 			Label:     labels[r.Intn(len(labels))],
 			SegmentID: fmt.Sprintf("s%d", r.Intn(4)),
 		})
-	}
-	if r.Intn(3) == 0 {
-		g.RemoveSegment(fmt.Sprintf("s%d", r.Intn(4)))
 	}
 	return &kg.KnowledgeGraph{Company: "acme", ED: g, DataH: h}
 }

@@ -592,7 +592,8 @@ type updatePolicyRequest struct {
 	Text string `json:"text"`
 }
 
-// updatePolicyResponse reports the incremental update.
+// updatePolicyResponse reports the update: the statement diff and what
+// the new version's graph changed from the previous one's.
 type updatePolicyResponse struct {
 	Policy          policyResponse `json:"policy"`
 	SegmentsKept    int            `json:"segments_kept"`
@@ -616,11 +617,14 @@ func (s *Server) handleUpdatePolicy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "text is required")
 		return
 	}
-	// Update never mutates the previous analysis, so concurrent readers
-	// keep querying the old version while the new one is built. The
-	// store's compare-and-swap (against the version this update was
-	// computed from) rejects concurrent updates rather than silently
-	// dropping edits.
+	// Update re-extracts only the statements the new text changed and
+	// builds the graph and hierarchies from the whole new extraction, as
+	// a create does, so the stored version answers as a fresh analysis
+	// of its text would. It never mutates the previous analysis, so
+	// concurrent readers keep querying the old version while the new one
+	// is built. The store's compare-and-swap (against the version this
+	// update was computed from) rejects concurrent updates rather than
+	// silently dropping edits.
 	//
 	// PUT is also the repair path for a quarantined policy: with no
 	// decodable previous analysis to diff against, the text is re-analyzed

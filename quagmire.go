@@ -55,7 +55,7 @@ type QueryResult = query.Result
 // Diff describes a policy-version change at statement granularity.
 type Diff = segment.Diff
 
-// UpdateStats reports what an incremental re-analysis touched.
+// UpdateStats reports what a new policy version changed in the graph.
 type UpdateStats = kg.UpdateStats
 
 // SolverLimits bounds the SMT solver deterministically.
@@ -143,8 +143,9 @@ func (a *Analyzer) Analyze(ctx context.Context, policy string) (*Analysis, error
 	return &Analysis{inner: inner}, nil
 }
 
-// Update applies a new policy version incrementally: only changed
-// statements are re-extracted and only affected graph branches rebuilt.
+// Update analyzes a new version of prev's policy: only changed statements
+// are re-extracted, and the graph and hierarchies are built from the whole
+// new extraction, as Analyze builds them.
 func (a *Analyzer) Update(ctx context.Context, prev *Analysis, newPolicy string) (*Analysis, Diff, UpdateStats, error) {
 	inner, diff, st, err := a.p.Update(ctx, prev.inner, newPolicy)
 	if err != nil {
