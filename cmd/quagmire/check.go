@@ -187,11 +187,10 @@ type checkRunner struct {
 	engines  map[string]*query.Engine
 }
 
-// close releases the store without compacting it: check only reads, and
-// the directory may be one a running quagmired appends to.
+// close releases the read-only store.
 func (r *checkRunner) close() {
 	if r.st != nil {
-		r.st.CloseWithoutSnapshot()
+		r.st.Close()
 	}
 }
 
@@ -262,12 +261,9 @@ func (r *checkRunner) storeEngine(arg string) (*query.Engine, error) {
 		return nil, fmt.Errorf("store:%s requires -data <store directory>", arg)
 	}
 	if r.st == nil {
-		// Opening creates a missing directory; check must not leave a new
-		// empty store behind a mistyped path.
-		if _, err := os.Stat(r.dataDir); err != nil {
-			return nil, err
-		}
-		st, err := store.OpenDisk(r.dataDir, store.Options{})
+		// check only reads, and a running quagmired may be appending to
+		// the directory: a read-only open changes no byte of it.
+		st, err := store.OpenReadOnly(r.dataDir, store.Options{})
 		if err != nil {
 			return nil, err
 		}

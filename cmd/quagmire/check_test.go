@@ -212,9 +212,10 @@ func TestCheckStoredPolicy(t *testing.T) {
 }
 
 // TestCheckLeavesStoreUntouched: checking a version that lives only in
-// the WAL reads the store without compacting it, so every file in the
-// directory keeps its name and size; a missing store directory stays
-// missing.
+// the WAL reads the store without compacting it, and leaves a torn record
+// at the end of wal.log, which a live quagmired may still be writing, as
+// it is: check answers from the intact records and every file in the
+// directory keeps its bytes. A missing store directory stays missing.
 func TestCheckLeavesStoreUntouched(t *testing.T) {
 	dataDir := t.TempDir()
 	pipe, err := core.New(core.Options{})
@@ -240,33 +241,43 @@ func TestCheckLeavesStoreUntouched(t *testing.T) {
 	if err := st.CloseWithoutSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	listing := func() map[string]int64 {
+	f, err := os.OpenFile(filepath.Join(dataDir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	listing := func() map[string]string {
 		entries, err := os.ReadDir(dataDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes := map[string]int64{}
+		files := map[string]string{}
 		for _, e := range entries {
-			info, err := e.Info()
+			data, err := os.ReadFile(filepath.Join(dataDir, e.Name()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sizes[e.Name()] = info.Size()
+			files[e.Name()] = string(data)
 		}
-		return sizes
+		return files
 	}
 	before := listing()
 
 	p := writeSuite(t, "stored.qq", `suite "stored" {
   scenario "s" { ask "Does Acme sell my personal information?" expect INVALID }
 }`)
-	if out, err := capture(t, func() error {
+	out, err := capture(t, func() error {
 		return run([]string{"check", "-suite", p, "-policy", pol.ID, "-data", dataDir})
-	}); err != nil {
-		t.Fatalf("check failed: %v\n%s", err, out)
+	})
+	if err != nil || !strings.Contains(out, "1 passed") {
+		t.Fatalf("check did not answer from the intact records: %v\n%s", err, out)
 	}
 	if after := listing(); !reflect.DeepEqual(after, before) {
-		t.Errorf("check changed the store directory:\nbefore %v\nafter  %v", before, after)
+		t.Errorf("check changed the store directory: wal.log %d bytes before, %d after",
+			len(before["wal.log"]), len(after["wal.log"]))
 	}
 
 	missing := filepath.Join(t.TempDir(), "missing")

@@ -13,9 +13,10 @@ import (
 // is inspect: a read-only report on a store data directory — snapshot
 // format version and watermark, the retained WAL generation's records,
 // sequence range and size, the live log's record count and durable
-// sequence, and per-policy version/payload accounting. It never opens the
-// store for writing (no recovery, no WAL truncation), so it is safe
-// against a directory another process is serving from.
+// sequence, and per-policy version/payload accounting, as recovery would
+// find them. It opens the store read-only (no WAL truncation, no file
+// created), so it is safe against a directory another process is serving
+// from.
 func runStore(args []string) error {
 	if len(args) == 0 || args[0] != "inspect" {
 		return fmt.Errorf("usage: quagmire store inspect -data <dir> [-json]")

@@ -56,19 +56,6 @@ func TestConcurrentExtractionDegradesOnFailures(t *testing.T) {
 	}
 }
 
-func TestFailFastAbortsExtraction(t *testing.T) {
-	e := New(&llm.FlakyClient{Inner: llm.NewSim(), EveryN: 4})
-	e.Workers = 4
-	e.FailFast = true
-	_, err := e.ExtractPolicy(context.Background(), policy)
-	if err == nil {
-		t.Fatal("fail-fast extraction should surface segment errors")
-	}
-	if !errors.Is(err, llm.ErrOverloaded) {
-		t.Errorf("fail-fast error should join the underlying cause, got %v", err)
-	}
-}
-
 func TestConcurrentExtractionContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := New(llm.NewSim())

@@ -74,11 +74,6 @@ type Extractor struct {
 	// runtime.GOMAXPROCS(0), 1 forces sequential extraction. The model
 	// client must be safe for concurrent use (every llm client is).
 	Workers int
-	// FailFast aborts the whole extraction on the first segment error,
-	// cancelling in-flight siblings, instead of skipping failed segments
-	// with degradation. The returned error joins every segment failure
-	// observed before the cancellation took effect.
-	FailFast bool
 	// Stats accumulates counters across calls. Mutations are guarded by an
 	// internal mutex so extractions may run concurrently; read it only when
 	// no call is in flight.
@@ -191,8 +186,7 @@ func (e *Extractor) workerCount() int {
 
 // extractAll runs per-segment extraction over a bounded worker pool.
 // Results are positionally aligned with segs so output order is
-// deterministic regardless of scheduling. Cancelling ctx — or, under
-// FailFast, the first segment failure — cancels in-flight siblings;
+// deterministic regardless of scheduling. Once ctx is cancelled,
 // unattempted segments report the context error.
 func (e *Extractor) extractAll(ctx context.Context, company string, segs []segment.Segment) ([][]Practice, []error) {
 	results := make([][]Practice, len(segs))
@@ -200,8 +194,6 @@ func (e *Extractor) extractAll(ctx context.Context, company string, segs []segme
 	if len(segs) == 0 {
 		return results, errs
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	workers := e.workerCount()
 	if workers > len(segs) {
 		workers = len(segs)
@@ -218,9 +210,6 @@ func (e *Extractor) extractAll(ctx context.Context, company string, segs []segme
 					continue
 				}
 				results[i], errs[i] = e.extractOne(ctx, company, segs[i])
-				if errs[i] != nil && e.FailFast {
-					cancel()
-				}
 			}
 		}()
 	}
@@ -238,7 +227,7 @@ func (e *Extractor) extractAll(ctx context.Context, company string, segs []segme
 // use.
 func (e *Extractor) extractOne(ctx context.Context, company string, seg segment.Segment) ([]Practice, error) {
 	resolved := ResolveCoreferences(seg.Text, company)
-	e.Obs.ShardedCounter("quagmire_extract_coref_passes_total").Inc()
+	e.Obs.Counter("quagmire_extract_coref_passes_total").Inc()
 	llmStart := time.Now()
 	resp, err := e.Client.Complete(ctx, llm.ExtractParamsPrompt(company, resolved))
 	e.Obs.Histogram("quagmire_llm_call_seconds", obs.TimeBuckets, "phase", "extract").ObserveSince(llmStart)
@@ -266,9 +255,8 @@ func (e *Extractor) extractOne(ctx context.Context, company string, seg segment.
 // the statements prev holds no practices for (the paper's diff-based
 // incremental processing), fanned out over the worker pool. Statements
 // whose extraction fails are counted and skipped rather than aborting the
-// run (unless FailFast is set); the joined failures are reported on
-// Extraction.SegmentErrors either way. It returns the new extraction and
-// the statement diff from prev.
+// run; the joined failures are reported on Extraction.SegmentErrors. It
+// returns the new extraction and the statement diff from prev.
 func (e *Extractor) ReExtract(ctx context.Context, prev *Extraction, newPolicy string) (*Extraction, segment.Diff, error) {
 	defer e.Obs.Histogram("quagmire_extract_policy_seconds", obs.TimeBuckets).ObserveSince(time.Now())
 	company, err := e.CompanyName(ctx, newPolicy)
@@ -307,11 +295,7 @@ func (e *Extractor) ReExtract(ctx context.Context, prev *Extraction, newPolicy s
 					return nil, diff, ctx.Err()
 				}
 				d.Errors++
-				// Sibling aborts from a fail-fast cancellation are not
-				// segment failures in their own right.
-				if !errors.Is(segErr, context.Canceled) {
-					segErrs = append(segErrs, segErr)
-				}
+				segErrs = append(segErrs, segErr)
 				continue
 			}
 			d.Practices += len(ps)
@@ -320,9 +304,6 @@ func (e *Extractor) ReExtract(ctx context.Context, prev *Extraction, newPolicy s
 		ex.Practices = append(ex.Practices, ps...)
 	}
 	ex.SegmentErrors = errors.Join(segErrs...)
-	if e.FailFast && ex.SegmentErrors != nil {
-		return nil, diff, ex.SegmentErrors
-	}
 	return ex, diff, nil
 }
 

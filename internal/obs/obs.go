@@ -1,8 +1,8 @@
 // Package obs is the pipeline's observability layer: named counters,
-// gauges and fixed-bucket latency histograms backed by atomic (and, for
-// contended hot paths, sharded) implementations, collected in a Registry
-// that renders Prometheus text format, a JSON-friendly Snapshot for
-// benchmarks, and a human-readable per-phase table for the CLI.
+// gauges and fixed-bucket latency histograms backed by atomics, collected
+// in a Registry that renders Prometheus text format, a JSON-friendly
+// Snapshot for benchmarks, and a human-readable per-phase table for the
+// CLI.
 //
 // All metric methods are safe for concurrent use and are no-ops on nil
 // receivers, so instrumented code never needs to guard against a missing
@@ -51,65 +51,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// counterShard is one cache-line-padded slot of a ShardedCounter.
-type counterShard struct {
-	n atomic.Uint64
-	_ [56]byte
-}
-
-// ShardedCounter is a counter for contended hot paths: increments go to
-// per-goroutine-locality shards handed out by a sync.Pool (which is
-// per-P under the hood), so concurrent writers rarely touch the same
-// cache line. Reads sum all shards and are accordingly slower — use
-// Counter unless the write path is genuinely hot.
-type ShardedCounter struct {
-	mu     sync.Mutex
-	shards []*counterShard
-	pool   sync.Pool
-	init   sync.Once
-}
-
-func (c *ShardedCounter) initPool() {
-	c.init.Do(func() {
-		c.pool.New = func() any {
-			s := &counterShard{}
-			c.mu.Lock()
-			c.shards = append(c.shards, s)
-			c.mu.Unlock()
-			return s
-		}
-	})
-}
-
-// Inc adds one.
-func (c *ShardedCounter) Inc() { c.Add(1) }
-
-// Add adds n. Nil-safe.
-func (c *ShardedCounter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.initPool()
-	s := c.pool.Get().(*counterShard)
-	s.n.Add(n)
-	c.pool.Put(s)
-}
-
-// Value sums all shards. Nil-safe.
-func (c *ShardedCounter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	shards := c.shards
-	c.mu.Unlock()
-	var total uint64
-	for _, s := range shards {
-		total += s.n.Load()
-	}
-	return total
 }
 
 // Gauge is an atomic instantaneous value.
@@ -298,7 +239,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // metric kinds.
 const (
 	kindCounter = iota
-	kindSharded
 	kindGauge
 	kindHistogram
 	kindCounterFunc
@@ -310,7 +250,6 @@ type metricEntry struct {
 	family  string
 	kind    int
 	counter *Counter
-	sharded *ShardedCounter
 	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64
@@ -405,18 +344,6 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 		return nil
 	}
 	return e.counter
-}
-
-// ShardedCounter returns the named sharded counter, registering it on
-// first use. Intended for write-hot paths shared by many goroutines.
-func (r *Registry) ShardedCounter(name string, labels ...string) *ShardedCounter {
-	e := r.lookup(name, labels, kindSharded, func() *metricEntry {
-		return &metricEntry{sharded: &ShardedCounter{}}
-	})
-	if e == nil {
-		return nil
-	}
-	return e.sharded
 }
 
 // Gauge returns the named gauge, registering it on first use.
@@ -518,8 +445,6 @@ func (r *Registry) Snapshot() Snapshot {
 		switch e.kind {
 		case kindCounter:
 			s.Counters[e.id] = e.counter.Value()
-		case kindSharded:
-			s.Counters[e.id] = e.sharded.Value()
 		case kindCounterFunc:
 			s.Counters[e.id] = uint64(e.fn())
 		case kindGauge:
@@ -593,8 +518,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch e.kind {
 		case kindCounter:
 			fmt.Fprintf(&b, "%s %d\n", e.id, e.counter.Value())
-		case kindSharded:
-			fmt.Fprintf(&b, "%s %d\n", e.id, e.sharded.Value())
 		case kindCounterFunc, kindGaugeFunc:
 			fmt.Fprintf(&b, "%s %s\n", e.id, formatValue(e.fn()))
 		case kindGauge:

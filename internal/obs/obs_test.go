@@ -31,25 +31,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestShardedCounterConcurrent(t *testing.T) {
-	r := NewRegistry()
-	c := r.ShardedCounter("hot_total")
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				c.Add(2)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 16000 {
-		t.Errorf("sharded counter = %d, want 16000", got)
-	}
-}
-
 func TestGaugeSetAddConcurrent(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth")
@@ -179,7 +160,6 @@ func TestKindMismatchReturnsNilNoop(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Inc()
-	r.ShardedCounter("b").Add(2)
 	r.Gauge("c").Set(1)
 	r.Histogram("d", TimeBuckets).Observe(0.1)
 	r.CounterFunc("e", func() float64 { return 1 })
@@ -198,8 +178,6 @@ func TestNilSafety(t *testing.T) {
 	h.ObserveSince(time.Now())
 	var g *Gauge
 	g.Add(1)
-	var s *ShardedCounter
-	s.Inc()
 	_ = snap.Table()
 }
 

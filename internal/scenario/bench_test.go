@@ -8,8 +8,8 @@ import (
 
 // BenchmarkScenarioSuite measures a full check-run unit of work: compile the
 // fixture suite, execute it against the Mini engine, and render
-// both reports. This is the per-suite cost a CI scenario gate pays, guarded
-// by cmd/benchguard.
+// both reports. This is the per-suite cost a CI scenario gate pays;
+// cmd/benchguard guards it against the base commit.
 func BenchmarkScenarioSuite(b *testing.B) {
 	eng := miniEngine(b)
 	parsed, err := Parse("bench.qq", miniSuiteSrc)

@@ -10,9 +10,10 @@ package server
 // grows, while "warmed" decodes and builds every engine and so bounds the
 // total background work. The seeded directory is a cleanly-compacted
 // snapshot, so both modes boot through the indexed open path (header +
-// metadata index, payloads lazy behind LoadPayload). BENCH_PR7.json and
-// BENCH_PR9.json guard these legs. EXPERIMENTS.md E15 runs the same sweep
-// at 100/1k scale; E17 isolates the format A/B.
+// metadata index, payloads lazy behind LoadPayload). cmd/benchguard
+// guards the lazy legs and warmed/policies-64 against the base commit.
+// EXPERIMENTS.md E15 runs the same sweep at 100/1k scale; E17 isolates the
+// format A/B.
 
 import (
 	"fmt"

@@ -616,7 +616,32 @@ func TestCompactionRaceStress(t *testing.T) {
 // live log's records would follow a gap, and recovery drops them too
 // instead of applying them over missing writes.
 func TestCorruptRetainedGenerationEndsTheLog(t *testing.T) {
-	dir := t.TempDir()
+	dir, kept := corruptRetainedDir(t)
+	r := reopen(t, dir, Options{SnapshotThreshold: -1})
+	if got := dumpState(t, r); got != kept {
+		t.Errorf("recovered past the corrupt record:\ngot:  %.400s\nwant: %.400s", got, kept)
+	}
+	if r.Seq() != 3 {
+		t.Errorf("recovered seq %d, want 3", r.Seq())
+	}
+	assertTailsMatchScan(t, r, "after the corrupt retained record")
+	if n := fileSize(t, filepath.Join(dir, walName)); n != 0 {
+		t.Errorf("wal.log keeps %d bytes past the gap", n)
+	}
+	// New writes continue the sequence with nothing hidden.
+	if _, err := r.Create("next", mkVersion("Next", "n")); err != nil {
+		t.Fatal(err)
+	}
+	assertTailsMatchScan(t, r, "write after the truncation")
+}
+
+// corruptRetainedDir builds a directory with no snapshot whose retained
+// generation holds records 1-5 with record 4 corrupt, beside a live log
+// holding record 6. It returns the directory and the state of records
+// 1-3, all that recovery may keep.
+func corruptRetainedDir(t *testing.T) (dir, kept string) {
+	t.Helper()
+	dir = t.TempDir()
 	d, err := OpenDisk(dir, Options{SnapshotThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -624,7 +649,7 @@ func TestCorruptRetainedGenerationEndsTheLog(t *testing.T) {
 	if _, err := d.AppendBatch(mkBatch(3, "kept")); err != nil {
 		t.Fatal(err)
 	}
-	kept := dumpState(t, d)
+	kept = dumpState(t, d)
 	if _, err := d.AppendBatch(mkBatch(2, "torn")); err != nil {
 		t.Fatal(err)
 	}
@@ -655,20 +680,5 @@ func TestCorruptRetainedGenerationEndsTheLog(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := reopen(t, dir, Options{SnapshotThreshold: -1})
-	if got := dumpState(t, r); got != kept {
-		t.Errorf("recovered past the corrupt record:\ngot:  %.400s\nwant: %.400s", got, kept)
-	}
-	if r.Seq() != 3 {
-		t.Errorf("recovered seq %d, want 3", r.Seq())
-	}
-	assertTailsMatchScan(t, r, "after the corrupt retained record")
-	if n := fileSize(t, filepath.Join(dir, walName)); n != 0 {
-		t.Errorf("wal.log keeps %d bytes past the gap", n)
-	}
-	// New writes continue the sequence with nothing hidden.
-	if _, err := r.Create("next", mkVersion("Next", "n")); err != nil {
-		t.Fatal(err)
-	}
-	assertTailsMatchScan(t, r, "write after the truncation")
+	return dir, kept
 }

@@ -97,6 +97,8 @@ type Disk struct {
 	// store then refuses all further writes (reads stay available) so no
 	// acknowledged write can land beyond an unparseable tail.
 	failed error
+	// readOnly marks a store from OpenReadOnly, which has no WAL handle.
+	readOnly bool
 }
 
 // walGen is one WAL file: its path, its durable size (bytes past it are a
@@ -107,6 +109,9 @@ type walGen struct {
 	path  string
 	size  int64
 	index []walEntry
+	// torn says why a read-only recovery stopped at offset size, short of
+	// the file's end (OpenDisk truncates there instead).
+	torn string
 }
 
 // walEntry is one index entry: a record's sequence number and the byte
@@ -123,15 +128,8 @@ func OpenDisk(dir string, opts Options) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %q: %w", dir, err)
 	}
-	d := &Disk{
-		opts:     opts,
-		dir:      dir,
-		live:     walGen{path: filepath.Join(dir, walName)},
-		retained: walGen{path: filepath.Join(dir, retainedWALName)},
-		c:        newCore(),
-		seqWatch: make(chan struct{}),
-	}
-	if err := d.recover(); err != nil {
+	d, err := openDisk(dir, opts, false)
+	if err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(d.live.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -143,6 +141,40 @@ func OpenDisk(dir string, opts Options) (*Disk, error) {
 	d.opts.Obs.Gauge("quagmire_store_recovery_seconds", "phase", "replay").Set(time.Since(start).Seconds())
 	p, v := d.c.counts()
 	d.opts.logf("store: recovered %d policies (%d versions) from %s in %s", p, v, dir, time.Since(start).Round(time.Millisecond))
+	return d, nil
+}
+
+// OpenReadOnly recovers the store at dir, an existing directory, exactly
+// as OpenDisk would, without changing a byte of it: a corrupt tail or a
+// sequence gap ends the log as in recovery, but nothing is truncated,
+// created or opened for append. Writes fail and Close never compacts, so
+// it is safe against a directory a live process is appending to.
+func OpenReadOnly(dir string, opts Options) (*Disk, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, fmt.Errorf("store: open read-only: %w", err)
+	}
+	return openDisk(dir, opts, true)
+}
+
+func openDisk(dir string, opts Options, readOnly bool) (*Disk, error) {
+	d := &Disk{
+		opts:     opts,
+		dir:      dir,
+		live:     walGen{path: filepath.Join(dir, walName)},
+		retained: walGen{path: filepath.Join(dir, retainedWALName)},
+		c:        newCore(),
+		seqWatch: make(chan struct{}),
+		readOnly: readOnly,
+	}
+	if readOnly {
+		d.failed = errors.New("opened read-only")
+	}
+	if err := d.recover(); err != nil {
+		if d.snapFile != nil {
+			d.snapFile.Close()
+		}
+		return nil, err
+	}
 	return d, nil
 }
 
@@ -209,7 +241,8 @@ func (d *Disk) recover() error {
 // holds them, or the retained generation did — and are skipped rather
 // than applied twice. A record that jumps past the next sequence number
 // ends the usable log like a corrupt one: applying it would hide the
-// records in between. A corrupt tail is truncated with a warning.
+// records in between. A corrupt tail is truncated with a warning, or, in a
+// read-only store, left in place and recorded.
 func (d *Disk) replayGen(g *walGen) (applied, skipped int, err error) {
 	f, err := os.Open(g.path)
 	if err != nil {
@@ -239,7 +272,11 @@ func (d *Disk) replayGen(g *walGen) (applied, skipped int, err error) {
 		return applied, skipped, err
 	}
 	g.size = offset
-	if corrupt != nil {
+	switch {
+	case corrupt == nil:
+	case d.readOnly:
+		g.torn = corrupt.Error()
+	default:
 		d.opts.logf("store: %v; truncating %s to %d bytes (%d records kept)", corrupt, filepath.Base(g.path), offset, records)
 		d.opts.Obs.Counter("quagmire_store_wal_truncations_total").Inc()
 		if err := truncateWAL(g.path, offset); err != nil {
@@ -875,8 +912,9 @@ func (d *Disk) probe() error {
 }
 
 // Close snapshots the state (so the next open replays no log), leaving
-// one snapshot and an empty wal.log, and closes the WAL.
-func (d *Disk) Close() error { return d.close(true) }
+// one snapshot and an empty wal.log, and closes the WAL. A read-only store
+// only releases its files.
+func (d *Disk) Close() error { return d.close(!d.readOnly) }
 
 // CloseWithoutSnapshot closes the store without compacting it, so the next
 // open replays the WAL files, where every applied write already is. A
@@ -908,7 +946,10 @@ func (d *Disk) close(snapshot bool) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	closeErr := d.wal.Close()
+	var closeErr error
+	if d.wal != nil {
+		closeErr = d.wal.Close()
+	}
 	var sfErr error
 	if d.snapFile != nil {
 		sfErr = d.snapFile.Close()

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/privacy-quagmire/quagmire/internal/obs"
@@ -430,5 +432,82 @@ func TestUnrollbackableWALFailureMakesStoreReadOnly(t *testing.T) {
 	// Reads keep working.
 	if _, err := d.Get(p.ID); err != nil {
 		t.Errorf("read on degraded store failed: %v", err)
+	}
+}
+
+// TestOpenReadOnlyChangesNothing: a read-only open recovers the state
+// OpenDisk would from a snapshot, a WAL record and a torn tail, and
+// leaves every file byte for byte: the tail stays, writes fail, Health
+// writes no probe and Close does not compact. Without a wal.log it
+// creates none, and a missing directory stays missing.
+func TestOpenReadOnlyChangesNothing(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, Options{SnapshotThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AppendBatch(mkBatch(2, "snap")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = reopen(t, dir, Options{SnapshotThreshold: -1})
+	if _, err := d.Append("p1", 1, mkVersion("Acme", "in the wal")); err != nil {
+		t.Fatal(err)
+	}
+	d.CloseWithoutSnapshot()
+	walPath := filepath.Join(dir, walName)
+	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before := dirContents(t, dir)
+
+	r, err := OpenReadOnly(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dumpState(t, r), dumpState(t, reopenCopy(t, dir)); got != want {
+		t.Errorf("read-only state differs from recovery's:\ngot:  %.400s\nwant: %.400s", got, want)
+	}
+	if _, err := r.Create("new", mkVersion("New", "n")); err == nil {
+		t.Error("read-only store accepted a create")
+	}
+	if _, err := r.Append("p1", 2, mkVersion("Acme", "n")); err == nil {
+		t.Error("read-only store accepted an append")
+	}
+	if h := r.Health(); h.Writable {
+		t.Errorf("read-only store reports writable: %+v", h)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("read-only open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+
+	if err := os.Remove(walPath); err != nil {
+		t.Fatal(err)
+	}
+	r, err = OpenReadOnly(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if _, err := os.Stat(walPath); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("read-only open created %s: %v", walName, err)
+	}
+
+	missing := filepath.Join(t.TempDir(), "missing")
+	if _, err := OpenReadOnly(missing, Options{}); err == nil {
+		t.Error("read-only open of a missing directory succeeded")
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("read-only open created %s: %v", missing, err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -247,4 +249,55 @@ func assertCensus(t *testing.T, info Info, st PolicyStore) {
 			t.Errorf("census row %+v, the store has %s with %d versions, %d payload bytes", got, pol.ID, len(vs), payload)
 		}
 	}
+}
+
+// TestInspectEndsTheLogAsRecoveryDoes: a corrupt record in the retained
+// generation ends the log there, so the live log's record after the gap
+// is dropped. Inspection reports what recovery keeps (three policies at
+// seq 3, the live log ended by the gap at its first record) and changes
+// no byte.
+func TestInspectEndsTheLogAsRecoveryDoes(t *testing.T) {
+	dir, _ := corruptRetainedDir(t)
+	before := dirContents(t, dir)
+	info, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.RetainedRecords != 3 || info.RetainedFirstSeq != 1 || info.RetainedSeq != 3 || info.RetainedCorrupt == "" {
+		t.Errorf("retained generation: %d records, seq %d-%d, corrupt %q; want 3 records, seq 1-3 and a corrupt tail",
+			info.RetainedRecords, info.RetainedFirstSeq, info.RetainedSeq, info.RetainedCorrupt)
+	}
+	if info.WALRecords != 0 || info.WALSeq != 0 || info.WALBytes != 0 || !strings.Contains(info.WALCorrupt, "sequence gap") {
+		t.Errorf("live wal: %d records, seq %d, %d bytes, corrupt %q; want none kept, ended by a sequence gap",
+			info.WALRecords, info.WALSeq, info.WALBytes, info.WALCorrupt)
+	}
+	r := reopenCopy(t, dir)
+	if len(info.Policies) != 3 || r.Seq() != 3 {
+		t.Errorf("inspection lists %d policies, recovery keeps seq %d; want 3 policies at seq 3", len(info.Policies), r.Seq())
+	}
+	assertCensus(t, info, r)
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Error("inspection changed the directory")
+	}
+}
+
+// dirContents maps each regular file in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
 }

@@ -35,10 +35,9 @@ func snapshotBenchSizes(b *testing.B) []int {
 }
 
 // writeSnapshotBenchDir fills dir with n single-version policies in one
-// batch and closes the store, which compacts them into snapshot.v2. The
-// names, companies, payload bytes and fixed clock reproduce the snapshot
-// BENCH_PR9.json's rows were recorded against (then made by migrating a
-// v1 fixture), so B/op and allocs/op stay comparable.
+// batch and closes the store, which compacts them into snapshot.v2.
+// Names, companies, payload bytes and the clock are fixed, so B/op and
+// allocs/op depend only on the code under test.
 func writeSnapshotBenchDir(b *testing.B, dir string, n int) {
 	b.Helper()
 	created := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/privacy-quagmire/quagmire/internal/embed"
@@ -23,7 +22,7 @@ import (
 
 // Builder constructs hierarchies via CoL prompting. Builds may run
 // concurrently on a shared Builder: each call accumulates its counters
-// privately and publishes them to Stats under an internal mutex when it
+// privately and adds them to the quagmire_taxonomy_* metrics when it
 // finishes.
 type Builder struct {
 	// Client is the language model used for root and layer prompts.
@@ -33,21 +32,17 @@ type Builder struct {
 	Filter *embed.Model
 	// FilterThreshold is the minimum similarity for a filtered edge.
 	FilterThreshold float64
-	// MaxLayers bounds CoL iterations; default 6.
-	MaxLayers int
 	// Obs, when non-nil, receives induction metrics: CoL rounds, edges
 	// rejected by the similarity filter, fallback attachments, LLM-call
 	// latency, and per-build wall time labeled by hierarchy kind.
 	Obs *obs.Registry
-
-	// Stats from the last Build call to finish.
-	Stats Stats
-
-	statsMu sync.Mutex
 }
 
-// Stats reports effort and filtering counters for one Build.
-type Stats struct {
+// maxLayers bounds CoL iterations.
+const maxLayers = 6
+
+// buildStats counts one Build's effort and filtering.
+type buildStats struct {
 	// Layers is the number of CoL iterations performed.
 	Layers int
 	// LLMCalls counts model invocations.
@@ -66,23 +61,15 @@ func (b *Builder) Build(ctx context.Context, kind string, terms []string) (*grap
 	if b.Client == nil {
 		return nil, fmt.Errorf("taxonomy: Builder.Client is nil")
 	}
-	var st Stats
+	var st buildStats
 	start := time.Now()
 	defer func() {
-		b.statsMu.Lock()
-		b.Stats = st
-		b.statsMu.Unlock()
 		b.Obs.Histogram("quagmire_taxonomy_build_seconds", obs.TimeBuckets, "kind", kind).ObserveSince(start)
 		b.Obs.Counter("quagmire_taxonomy_col_rounds_total").Add(uint64(st.Layers))
 		b.Obs.Counter("quagmire_taxonomy_llm_calls_total").Add(uint64(st.LLMCalls))
 		b.Obs.Counter("quagmire_taxonomy_edges_filtered_total").Add(uint64(st.Filtered))
 		b.Obs.Counter("quagmire_taxonomy_fallback_total").Add(uint64(st.Fallback))
 	}()
-	maxLayers := b.MaxLayers
-	if maxLayers <= 0 {
-		maxLayers = 6
-	}
-
 	canon := map[string]bool{}
 	var remaining []string
 	for _, t := range terms {
@@ -169,7 +156,7 @@ func (b *Builder) rejectedByFilter(parent, child string) bool {
 	return b.Filter.Similarity(parent, child) < b.FilterThreshold
 }
 
-func (b *Builder) root(ctx context.Context, st *Stats, kind string, terms []string) (string, error) {
+func (b *Builder) root(ctx context.Context, st *buildStats, kind string, terms []string) (string, error) {
 	st.LLMCalls++
 	defer b.Obs.Histogram("quagmire_llm_call_seconds", obs.TimeBuckets, "phase", "taxonomy").ObserveSince(time.Now())
 	resp, err := b.Client.Complete(ctx, llm.TaxonomyRootPrompt(kind, terms))
@@ -185,7 +172,7 @@ func (b *Builder) root(ctx context.Context, st *Stats, kind string, terms []stri
 	return nlp.CanonicalTerm(out.Root), nil
 }
 
-func (b *Builder) layer(ctx context.Context, st *Stats, kind string, frontier, remaining []string) (map[string][]string, error) {
+func (b *Builder) layer(ctx context.Context, st *buildStats, kind string, frontier, remaining []string) (map[string][]string, error) {
 	st.LLMCalls++
 	defer b.Obs.Histogram("quagmire_llm_call_seconds", obs.TimeBuckets, "phase", "taxonomy").ObserveSince(time.Now())
 	resp, err := b.Client.Complete(ctx, llm.TaxonomyLayerPrompt(kind, frontier, remaining))

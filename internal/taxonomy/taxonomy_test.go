@@ -7,6 +7,7 @@ import (
 
 	"github.com/privacy-quagmire/quagmire/internal/embed"
 	"github.com/privacy-quagmire/quagmire/internal/llm"
+	"github.com/privacy-quagmire/quagmire/internal/obs"
 )
 
 var dataTerms = []string{
@@ -16,7 +17,7 @@ var dataTerms = []string{
 }
 
 func TestBuildDataHierarchy(t *testing.T) {
-	b := &Builder{Client: llm.NewSim()}
+	b := &Builder{Client: llm.NewSim(), Obs: obs.NewRegistry()}
 	h, err := b.Build(context.Background(), "data", dataTerms)
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +47,10 @@ func TestBuildDataHierarchy(t *testing.T) {
 	if !h.Subsumes("data", "email") {
 		t.Error("root does not subsume email")
 	}
-	if b.Stats.LLMCalls == 0 || b.Stats.Layers == 0 {
-		t.Errorf("stats not recorded: %+v", b.Stats)
+	calls := b.Obs.Counter("quagmire_taxonomy_llm_calls_total").Value()
+	rounds := b.Obs.Counter("quagmire_taxonomy_col_rounds_total").Value()
+	if calls == 0 || rounds == 0 {
+		t.Errorf("stats not recorded: %d model calls, %d CoL rounds", calls, rounds)
 	}
 }
 
@@ -104,6 +107,7 @@ func TestBuildFilter(t *testing.T) {
 		Client:          llm.NewSim(),
 		Filter:          embed.NewModel("scibert-sim"),
 		FilterThreshold: 0.999,
+		Obs:             obs.NewRegistry(),
 	}
 	h, err := b.Build(context.Background(), "data", dataTerms)
 	if err != nil {
@@ -114,7 +118,7 @@ func TestBuildFilter(t *testing.T) {
 			t.Errorf("filtered build lost %q", term)
 		}
 	}
-	if b.Stats.Filtered == 0 {
+	if b.Obs.Counter("quagmire_taxonomy_edges_filtered_total").Value() == 0 {
 		t.Error("filter rejected nothing at threshold 0.999")
 	}
 	// "phone number of contacts" can no longer attach under "phone
